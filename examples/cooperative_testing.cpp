@@ -19,7 +19,7 @@
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "models/smart_light.h"
-#include "testing/cooperative_executor.h"
+#include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
 
@@ -49,7 +49,8 @@ int main() {
                                std::int64_t latency) {
     testing::SimulatedImplementation imp(sys, kScale,
                                          testing::ImpPolicy{latency, {}});
-    testing::CooperativeExecutor exec(spec.system, plan, imp, kScale);
+    auto exec =
+        testing::TestExecutor::cooperative(spec.system, plan, imp, kScale);
     const auto report = exec.run();
     std::printf("%-16s verdict: %-13s %s\n", label,
                 testing::to_string(report.verdict), report.detail.c_str());
@@ -69,7 +70,8 @@ int main() {
     const tsystem::System mutated = testing::apply_mutant(plant.system, m);
     testing::SimulatedImplementation imp(mutated, kScale,
                                          testing::ImpPolicy{3 * kScale, {}});
-    testing::CooperativeExecutor exec(spec.system, plan2, imp, kScale);
+    auto exec =
+        testing::TestExecutor::cooperative(spec.system, plan2, imp, kScale);
     const auto report = exec.run();
     if (report.verdict == testing::Verdict::kFail) {
       std::printf("faulty light     verdict: fail          %s\n",

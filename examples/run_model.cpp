@@ -1,16 +1,6 @@
 // Generic model runner: the full parse → elaborate → solve pipeline
-// from a .tg file path — no C++ modelling required.
-//
-//   ./build/examples/run_model examples/models/smart_light.tg
-//   ./build/examples/run_model examples/models/lep.tg --print-model
-//   ./build/examples/run_model model.tg "control: A<> IUT.Bright"
-//   ./build/examples/run_model model.tg --threads=4   # 0 = hardware
-//   ./build/examples/run_model model.tg --compact-zones  # pooled zone
-//                      # storage; what lets LEP n=6 fit in memory
-//
-// Subcommands name the pipeline stage explicitly; each takes the same
-// flags as the legacy flag-driven interface (which remains supported —
-// a first argument that is not a subcommand keeps its old meaning):
+// from a .tg file path — no C++ modelling required.  The first
+// argument names the pipeline stage; anything else is a usage error:
 //
 //   run_model solve    model.tg [--strategy-out=F.tgs] ...
 //   run_model serve    model.tg --strategy-in=F.tgs ...
@@ -18,17 +8,23 @@
 //   run_model campaign model.tg --runs=K ...
 //   run_model explain  model.tg ...        # campaign + post-mortems
 //
+//   ./build/examples/run_model solve examples/models/smart_light.tg
+//   ./build/examples/run_model solve examples/models/lep.tg --print-model
+//   ./build/examples/run_model solve model.tg "control: A<> IUT.Bright"
+//   ./build/examples/run_model solve model.tg --threads=4  # 0 = hardware
+//   ./build/examples/run_model solve model.tg --compact-zones  # pooled
+//                      # zone storage; what lets LEP n=6 fit in memory
+//
 // `serve` opens the .tgs with the zero-copy v3 reader
-// (DecisionTable::map): a v1/v2 file exits 1 with a "re-solve to
-// migrate" diagnostic (use `tigat-serve migrate` to upgrade without
-// re-solving), a corrupt file exits 2.
+// (DecisionTable::map): a v1/v2 file exits 1 with a "re-solve"
+// diagnostic, a corrupt file exits 2.
 //
 // Templated models rescale from the command line: --param NAME=VALUE
 // overrides a `const` declaration before elaboration, so one file
 // serves every instance size (the whole of Table 1 is
-// `run_model examples/models/lep.tg --param N=3..8`):
+// `run_model solve examples/models/lep.tg --param N=3..8`):
 //
-//   run_model examples/models/lep.tg --param N=5
+//   run_model solve examples/models/lep.tg --param N=5
 //
 // Every `control:` declaration in the file is solved (plus any extra
 // purposes given on the command line); for each one the winnability
@@ -41,9 +37,9 @@
 // Compiled strategies (the offline/online split):
 //
 //   # solve once, compile the first purpose's strategy, save it
-//   run_model model.tg --strategy-out=model.tgs
+//   run_model solve model.tg --strategy-out=model.tgs
 //   # serving path: load the compiled strategy — no solving at all
-//   run_model model.tg --strategy-in=model.tgs
+//   run_model serve model.tg --strategy-in=model.tgs
 //
 // --strategy-in validates the .tgs fingerprint against the model,
 // reports the table shape and times the compiled decide() at the
@@ -68,10 +64,10 @@
 // optionally fault-injected boundary, and emit the deterministic
 // campaign JSON:
 //
-//   run_model model.tg --runs=50 --faults="drop=0.05,delay=0..8"
+//   run_model campaign model.tg --runs=50 --faults="drop=0.05,delay=0..8"
 //       --fault-seed=7 --run-deadline-ms=2000 --retries=2
 //       --campaign-out=campaign.json
-//   run_model model.tg --runs=20 --mutant=3   # test a mutated IUT
+//   run_model campaign model.tg --runs=20 --mutant=3  # a mutated IUT
 //
 // Flight recorder + post-mortems (src/obs/recorder.h, explain.h):
 // every non-PASS attempt's full step journal becomes a replayable,
@@ -98,6 +94,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -218,26 +215,46 @@ int serve_strategy(const tigat::lang::LoadedModel& model,
   return kExitPass;
 }
 
-// Subcommand dispatch: argv[1] may name the pipeline stage.  Flags are
-// 1:1 with the legacy interface; the subcommand only pins the mode, so
-// scripts can spell intent without learning new options.
-enum class Mode { kLegacy, kSolve, kServe, kRun, kCampaign, kExplain };
+int usage() {
+  std::fprintf(stderr,
+               "usage: run_model solve|serve|run|campaign|explain "
+               "<model.tg> [--print-model] "
+               "[--threads=N] [--compact-zones] [--param NAME=VALUE]... "
+               "[--strategy-out=FILE.tgs] "
+               "[--strategy-in=FILE.tgs] "
+               "[--trace-out=FILE] [--metrics-out=FILE] "
+               "[--progress[=SECS]] [--stats-json] "
+               "[--runs=K] [--faults=SPEC] [--fault-seed=N] "
+               "[--run-deadline-ms=M] [--retries=R] [--iut=NAME] "
+               "[--mutant=K] [--pass-ticks=T] [--campaign-out=FILE] "
+               "[--ledger-out=DIR] [--explain] "
+               "[\"control: A<> ...\" | \"control: A[] ...\"]...\n"
+               "exit codes: 0 pass, 1 usage/model, 2 I/O, "
+               "3 solver limit, 4 FAIL, 5 flaky/inconclusive\n");
+  return kExitUsageOrModel;
+}
 
-Mode parse_mode(const char* arg) {
-  if (arg == nullptr) return Mode::kLegacy;
+// Subcommand dispatch: argv[1] names the pipeline stage.  The
+// subcommand pins the mode the flags would otherwise imply, so scripts
+// spell intent without learning new options.
+enum class Mode { kSolve, kServe, kRun, kCampaign, kExplain };
+
+std::optional<Mode> parse_mode(const char* arg) {
   if (std::strcmp(arg, "solve") == 0) return Mode::kSolve;
   if (std::strcmp(arg, "serve") == 0) return Mode::kServe;
   if (std::strcmp(arg, "run") == 0) return Mode::kRun;
   if (std::strcmp(arg, "campaign") == 0) return Mode::kCampaign;
   if (std::strcmp(arg, "explain") == 0) return Mode::kExplain;
-  return Mode::kLegacy;
+  return std::nullopt;
 }
 
 int run_main(int argc, char** argv) {
   using namespace tigat;
 
-  const Mode mode = parse_mode(argc > 1 ? argv[1] : nullptr);
-  const int first_arg = mode == Mode::kLegacy ? 1 : 2;
+  const std::optional<Mode> parsed =
+      argc > 1 ? parse_mode(argv[1]) : std::nullopt;
+  if (!parsed) return usage();
+  const Mode mode = *parsed;
 
   std::string path;
   bool print_model = false;
@@ -277,7 +294,7 @@ int run_main(int argc, char** argv) {
     compile_options.params.emplace_back(std::string(spec, eq),
                                         static_cast<std::int64_t>(value));
   };
-  for (int i = first_arg; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-model") == 0) {
       print_model = true;
     } else if (std::strcmp(argv[i], "--compact-zones") == 0) {
@@ -337,8 +354,6 @@ int run_main(int argc, char** argv) {
   // Mode overrides: the subcommand pins what the flags would otherwise
   // have to imply, and rejects contradictions up front.
   switch (mode) {
-    case Mode::kLegacy:
-      break;
     case Mode::kSolve:
       if (campaign_mode || !strategy_in.empty()) {
         std::fprintf(stderr,
@@ -367,24 +382,7 @@ int run_main(int argc, char** argv) {
       break;
   }
 
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: run_model [solve|serve|run|campaign|explain] "
-                 "<model.tg> [--print-model] "
-                 "[--threads=N] [--compact-zones] [--param NAME=VALUE]... "
-                 "[--strategy-out=FILE.tgs] "
-                 "[--strategy-in=FILE.tgs] "
-                 "[--trace-out=FILE] [--metrics-out=FILE] "
-                 "[--progress[=SECS]] [--stats-json] "
-                 "[--runs=K] [--faults=SPEC] [--fault-seed=N] "
-                 "[--run-deadline-ms=M] [--retries=R] [--iut=NAME] "
-                 "[--mutant=K] [--pass-ticks=T] [--campaign-out=FILE] "
-                 "[--ledger-out=DIR] [--explain] "
-                 "[\"control: A<> ...\" | \"control: A[] ...\"]...\n"
-                 "exit codes: 0 pass, 1 usage/model, 2 I/O, "
-                 "3 solver limit, 4 FAIL, 5 flaky/inconclusive\n");
-    return kExitUsageOrModel;
-  }
+  if (path.empty()) return usage();
 
   // Arm the requested telemetry before any pipeline work runs.
   obs::set_thread_name("tigat-main");

@@ -22,10 +22,10 @@
 // header and is verified before any record is trusted.
 //
 // Version history: v1 (reachability only) and v2 (safety fat leaves)
-// were streamed heap formats; both magics are recognised and rejected
-// with a "re-solve to migrate" VersionError — decision/legacy.h still
-// parses v2 so `decision::load` / `tigat-serve migrate` can upgrade
-// old artifacts in one pass.
+// were streamed heap formats; both are recognised and rejected with a
+// VersionError asking to re-solve (`run_model solve --strategy-out`).
+// Every table can be rebuilt from its .tg model, so no reader for the
+// old formats is kept.
 #pragma once
 
 #include <bit>
@@ -47,10 +47,10 @@ class SerializeError : public tsystem::ModelError {
 };
 
 // A well-formed .tgs of an *older format version* (v1/v2).  Distinct
-// from SerializeError so callers can give the "re-solve to migrate"
-// diagnostic (exit 1) instead of misreporting the file as corrupt
-// (exit 2).  The version check runs before the checksum, so an old
-// file always lands here, never in a checksum/bounds error.
+// from SerializeError so callers can give the "re-solve" diagnostic
+// (exit 1) instead of misreporting the file as corrupt (exit 2).  The
+// version check runs before the checksum, so an old file always lands
+// here, never in a checksum/bounds error.
 class VersionError : public SerializeError {
  public:
   using SerializeError::SerializeError;

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "decision/legacy.h"
-#include "obs/metrics.h"
 #include "util/text.h"
 
 namespace tigat::decision {
@@ -14,14 +12,6 @@ std::vector<std::uint8_t> to_bytes(const DecisionTable& table) {
 }
 
 DecisionTable from_bytes(std::vector<std::uint8_t> bytes) {
-  if (is_legacy_image(bytes)) {
-    // v2 → TableData → v3 image; v1 raises VersionError inside.
-    TableData data = from_bytes_v2(bytes);
-    if (obs::metrics_enabled()) {
-      obs::metrics().counter("tgs.migrations").add(1);
-    }
-    return DecisionTable(std::move(data));
-  }
   return DecisionTable(std::move(bytes));
 }
 

@@ -1,25 +1,13 @@
-// File-level `.tgs` helpers and the legacy-compatible load path.
+// File-level `.tgs` helpers.
 //
 // Since format v3 a DecisionTable IS its `.tgs` image (decision/table.h
 // + decision/view.h), so serialization is trivial: to_bytes copies the
-// table's bytes, save writes them, and the preferred way to open a
-// file is `DecisionTable::map(path)` — zero-copy, strict v3 only,
-// VersionError ("re-solve to migrate") on v1/v2 files.
+// table's bytes, save writes them, from_bytes / load adopt a v3 image
+// into an owned heap buffer.  The bytes round-trip bit for bit (save →
+// map → to_bytes is the identity on the image).  Serving processes
+// should prefer `DecisionTable::map(path)`, which is zero-copy.
 //
-// The entry points here are the *compatibility* layer kept for callers
-// of the old heap-loading API and for artifact migration:
-//
-//   * from_bytes / load accept v2 images too, parsing them through
-//     decision/legacy.h and re-flattening to v3 in memory (counted in
-//     the "tgs.migrations" metric).  `tigat-serve migrate` is this +
-//     save.
-//   * to_bytes / save emit v3 only; the bytes round-trip bit-for-bit
-//     (save → map → to_bytes is the identity on the image).
-//
-// New code should prefer DecisionTable::map / TgsWriter directly;
-// these wrappers trade the zero-copy property for auto-migration.
-//
-// SerializeError / VersionError and kFormatVersion moved to
+// SerializeError / VersionError and kFormatVersion live in
 // decision/format.h; this header re-exports them via its include.
 #pragma once
 
@@ -36,9 +24,8 @@ namespace tigat::decision {
 // own bytes).
 [[nodiscard]] std::vector<std::uint8_t> to_bytes(const DecisionTable& table);
 
-// Opens an in-memory image: v3 bytes are adopted as-is; v2 bytes are
-// migrated through the legacy parser.  Throws SerializeError on
-// corruption, VersionError on v1.
+// Adopts an in-memory v3 image.  Throws SerializeError on corruption,
+// VersionError on a v1/v2 image.
 [[nodiscard]] DecisionTable from_bytes(std::vector<std::uint8_t> bytes);
 
 // Throws SerializeError on I/O failure, bad magic/version, checksum

@@ -74,10 +74,9 @@ namespace tigat::decision {
 
 inline constexpr std::uint32_t kNoEdgeSlot = 0xffff'ffffu;
 
-// The mutable builder form of a table: what the compiler produces and
-// what the legacy (v2) reader migrates into.  TgsWriter flattens it to
-// the v3 image; DecisionTable::export_data() materialises it back from
-// an image (tests, migration round trips).
+// The mutable builder form of a table: what the compiler produces.
+// TgsWriter flattens it to the v3 image; DecisionTable::export_data()
+// materialises it back from an image (tests, tigat-serve drive).
 struct TableData {
   struct Arc {
     dbm::raw_t bound = 0;  // encoded `≺ c`; kInfinity on the last arc
@@ -122,7 +121,7 @@ struct TableData {
   std::uint32_t clock_dim = 0;    // clocks incl. the reference clock
   std::uint8_t purpose_kind = 0;  // 0 = reachability, 1 = safety
   // The v3 string pool: provenance carried for tgs-info and serve
-  // logs; empty strings on tables migrated from v1/v2 files.
+  // logs.
   std::string system_name;
   std::string purpose_source;
   std::vector<Key> keys;
@@ -166,8 +165,8 @@ class DecisionTable final : public DecisionSource {
   // The zero-copy serving path: maps `path` read-only and serves
   // decide() straight from the page cache — no per-record parsing, no
   // heap table, cold start O(validation).  Throws SerializeError on
-  // I/O or corruption, VersionError for v1/v2 files ("re-solve to
-  // migrate"; `decision::load` or `tigat-serve migrate` upgrade them).
+  // I/O or corruption, VersionError for v1/v2 files (re-solve them
+  // with `run_model solve --strategy-out`).
   [[nodiscard]] static DecisionTable map(const std::string& path,
                                          const TgsView::Options& options = {});
 
@@ -228,8 +227,8 @@ class DecisionTable final : public DecisionSource {
   }
 
   // Materialises the builder form back from the image — the inverse of
-  // the constructor.  Used by tests and the legacy writer; the serving
-  // path never calls it.
+  // the constructor.  Used by tests and `tigat-serve drive`; the
+  // serving path never calls it.
   [[nodiscard]] TableData export_data() const;
 
  private:

@@ -35,14 +35,14 @@ namespace {
 TgsView TgsView::open(std::span<const std::uint8_t> bytes,
                       const Options& options) {
   // ── magic / version: decided before anything else, so a v1/v2 file
-  // gets the migration diagnostic, never a checksum or bounds error ──
+  // gets the re-solve diagnostic, never a checksum or bounds error ──
   if (bytes.size() >= 8 &&
       std::memcmp(bytes.data(), kMagicLegacy, 4) == 0) {
     std::uint32_t version = 0;
     std::memcpy(&version, bytes.data() + 4, 4);
     throw VersionError(util::format(
         ".tgs format v%u is a pre-v3 streamed format — re-solve with "
-        "--strategy-out or run `tigat-serve migrate` to upgrade it",
+        "`run_model solve --strategy-out`",
         version));
   }
   if (bytes.size() < sizeof(TgsHeader) ||
@@ -57,7 +57,8 @@ TgsView TgsView::open(std::span<const std::uint8_t> bytes,
   if (h.version != kFormatVersion) {
     if (h.version < kFormatVersion) {
       throw VersionError(util::format(
-          ".tgs format v%u is a pre-v3 format — re-solve to migrate",
+          ".tgs format v%u is a pre-v3 format — re-solve with "
+          "`run_model solve --strategy-out`",
           h.version));
     }
     throw SerializeError(util::format(

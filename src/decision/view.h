@@ -3,8 +3,8 @@
 // runs on it.
 //
 // open() validates once — magic/version (old formats raise
-// VersionError with the re-solve-to-migrate hint *before* any checksum
-// or bounds check can misfire), checksum, section table geometry,
+// VersionError with the re-solve hint *before* any checksum or bounds
+// check can misfire), checksum, section table geometry,
 // every index/slice/target range, bucket-index correctness, arc
 // sorting, zone canonicality — then caches one typed pointer per
 // section.  After that every query, decide() included, reads the

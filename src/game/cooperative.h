@@ -6,7 +6,7 @@
 // try: solve the game PRETENDING every action is controllable (a plain
 // reachability plan).  The resulting cooperative strategy prescribes
 // both tester inputs and hoped-for SUT outputs.  Executing it (see
-// testing::CooperativeExecutor):
+// testing::TestExecutor::cooperative):
 //
 //   * reaching φ            → PASS      (purpose exercised)
 //   * a tioco violation     → FAIL      (still sound: the monitor only

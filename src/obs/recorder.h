@@ -5,7 +5,7 @@
 // *explainable*.  A FAIL/FLAKY used to be a one-line verdict with no
 // record of what happened inside the run — the forensic gap the
 // off-line-testing literature assumes away.  When a RunRecorder is
-// attached (ExecutorOptions::recorder), both executors journal every
+// attached (ExecutorOptions::recorder), the executor journals every
 // step of Algorithm 3.1 into an in-memory RunLedger:
 //
 //   * the decision taken at each step — the discrete key (rendered

@@ -1,14 +1,12 @@
 #include "testing/campaign.h"
 
 #include <chrono>
-#include <functional>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "testing/cooperative_executor.h"
 #include "testing/faults.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -86,10 +84,9 @@ struct LedgerContext {
   std::int64_t scale = 0;
 };
 
-// The engine shared by the plain and cooperative entry points:
-// `attempt` runs one executor attempt and returns its report.
-CampaignReport run_campaign(const std::function<TestReport()>& attempt,
-                            FaultInjector* injector, util::Deadline& deadline,
+// The campaign loop: runs × retried attempts of `exec`, aggregated.
+CampaignReport run_campaign(TestExecutor& exec, FaultInjector* injector,
+                            util::Deadline& deadline,
                             const CampaignOptions& opts,
                             const FaultSpec& spec,
                             const LedgerContext& ledgers) {
@@ -131,7 +128,7 @@ CampaignReport run_campaign(const std::function<TestReport()>& attempt,
       }
 
       util::Stopwatch watch;
-      outcome.report = attempt();
+      outcome.report = exec.run();
       outcome.seed = seed;
       outcome.attempts = att + 1;
       outcome.attempt_codes.push_back(outcome.report.code);
@@ -223,6 +220,45 @@ CampaignReport run_campaign(const std::function<TestReport()>& attempt,
   return out;
 }
 
+// The entry points' shared setup: deadline, flight recorder, optional
+// fault-injecting decorator, then one executor driven by run_campaign.
+CampaignReport campaign_with(const decision::DecisionSource& source,
+                             const tsystem::System& spec, Implementation& imp,
+                             std::int64_t scale, const CampaignOptions& opts,
+                             bool cooperative) {
+  const FaultSpec fault_spec = FaultSpec::parse(opts.fault_spec);
+  util::Deadline deadline;
+  ExecutorOptions exec_opts = opts.executor;
+  exec_opts.deadline = &deadline;
+
+  obs::RunRecorder recorder;
+  LedgerContext ledgers;
+  if (opts.record_ledgers) {
+    ledgers.recorder = &recorder;
+    ledgers.model = spec.name();
+    ledgers.backend = source.backend_name();
+    ledgers.scale = scale;
+    exec_opts.recorder = &recorder;
+  }
+
+  const auto drive = [&](Implementation& target, FaultInjector* injector) {
+    TestExecutor exec =
+        cooperative
+            ? TestExecutor::cooperative(spec, source, target, scale, exec_opts)
+            : TestExecutor(source, spec, target, scale, exec_opts);
+    return run_campaign(exec, injector, deadline, opts, fault_spec, ledgers);
+  };
+  if (!fault_spec.any()) return drive(imp, nullptr);
+  FaultInjector injector(imp, fault_spec, opts.fault_seed,
+                         uncontrollable_channels(spec), &deadline);
+  if (opts.record_ledgers) {
+    injector.set_fault_sink([&recorder](const char* kind, std::uint64_t call) {
+      recorder.fault(kind, call);
+    });
+  }
+  return drive(injector, &injector);
+}
+
 }  // namespace
 
 std::string CampaignReport::to_json() const {
@@ -294,37 +330,7 @@ std::string CampaignReport::to_json() const {
 CampaignReport campaign_run(const decision::DecisionSource& source,
                             const tsystem::System& spec, Implementation& imp,
                             std::int64_t scale, const CampaignOptions& opts) {
-  const FaultSpec fault_spec = FaultSpec::parse(opts.fault_spec);
-  util::Deadline deadline;
-  ExecutorOptions exec_opts = opts.executor;
-  exec_opts.deadline = &deadline;
-
-  obs::RunRecorder recorder;
-  LedgerContext ledgers;
-  if (opts.record_ledgers) {
-    ledgers.recorder = &recorder;
-    ledgers.model = spec.name();
-    ledgers.backend = source.backend_name();
-    ledgers.scale = scale;
-    exec_opts.recorder = &recorder;
-  }
-
-  if (fault_spec.any()) {
-    FaultInjector injector(imp, fault_spec, opts.fault_seed,
-                           uncontrollable_channels(spec), &deadline);
-    if (opts.record_ledgers) {
-      injector.set_fault_sink([&recorder](const char* kind,
-                                          std::uint64_t call) {
-        recorder.fault(kind, call);
-      });
-    }
-    TestExecutor exec(source, spec, injector, scale, exec_opts);
-    return run_campaign([&] { return exec.run(); }, &injector, deadline, opts,
-                        fault_spec, ledgers);
-  }
-  TestExecutor exec(source, spec, imp, scale, exec_opts);
-  return run_campaign([&] { return exec.run(); }, nullptr, deadline, opts,
-                      fault_spec, ledgers);
+  return campaign_with(source, spec, imp, scale, opts, false);
 }
 
 CampaignReport campaign_run_cooperative(const tsystem::System& original,
@@ -332,37 +338,7 @@ CampaignReport campaign_run_cooperative(const tsystem::System& original,
                                         Implementation& imp,
                                         std::int64_t scale,
                                         const CampaignOptions& opts) {
-  const FaultSpec fault_spec = FaultSpec::parse(opts.fault_spec);
-  util::Deadline deadline;
-  ExecutorOptions exec_opts = opts.executor;
-  exec_opts.deadline = &deadline;
-
-  obs::RunRecorder recorder;
-  LedgerContext ledgers;
-  if (opts.record_ledgers) {
-    ledgers.recorder = &recorder;
-    ledgers.model = original.name();
-    ledgers.backend = source.backend_name();
-    ledgers.scale = scale;
-    exec_opts.recorder = &recorder;
-  }
-
-  if (fault_spec.any()) {
-    FaultInjector injector(imp, fault_spec, opts.fault_seed,
-                           uncontrollable_channels(original), &deadline);
-    if (opts.record_ledgers) {
-      injector.set_fault_sink([&recorder](const char* kind,
-                                          std::uint64_t call) {
-        recorder.fault(kind, call);
-      });
-    }
-    CooperativeExecutor exec(original, source, injector, scale, exec_opts);
-    return run_campaign([&] { return exec.run(); }, &injector, deadline, opts,
-                        fault_spec, ledgers);
-  }
-  CooperativeExecutor exec(original, source, imp, scale, exec_opts);
-  return run_campaign([&] { return exec.run(); }, nullptr, deadline, opts,
-                      fault_spec, ledgers);
+  return campaign_with(source, original, imp, scale, opts, true);
 }
 
 }  // namespace tigat::testing

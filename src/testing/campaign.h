@@ -13,7 +13,7 @@
 //
 //   PASS          every run's final attempt passed
 //   FAIL          some run produced a sound FAIL (Theorem 10 evidence;
-//                 never caused by injected faults — executors downgrade
+//                 never caused by injected faults — the executor downgrades
 //                 those, see executor.h)
 //   UNRESPONSIVE  no run ever passed or failed, and every final
 //                 outcome was harness-silence (crash / hang / deadline)
@@ -143,8 +143,8 @@ struct CampaignReport {
                                           std::int64_t scale,
                                           const CampaignOptions& opts);
 
-// Same, with the cooperative executor (the strategy/backend must come
-// from the all-controllable relaxation of `original`).
+// Same, with TestExecutor::cooperative (the backend must come from the
+// all-controllable relaxation of `original`).
 [[nodiscard]] CampaignReport campaign_run_cooperative(
     const tsystem::System& original, const decision::DecisionSource& source,
     Implementation& imp, std::int64_t scale, const CampaignOptions& opts);

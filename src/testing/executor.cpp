@@ -65,6 +65,9 @@ std::string TestReport::trace_string() const {
   return out;
 }
 
+namespace {
+
+// Per-run verdict/trace metrics (obs layer).
 void record_run_metrics(const TestReport& report) {
   if (!obs::metrics_enabled()) return;
   auto& m = obs::metrics();
@@ -92,19 +95,36 @@ void record_run_metrics(const TestReport& report) {
   }
 }
 
+// The "executor.step_ns" histogram, or nullptr when metrics are off —
+// fetched once per run so the per-step cost is a null check, not a
+// registry lookup.  Splits serving-path time between decide() (the
+// existing "decide.latency_ns") and everything around it.
 obs::Histogram* step_latency_histogram() {
   if (!obs::metrics_enabled()) return nullptr;
   return &obs::metrics().histogram("executor.step_ns",
                                    obs::latency_buckets_ns());
 }
 
-StepTimer::StepTimer(obs::Histogram* hist)
-    : hist_(hist), t0_(hist != nullptr ? obs::now_ns() : 0) {}
+// RAII step timer: records into `hist` on scope exit (covering early
+// returns), measures nothing when hist == nullptr.
+class StepTimer {
+ public:
+  explicit StepTimer(obs::Histogram* hist)
+      : hist_(hist), t0_(hist != nullptr ? obs::now_ns() : 0) {}
+  ~StepTimer() {
+    if (hist_ != nullptr) hist_->record(obs::now_ns() - t0_);
+  }
+  StepTimer(const StepTimer&) = delete;
+  StepTimer& operator=(const StepTimer&) = delete;
 
-StepTimer::~StepTimer() {
-  if (hist_ != nullptr) hist_->record(obs::now_ns() - t0_);
-}
+ private:
+  obs::Histogram* hist_;
+  std::uint64_t t0_;
+};
 
+// Journals one decide() answer into the run ledger: the move kind and
+// rank, the rendered SPEC state (the decision key), the prescribed
+// channel for actions and the strategy's wait bound for delays.
 void record_decision(obs::RunRecorder& rec, std::uint64_t step,
                      std::int64_t t, const SpecMonitor& monitor,
                      const game::Move& move,
@@ -140,25 +160,51 @@ void record_decision(obs::RunRecorder& rec, std::uint64_t step,
                std::move(channel), bound);
 }
 
+}  // namespace
+
+TestExecutor::TestExecutor(const game::Strategy* strategy,
+                           const decision::DecisionSource* source,
+                           const tsystem::System& spec, bool cooperative,
+                           Implementation& imp, std::int64_t scale,
+                           ExecutorOptions options)
+    : source_(source),
+      imp_(&imp),
+      monitor_(spec, scale),
+      cooperative_(cooperative),
+      scale_(scale),
+      options_(std::move(options)) {
+  if (strategy != nullptr) {
+    source_ = &owned_source_.emplace(*strategy);
+    if (!options_.purpose) options_.purpose = strategy->solution().purpose();
+  }
+}
+
 TestExecutor::TestExecutor(const game::Strategy& strategy, Implementation& imp,
                            std::int64_t scale, ExecutorOptions options)
-    : owned_source_(strategy),
-      source_(&*owned_source_),
-      imp_(&imp),
-      monitor_(strategy.solution().graph().system(), scale),
-      scale_(scale),
-      options_(options) {
-  if (!options_.purpose) options_.purpose = strategy.solution().purpose();
-}
+    : TestExecutor(&strategy, nullptr, strategy.solution().graph().system(),
+                   false, imp, scale, std::move(options)) {}
 
 TestExecutor::TestExecutor(const decision::DecisionSource& source,
                            const tsystem::System& spec, Implementation& imp,
                            std::int64_t scale, ExecutorOptions options)
-    : source_(&source),
-      imp_(&imp),
-      monitor_(spec, scale),
-      scale_(scale),
-      options_(options) {}
+    : TestExecutor(nullptr, &source, spec, false, imp, scale,
+                   std::move(options)) {}
+
+TestExecutor TestExecutor::cooperative(const tsystem::System& original,
+                                       const game::Strategy& plan,
+                                       Implementation& imp, std::int64_t scale,
+                                       ExecutorOptions options) {
+  return TestExecutor(&plan, nullptr, original, true, imp, scale,
+                      std::move(options));
+}
+
+TestExecutor TestExecutor::cooperative(const tsystem::System& original,
+                                       const decision::DecisionSource& plan,
+                                       Implementation& imp, std::int64_t scale,
+                                       ExecutorOptions options) {
+  return TestExecutor(nullptr, &plan, original, true, imp, scale,
+                      std::move(options));
+}
 
 TestReport TestExecutor::run() {
   TIGAT_SPAN("executor.run");
@@ -233,6 +279,7 @@ TestReport TestExecutor::run_impl() {
     record_verdict();
     return report;
   };
+  const tsystem::System& spec = monitor_.semantics().system();
 
   for (report.steps = 0; report.steps < options_.max_steps; ++report.steps) {
     TIGAT_SPAN("executor.step");
@@ -252,15 +299,27 @@ TestReport TestExecutor::run_impl() {
       record_decision(*rec, report.steps, report.total_ticks, monitor_, move,
                       *source_);
     }
+
+    // Every move but a tester action hands the SUT a window to act in:
+    // how long we may sleep, whether the strategy or the SPEC bounded
+    // it, and (cooperative mode) the output the plan hopes for.
+    std::int64_t wait = options_.idle_wait_cap;
+    bool wait_bounded = false;
+    std::optional<std::string> hoped;
     switch (move.kind) {
       case game::MoveKind::kGoalReached:
         report.verdict = Verdict::kPass;
         report.code = ReasonCode::kPurposeReached;
-        report.detail = "test purpose reached";
+        report.detail = cooperative_ ? "test purpose reached (cooperatively)"
+                                     : "test purpose reached";
         record_verdict();
         return report;
 
       case game::MoveKind::kUnwinnable:
+        if (cooperative_) {
+          return inconclusive(ReasonCode::kSutDeclined,
+                              "the SUT drifted off the cooperative plan");
+        }
         // A winning strategy never leaves its winning region on
         // conforming behaviour; landing here means the purpose was not
         // controllable from the start (caller error).
@@ -269,7 +328,19 @@ TestReport TestExecutor::run_impl() {
 
       case game::MoveKind::kAction: {
         const auto& inst = source_->edge_instance(*move.edge);
-        const auto chan = inst.channel_name(monitor_.semantics().system());
+        const auto chan = inst.channel_name(spec);
+        if (cooperative_) {
+          // The relaxation marked everything controllable; the SPEC's
+          // partition says whether this move is really the SUT's — a
+          // hoped-for output, waited for up to the SPEC deadline.
+          const auto& proc = spec.processes()[inst.primary.process];
+          if (!spec.edge_controllable(proc, proc.edges()[inst.primary.edge])) {
+            TIGAT_ASSERT(chan.has_value(), "hoped-for silent SUT move");
+            hoped = chan;
+            wait = std::min(monitor_.allowed_delay(), options_.idle_wait_cap);
+            break;
+          }
+        }
         if (!chan) {
           // Environment-internal controllable move (tester bookkeeping,
           // e.g. the LEP environment creating a buffered message):
@@ -280,7 +351,7 @@ TestReport TestExecutor::run_impl() {
             return fail(ReasonCode::kSafetyViolation,
                         "safety violation: phi broken by an internal move");
           }
-          break;
+          continue;
         }
         try {
           imp_->offer_input(*chan);  // mutants may ignore it; that alone
@@ -305,16 +376,14 @@ TestReport TestExecutor::run_impl() {
                           "'",
                       *chan);
         }
-        break;
+        continue;
       }
 
       case game::MoveKind::kDelay: {
-        // How long may we sleep?  Until the strategy's next decision
-        // point, or the SPEC's invariant deadline (by which the SUT
-        // must have produced something), whichever is earlier.  A wait
-        // of 0 means the SUT must act at this very instant.
-        std::int64_t wait = options_.idle_wait_cap;
-        bool wait_bounded = false;  // by the strategy or the SPEC
+        // Sleep until the strategy's next decision point, or the SPEC's
+        // invariant deadline (by which the SUT must have produced
+        // something), whichever is earlier.  A wait of 0 means the SUT
+        // must act at this very instant.
         if (move.next_decision_ticks < game::Move::kNoDecision) {
           wait = move.next_decision_ticks;
           wait_bounded = true;
@@ -324,103 +393,112 @@ TestReport TestExecutor::run_impl() {
           wait = std::min(wait, deadline);
           wait_bounded = true;
         }
-        TIGAT_ASSERT(wait >= 0, "negative waiting time");
-
-        std::optional<ObservedOutput> obs;
-        try {
-          obs = imp_->advance(wait);
-        } catch (const HarnessHangError& e) {
-          return inconclusive(ReasonCode::kHarnessHang, e.what());
-        } catch (const HarnessFaultError& e) {
-          return inconclusive(ReasonCode::kHarnessFault, e.what());
-        } catch (const std::exception& e) {
-          return inconclusive(ReasonCode::kImpCrash,
-                              std::string("IMP crashed in advance: ") +
-                                  e.what());
-        }
-        if (!obs) {
-          if (wait == 0) {
-            if (safety) {
-              // The strategy pinned its next decision to this very
-              // instant.  Three cases, in soundness order: the SPEC may
-              // still let time pass (no safe prescription exists — a
-              // winning strategy never lands here on conforming
-              // behaviour, so no verdict); time is frozen with nothing
-              // promised (a maximal run that kept φ — the tester wins);
-              // or a promised output never came (the one silence that
-              // is still sound FAIL evidence).
-              if (monitor_.allowed_delay() > 0) {
-                return inconclusive(
-                    ReasonCode::kOutsideWinningRegion,
-                    "no safe prescription at the decision instant");
-              }
-              if (monitor_.expected_outputs().empty()) {
-                return safety_pass(
-                    "safety invariant maintained (safe deadlock)");
-              }
-            }
-            return fail(ReasonCode::kQuiescenceViolation,
-                        "quiescence violation: output deadline expired with "
-                        "no output");
-          }
-          if (!wait_bounded && !safety) {
-            // Defensive path: the strategy offered no decision point and
-            // the SPEC no invariant deadline, so nothing bounds this
-            // wait.  Silently sleeping idle_wait_cap and looping would
-            // just burn the step budget — surface the cause instead.
-            // (In safety mode an unbounded quiet wait is winning play:
-            // absorb the cap and keep counting toward the pass budget.)
-            return inconclusive(
-                ReasonCode::kUnboundedWait,
-                util::format("no deadline from strategy or SPEC; quiescent "
-                             "for the whole %lld-tick cap",
-                             static_cast<long long>(wait)));
-          }
-          // Quiescent for the whole window (allowed: wait ≤ deadline).
-          const bool ok = monitor_.apply_delay(wait);
-          TIGAT_ASSERT(ok, "delay within the deadline rejected");
-          report.total_ticks += wait;
-          report.trace.push_back({TraceEvent::Kind::kDelay, "", wait});
-          if (rec != nullptr) {
-            rec->delay(report.steps, report.total_ticks, wait);
-          }
-          break;
-        }
-
-        // Output observed inside the window.
-        if (obs->after_ticks > 0) {
-          const bool ok = monitor_.apply_delay(obs->after_ticks);
-          TIGAT_ASSERT(ok, "delay within the window exceeded a deadline");
-          report.total_ticks += obs->after_ticks;
-          report.trace.push_back(
-              {TraceEvent::Kind::kDelay, "", obs->after_ticks});
-          if (rec != nullptr) {
-            rec->delay(report.steps, report.total_ticks, obs->after_ticks);
-          }
-        }
-        if (!monitor_.apply_output(obs->channel)) {
-          return fail(ReasonCode::kUnexpectedOutput,
-                      util::format(
-                          "unexpected output '%s' after %lld ticks: not in "
-                          "Out(s After sigma)",
-                          obs->channel.c_str(),
-                          static_cast<long long>(obs->after_ticks)),
-                      obs->channel);
-        }
-        report.trace.push_back({TraceEvent::Kind::kOutput, obs->channel, 0});
-        if (rec != nullptr) {
-          rec->output(report.steps, report.total_ticks, obs->channel);
-        }
-        if (safety && !phi_holds()) {
-          return fail(ReasonCode::kSafetyViolation,
-                      util::format("safety violation: phi broken by output "
-                                   "'%s' after %lld ticks",
-                                   obs->channel.c_str(),
-                                   static_cast<long long>(obs->after_ticks)),
-                      obs->channel);
-        }
         break;
       }
+    }
+    TIGAT_ASSERT(wait >= 0, "negative waiting time");
+
+    std::optional<ObservedOutput> obs;
+    try {
+      obs = imp_->advance(wait);
+    } catch (const HarnessHangError& e) {
+      return inconclusive(ReasonCode::kHarnessHang, e.what());
+    } catch (const HarnessFaultError& e) {
+      return inconclusive(ReasonCode::kHarnessFault, e.what());
+    } catch (const std::exception& e) {
+      return inconclusive(ReasonCode::kImpCrash,
+                          std::string("IMP crashed in advance: ") + e.what());
+    }
+    if (!obs && hoped) {
+      // wait < idle_wait_cap means the window ran to the SPEC deadline:
+      // the promised output never came.  Otherwise the SUT merely
+      // chose not to play along.
+      if (wait < options_.idle_wait_cap) {
+        return fail(ReasonCode::kQuiescenceViolation,
+                    "quiescence violation while hoping for '" + *hoped +
+                        "'");
+      }
+      return inconclusive(ReasonCode::kSutDeclined,
+                          "the SUT declined to produce '" + *hoped +
+                              "' (within its rights)");
+    }
+    if (!obs) {
+      if (wait == 0) {
+        if (safety) {
+          // The strategy pinned its next decision to this very
+          // instant.  Three cases, in soundness order: the SPEC may
+          // still let time pass (no safe prescription exists — a
+          // winning strategy never lands here on conforming
+          // behaviour, so no verdict); time is frozen with nothing
+          // promised (a maximal run that kept φ — the tester wins);
+          // or a promised output never came (the one silence that
+          // is still sound FAIL evidence).
+          if (monitor_.allowed_delay() > 0) {
+            return inconclusive(
+                ReasonCode::kOutsideWinningRegion,
+                "no safe prescription at the decision instant");
+          }
+          if (monitor_.expected_outputs().empty()) {
+            return safety_pass("safety invariant maintained (safe deadlock)");
+          }
+        }
+        return fail(ReasonCode::kQuiescenceViolation,
+                    "quiescence violation: output deadline expired with "
+                    "no output");
+      }
+      if (!wait_bounded && !safety) {
+        // Defensive path: the strategy offered no decision point and
+        // the SPEC no invariant deadline, so nothing bounds this
+        // wait.  Silently sleeping idle_wait_cap and looping would
+        // just burn the step budget — surface the cause instead.
+        // (In safety mode an unbounded quiet wait is winning play:
+        // absorb the cap and keep counting toward the pass budget.)
+        return inconclusive(
+            ReasonCode::kUnboundedWait,
+            util::format("no deadline from strategy or SPEC; quiescent "
+                         "for the whole %lld-tick cap",
+                         static_cast<long long>(wait)));
+      }
+      // Quiescent for the whole window (allowed: wait ≤ deadline).
+      const bool ok = monitor_.apply_delay(wait);
+      TIGAT_ASSERT(ok, "delay within the deadline rejected");
+      report.total_ticks += wait;
+      report.trace.push_back({TraceEvent::Kind::kDelay, "", wait});
+      if (rec != nullptr) rec->delay(report.steps, report.total_ticks, wait);
+      continue;
+    }
+
+    // Output observed inside the window.  In cooperative mode it need
+    // not be the hoped-for one: any SPEC-legal output moves the plan on
+    // and the next decide() re-plans from wherever the SUT led.
+    if (obs->after_ticks > 0) {
+      const bool ok = monitor_.apply_delay(obs->after_ticks);
+      TIGAT_ASSERT(ok, "delay within the window exceeded a deadline");
+      report.total_ticks += obs->after_ticks;
+      report.trace.push_back({TraceEvent::Kind::kDelay, "", obs->after_ticks});
+      if (rec != nullptr) {
+        rec->delay(report.steps, report.total_ticks, obs->after_ticks);
+      }
+    }
+    if (!monitor_.apply_output(obs->channel)) {
+      return fail(ReasonCode::kUnexpectedOutput,
+                  util::format("unexpected output '%s' after %lld ticks: not "
+                               "in Out(s After sigma)",
+                               obs->channel.c_str(),
+                               static_cast<long long>(obs->after_ticks)),
+                  obs->channel);
+    }
+    report.trace.push_back({TraceEvent::Kind::kOutput, obs->channel, 0});
+    if (rec != nullptr) {
+      rec->output(report.steps, report.total_ticks, obs->channel);
+    }
+    if (safety && !phi_holds()) {
+      return fail(ReasonCode::kSafetyViolation,
+                  util::format("safety violation: phi broken by output "
+                               "'%s' after %lld ticks",
+                               obs->channel.c_str(),
+                               static_cast<long long>(obs->after_ticks)),
+                  obs->channel);
     }
   }
   if (safety) {

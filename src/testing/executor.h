@@ -22,7 +22,7 @@
 // observation channel.  When the channel itself drops/garbles events
 // (see testing/faults.h and Implementation::harness_faults), a
 // "forbidden" observation may be the harness's fault, not the IUT's —
-// so the executor downgrades any would-be FAIL to INCONCLUSIVE /
+// so the executor downgrades any FAIL it would emit to INCONCLUSIVE /
 // kHarnessFault whenever the boundary reported corruption during the
 // run, catches exceptions escaping the IMP (kImpCrash / kHarnessHang),
 // and honours a cooperative wall-clock deadline checked once per step
@@ -41,6 +41,18 @@
 // promised — is a PASS, not a violation.  Silence that swallows a
 // promised output is still FAIL kQuiescenceViolation, and the
 // harness-fault downgrade applies to safety FAILs unchanged.
+//
+// Cooperative mode (TestExecutor::cooperative, the paper's
+// future-work item 4) executes a plan solved on the all-controllable
+// relaxation of the SPEC (game/cooperative.h).  Each prescribed action
+// is classified by the ORIGINAL partition: a genuinely controllable
+// one is executed as above; one the SPEC gives to the SUT is a
+// hoped-for output, and the executor waits for it until
+// min(SPEC deadline, idle_wait_cap).  Silence at the SPEC deadline is
+// still FAIL kQuiescenceViolation; any other silence, or the SUT
+// legally leaving the plan (decide() answers kUnwinnable), is
+// INCONCLUSIVE kSutDeclined.  Whatever the SUT emits meanwhile is
+// judged as in a delay step, so FAIL stays sound by the same rule.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +62,6 @@
 
 #include "decision/source.h"
 #include "game/strategy.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "testing/implementation.h"
 #include "testing/monitor.h"
@@ -167,6 +178,17 @@ class TestExecutor {
                const tsystem::System& spec, Implementation& imp,
                std::int64_t scale, ExecutorOptions options = {});
 
+  // Cooperative mode (see the file comment).  `original` is the
+  // un-relaxed SPEC — the monitor tracks it and its partition decides
+  // which prescribed moves are the SUT's; the plan must come from
+  // game::solve_cooperative on it (or a table compiled from that).
+  [[nodiscard]] static TestExecutor cooperative(
+      const tsystem::System& original, const game::Strategy& plan,
+      Implementation& imp, std::int64_t scale, ExecutorOptions options = {});
+  [[nodiscard]] static TestExecutor cooperative(
+      const tsystem::System& original, const decision::DecisionSource& plan,
+      Implementation& imp, std::int64_t scale, ExecutorOptions options = {});
+
   // Not copyable/movable: source_ may point into owned_source_.
   TestExecutor(const TestExecutor&) = delete;
   TestExecutor& operator=(const TestExecutor&) = delete;
@@ -174,51 +196,28 @@ class TestExecutor {
   // One full test run (resets the IMP first).  Traced as an
   // "executor.run" span with per-decision "executor.step" child spans,
   // and counted under "executor.*" metrics (runs, steps, trace events,
-  // verdicts) when the obs layer is enabled.
+  // verdicts, the "executor.step_ns" histogram) when the obs layer is
+  // enabled.
   [[nodiscard]] TestReport run();
 
  private:
+  // Exactly one of `strategy` / `source` is non-null.
+  TestExecutor(const game::Strategy* strategy,
+               const decision::DecisionSource* source,
+               const tsystem::System& spec, bool cooperative,
+               Implementation& imp, std::int64_t scale,
+               ExecutorOptions options);
+
   [[nodiscard]] TestReport run_impl();
 
-  // Set by the Strategy convenience constructor; source_ points at it.
+  // Set by the Strategy constructors; source_ points at it.
   std::optional<decision::StrategySource> owned_source_;
   const decision::DecisionSource* source_;
   Implementation* imp_;
   SpecMonitor monitor_;
+  bool cooperative_;
   std::int64_t scale_;
   ExecutorOptions options_;
 };
-
-// Shared by both executors: per-run verdict/trace metrics (obs layer).
-void record_run_metrics(const TestReport& report);
-
-// The "executor.step_ns" histogram, or nullptr when metrics are off —
-// fetched once per run so the per-step cost is a null check, not a
-// registry lookup.  Splits serving-path time between decide() (the
-// existing "decide.latency_ns") and everything around it.
-[[nodiscard]] obs::Histogram* step_latency_histogram();
-
-// RAII step timer for the executor loops: records into `hist` on scope
-// exit (covering early returns), measures nothing when hist == nullptr.
-class StepTimer {
- public:
-  explicit StepTimer(obs::Histogram* hist);
-  ~StepTimer();
-  StepTimer(const StepTimer&) = delete;
-  StepTimer& operator=(const StepTimer&) = delete;
-
- private:
-  obs::Histogram* hist_;
-  std::uint64_t t0_ = 0;
-};
-
-// Journals one decide() answer into the run ledger: the move kind and
-// rank, the rendered SPEC state (the decision key), the prescribed
-// channel for actions and the strategy's wait bound for delays.
-// Shared by both executors so their ledgers render identically.
-void record_decision(obs::RunRecorder& rec, std::uint64_t step,
-                     std::int64_t t, const SpecMonitor& monitor,
-                     const game::Move& move,
-                     const decision::DecisionSource& source);
 
 }  // namespace tigat::testing

@@ -67,12 +67,12 @@ TEST(FaultSpec, EmptyStringIsEmptySpec) {
 }
 
 TEST(FaultSpec, RejectsMalformedClauses) {
-  EXPECT_THROW(FaultSpec::parse("drop=2"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("drop=nope"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("bogus=0.5"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("delay=8..2"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("hang@step=0"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("drop"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("drop=2"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("drop=nope"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("bogus=0.5"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("delay=8..2"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("hang@step=0"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("drop"), FaultSpecError);
 }
 
 // -------------------------------------------------------------- chaos

@@ -9,7 +9,10 @@
 //     EXACTLY — same integers, not approximations — at 1 and 8
 //     threads;
 //   * histogram bucket boundaries follow `v <= bound` semantics at the
-//     exact edges.
+//     exact edges;
+//   * a test run — reach or cooperative alike — emits one balanced
+//     "executor.step" span per executor step and one "executor.step_ns"
+//     sample per span.
 //
 // (Solver bit-identity with tracing on/off lives in
 // solver_determinism_test.cpp, next to the other determinism
@@ -22,11 +25,16 @@
 #include <string>
 #include <vector>
 
+#include "game/cooperative.h"
 #include "game/solver.h"
+#include "game/strategy.h"
 #include "models/lep.h"
+#include "models/smart_light.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "testing/executor.h"
+#include "testing/simulated_imp.h"
 
 namespace tigat::obs {
 namespace {
@@ -262,6 +270,90 @@ TEST(ObsTrace, ReenableDropsOldEvents) {
   const std::string json = Tracer::instance().chrome_trace_json();
   EXPECT_EQ(json.find("stale"), std::string::npos);
   EXPECT_NE(json.find("fresh"), std::string::npos);
+}
+
+// One executor run with tracing and metrics on: the report, the
+// balanced "executor.step" / "executor.run" span pairs of the trace,
+// and the "executor.step_ns" sample count.
+struct TracedRun {
+  testing::TestReport report;
+  std::size_t step_spans = 0;
+  std::size_t run_spans = 0;
+  std::uint64_t step_ns_samples = 0;
+};
+
+TracedRun traced_run(testing::TestExecutor& exec) {
+  TracedRun out;
+  enable_metrics();
+  metrics().reset();
+  Tracer::instance().enable();
+  out.report = exec.run();
+  Tracer::instance().disable();
+  disable_metrics();
+  out.step_ns_samples =
+      metrics().histogram("executor.step_ns", latency_buckets_ns()).count();
+
+  JsonValue doc;
+  EXPECT_TRUE(JsonParser(Tracer::instance().chrome_trace_json()).parse(doc));
+  const JsonValue* events = doc.get("traceEvents");
+  if (events == nullptr) {
+    ADD_FAILURE() << "trace has no traceEvents";
+    return out;
+  }
+  std::vector<std::string> stack;  // the run is single-threaded
+  for (const JsonValue& e : events->array) {
+    const std::string& ph = e.get("ph")->string;
+    const std::string& name = e.get("name")->string;
+    if (ph == "B") {
+      stack.push_back(name);
+    } else if (ph == "E") {
+      EXPECT_FALSE(stack.empty());
+      if (stack.empty()) continue;
+      EXPECT_EQ(stack.back(), name);
+      stack.pop_back();
+      if (name == "executor.step") ++out.step_spans;
+      if (name == "executor.run") ++out.run_spans;
+    }
+  }
+  EXPECT_TRUE(stack.empty()) << "unbalanced spans";
+  return out;
+}
+
+// Cooperative mode runs the same executor loop as a reach run, so its
+// trace and step histogram have the same shape: one step span per
+// loop iteration (the verdict-earning one included) and one
+// "executor.step_ns" sample per span.
+TEST(ObsTrace, CooperativeRunTracesStepsLikeReachRun) {
+  constexpr std::int64_t kScale = 16;
+  const models::SmartLight spec = models::make_smart_light();
+  const models::SmartLight plant = models::make_smart_light_plant_only();
+  game::GameSolver solver(
+      spec.system,
+      tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.Bright"));
+  const game::Strategy reach_plan(solver.solve());
+  const game::CooperativeResult coop = game::solve_cooperative(
+      spec.system,
+      tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.L6"));
+  ASSERT_TRUE(coop.reachable);
+  const game::Strategy coop_plan(coop.solution);
+
+  testing::SimulatedImplementation reach_imp(
+      plant.system, kScale, testing::ImpPolicy{2 * kScale, {}});
+  testing::TestExecutor reach_exec(reach_plan, reach_imp, kScale);
+  testing::SimulatedImplementation coop_imp(
+      plant.system, kScale, testing::ImpPolicy{2 * kScale, {}});
+  auto coop_exec = testing::TestExecutor::cooperative(spec.system, coop_plan,
+                                                      coop_imp, kScale);
+
+  for (testing::TestExecutor* exec : {&reach_exec, &coop_exec}) {
+    SCOPED_TRACE(exec == &coop_exec ? "cooperative" : "reach");
+    const TracedRun run = traced_run(*exec);
+    ASSERT_EQ(run.report.verdict, testing::Verdict::kPass)
+        << run.report.detail;
+    EXPECT_EQ(run.run_spans, 1u);
+    EXPECT_EQ(run.step_spans, run.report.steps + 1);
+    EXPECT_EQ(run.step_ns_samples, run.step_spans);
+  }
 }
 
 TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {

@@ -40,36 +40,46 @@ TEST(RunModelCli, NoArgumentsIsUsageError) {
   EXPECT_EQ(run_cli(""), 1);
 }
 
+// The first argument must name a subcommand: a bare model path is a
+// usage error, like an unknown subcommand.
+TEST(RunModelCli, BareModelPathIsUsageError) {
+  EXPECT_EQ(run_cli(kSafetyModel), 1);
+}
+
 TEST(RunModelCli, MissingModelFileIsModelError) {
-  EXPECT_EQ(run_cli("/no/such/model.tg"), 1);
+  EXPECT_EQ(run_cli("solve /no/such/model.tg"), 1);
 }
 
 TEST(RunModelCli, MalformedPurposeIsModelError) {
-  EXPECT_EQ(run_cli(kSafetyModel + " \"control: A[] IUT.Nowhere\""), 1);
+  EXPECT_EQ(run_cli("solve " + kSafetyModel + " \"control: A[] IUT.Nowhere\""),
+            1);
 }
 
 TEST(RunModelCli, WinnableSafetyPurposeSolves) {
-  EXPECT_EQ(run_cli(kSafetyModel), 0);
+  EXPECT_EQ(run_cli("solve " + kSafetyModel), 0);
 }
 
 // `A[] IUT.Off` is unwinnable (the lamp starts On): must be the
 // usage/model code 1, not the solver-limit code 3.
 TEST(RunModelCli, UnwinnableSafetyPurposeIsNotSolverLimit) {
-  EXPECT_EQ(run_cli(kSafetyModel + " \"control: A[] IUT.Off\""), 1);
+  EXPECT_EQ(run_cli("solve " + kSafetyModel + " \"control: A[] IUT.Off\""),
+            1);
 }
 
 TEST(RunModelCli, OutOfRangeMutantIsUsageError) {
-  EXPECT_EQ(run_cli(kSafetyModel + " --runs=1 --mutant=99"), 1);
+  EXPECT_EQ(run_cli("campaign " + kSafetyModel + " --runs=1 --mutant=99"), 1);
 }
 
 TEST(RunModelCli, SafetyCampaignPassesOnConformingIut) {
-  EXPECT_EQ(run_cli(kSafetyModel + " --runs=1 --pass-ticks=2000"), 0);
+  EXPECT_EQ(run_cli("campaign " + kSafetyModel + " --runs=1 --pass-ticks=2000"),
+            0);
 }
 
 // Mutant 1 emits off! before its watchdog window opens — a sound
 // safety FAIL, surfaced as the campaign FAIL code 4.
 TEST(RunModelCli, SafetyCampaignFailsOnMutant) {
-  EXPECT_EQ(run_cli(kSafetyModel + " --runs=1 --pass-ticks=2000 --mutant=1"),
+  EXPECT_EQ(run_cli("campaign " + kSafetyModel +
+                    " --runs=1 --pass-ticks=2000 --mutant=1"),
             4);
 }
 
@@ -79,22 +89,15 @@ TEST(RunModelCli, SafetyCampaignFailsOnMutant) {
 TEST(RunModelCli, SafetyStrategyServesAndPinsItsModel) {
   const std::string tgs =
       ::testing::TempDir() + "/run_model_cli_safety.tgs";
-  ASSERT_EQ(run_cli(kSafetyModel + " --strategy-out=" + tgs), 0);
-  EXPECT_EQ(run_cli(kSafetyModel + " --strategy-in=" + tgs), 0);
-  EXPECT_EQ(run_cli(kReachModel + " --strategy-in=" + tgs), 1);
+  ASSERT_EQ(run_cli("solve " + kSafetyModel + " --strategy-out=" + tgs), 0);
+  EXPECT_EQ(run_cli("serve " + kSafetyModel + " --strategy-in=" + tgs), 0);
+  EXPECT_EQ(run_cli("serve " + kReachModel + " --strategy-in=" + tgs), 1);
   std::remove(tgs.c_str());
 }
 
-// ── subcommand forms ────────────────────────────────────────────────
-// `run_model [solve|serve|run|campaign|explain] MODEL` maps 1:1 onto
-// the flag interface and keeps the exit taxonomy; the bare legacy form
-// above stays supported verbatim.
-
-TEST(RunModelCli, SolveSubcommandMatchesLegacyForm) {
-  EXPECT_EQ(run_cli("solve " + kSafetyModel), 0);
-  EXPECT_EQ(run_cli("solve " + kSafetyModel + " \"control: A[] IUT.Off\""),
-            1);
-}
+// ── subcommand rules ────────────────────────────────────────────────
+// `run_model solve|serve|run|campaign|explain MODEL`: the subcommand
+// pins the mode and rejects flags that contradict it.
 
 TEST(RunModelCli, UnknownSubcommandIsUsageError) {
   EXPECT_EQ(run_cli("frobnicate " + kSafetyModel), 1);
@@ -127,8 +130,8 @@ TEST(RunModelCli, SubcommandPipelineRoundTrips) {
 
 // ── .tgs format versioning at the CLI boundary ──────────────────────
 
-// An old-format (v1/v2) strategy file is a "re-solve to migrate"
-// usage/model condition — exit 1 — never the I/O/corruption code 2.
+// An old-format (v1/v2) strategy file is a "re-solve" usage/model
+// condition — exit 1 — never the I/O/corruption code 2.
 TEST(RunModelCli, LegacyStrategyFileSaysMigrateNotCorrupt) {
   const std::string tgs = ::testing::TempDir() + "/run_model_cli_v2.tgs";
   {

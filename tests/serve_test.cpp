@@ -3,7 +3,7 @@
 // every client, under pipelining and under concurrency.  Plus the
 // protocol edges (hello identity, ping/info, malformed frames closing
 // the stream with kBadRequest) and the daemon binary end to end
-// (serve/info/migrate subcommands, signal shutdown, exit taxonomy).
+// (serve/info subcommands, signal shutdown, exit taxonomy).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>

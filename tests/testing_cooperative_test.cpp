@@ -6,7 +6,7 @@
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "models/smart_light.h"
-#include "testing/cooperative_executor.h"
+#include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
 #include "tsystem/rebuild.h"
@@ -69,7 +69,7 @@ TEST(Cooperative, PatientImpCooperatesToPass) {
 
   SimulatedImplementation imp(plant.system, kScale,
                               ImpPolicy{2 * kScale, {}});
-  CooperativeExecutor exec(spec.system, plan, imp, kScale);
+  auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kPass) << report.detail;
 }
@@ -84,7 +84,7 @@ TEST(Cooperative, EagerImpYieldsInconclusiveNotFail) {
   // Latency 0: the light answers the reactivating touch immediately —
   // legal behaviour that ruins the plan.  Must NOT be a fail.
   SimulatedImplementation imp(plant.system, kScale, ImpPolicy{0, {}});
-  CooperativeExecutor exec(spec.system, plan, imp, kScale);
+  auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kInconclusive) << report.detail;
 }
@@ -108,7 +108,7 @@ TEST(Cooperative, SoundnessStillFailsBrokenImp) {
   for (const auto& m : mutants) {
     const tsystem::System mutated = apply_mutant(plant.system, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{3 * kScale, {}});
-    CooperativeExecutor exec(spec.system, plan, imp, kScale);
+    auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
     if (exec.run().verdict == Verdict::kFail) {
       found = true;
       break;
@@ -117,7 +117,7 @@ TEST(Cooperative, SoundnessStillFailsBrokenImp) {
   EXPECT_TRUE(found);
 }
 
-TEST(Cooperative, CooperativeExecutorOnWinnablePurposeAlsoPasses) {
+TEST(Cooperative, CooperativeRunOnWinnablePurposeAlsoPasses) {
   // A cooperative plan for a purpose that IS controllable behaves like
   // ordinary testing when the IMP happens to cooperate.
   models::SmartLight spec = make_smart_light();
@@ -128,7 +128,7 @@ TEST(Cooperative, CooperativeExecutorOnWinnablePurposeAlsoPasses) {
   ASSERT_TRUE(coop.reachable);
   Strategy plan(coop.solution);
   SimulatedImplementation imp(plant.system, kScale, ImpPolicy{kScale, {}});
-  CooperativeExecutor exec(spec.system, plan, imp, kScale);
+  auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_NE(report.verdict, Verdict::kFail) << report.detail;
 }

@@ -2,11 +2,9 @@
 // validated or checksummed, so no mutation — header field, section
 // table geometry, payload bit rot, truncation — can produce a view
 // that decides wrong; it throws SerializeError instead.  Plus the
-// compat boundary: v1/v2 stream files land in VersionError with the
-// "re-solve to migrate" diagnostic (never a checksum/bounds error),
-// the auto-migrating decision::load upgrades them to a table deciding
-// identically, and the mmap path does zero migrations and zero
-// deserialization (counter-asserted).
+// version boundary: v1/v2 stream files land in VersionError with the
+// "re-solve" diagnostic (never a checksum/bounds error), and the mmap
+// path is one view open with zero deserialization (counter-asserted).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,7 +13,6 @@
 
 #include "decision/compiler.h"
 #include "decision/format.h"
-#include "decision/legacy.h"
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
@@ -136,7 +133,7 @@ TEST(TgsFormat, HeaderFieldMutationsAreRejected) {
   }
 }
 
-// A v3 magic with a v1/v2 version number is the "needs migration"
+// A v3 magic with a v1/v2 version number is the "needs re-solving"
 // case and must say so, not claim corruption.
 TEST(TgsFormat, OldVersionsLandInVersionError) {
   auto bytes = smart_light_image("control: A<> IUT.Bright");
@@ -257,59 +254,25 @@ TEST(TgsFormat, PayloadBitRotNeverCrashes) {
   EXPECT_GT(rejected, survived);
 }
 
-// ── v2 migration ────────────────────────────────────────────────────
+// ── pre-v3 files ────────────────────────────────────────────────────
 
-TEST(TgsFormat, V2MigrationRoundTripDecidesIdentically) {
-  const auto light = models::make_smart_light();
-  for (const char* purpose :
-       {"control: A<> IUT.Bright", "control: A[] !IUT.Bright"}) {
-    const auto solution = solve(light.system, purpose);
-    const DecisionTable table = compile(*solution);
-
-    // Fabricate the old stream format from the same data, as a v2-era
-    // writer would have, then load through the public compat path.
-    const std::vector<std::uint8_t> v2 = to_bytes_v2(table.export_data());
-    ASSERT_TRUE(is_legacy_image(v2));
-    obs::enable_metrics();  // the tgs.* counters are metrics-gated
-    const std::uint64_t migrations_before =
-        obs::metrics().counter("tgs.migrations").value();
-    const DecisionTable migrated = from_bytes(v2);
-    EXPECT_EQ(obs::metrics().counter("tgs.migrations").value(),
-              migrations_before + 1);
-
-    EXPECT_EQ(migrated.fingerprint(), table.fingerprint());
-    EXPECT_EQ(migrated.purpose_kind(), table.purpose_kind());
-    EXPECT_EQ(migrated.key_count(), table.key_count());
-    util::Rng rng(kSeed);
-    expect_identical(table, migrated, fuzz_states(*solution, rng, 1500));
-
-    // Once migrated, the image is v3: a second round trip is
-    // byte-stable.
-    EXPECT_EQ(to_bytes(DecisionTable(to_bytes(migrated))),
-              to_bytes(migrated));
-  }
-}
-
-TEST(TgsFormat, V2FileLoadMigratesButMapRefuses) {
-  const auto light = models::make_smart_light();
-  const auto solution = solve(light.system, "control: A<> IUT.Bright");
-  const DecisionTable table = compile(*solution);
-  const std::vector<std::uint8_t> v2 = to_bytes_v2(table.export_data());
+TEST(TgsFormat, V2FileMapRefuses) {
+  // A bare v2 header: magic "TGSD", version 2, zeroed checksum/size.
+  std::vector<std::uint8_t> stub(24, 0);
+  std::memcpy(stub.data(), "TGSD", 4);
+  const std::uint32_t version = 2;
+  std::memcpy(stub.data() + 4, &version, 4);
 
   const std::string path = ::testing::TempDir() + "/tgs_format_v2.tgs";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(v2.data(), 1, v2.size(), f), v2.size());
+    ASSERT_EQ(std::fwrite(stub.data(), 1, stub.size(), f), stub.size());
     std::fclose(f);
   }
 
-  // The auto-migrating programmatic path upgrades transparently...
-  const DecisionTable loaded = load(path);
-  EXPECT_EQ(loaded.fingerprint(), table.fingerprint());
-
-  // ...but the zero-copy serving path refuses with the migration
-  // diagnostic — VersionError, exit-1 class, not "corrupt file".
+  // The zero-copy serving path refuses with the re-solve diagnostic —
+  // VersionError, exit-1 class, not "corrupt file".
   try {
     (void)DecisionTable::map(path);
     FAIL() << "map() accepted a v2 stream file";
@@ -344,18 +307,13 @@ TEST(TgsFormat, MapIsZeroCopyAndZeroMigration) {
   save(table, path);
 
   obs::enable_metrics();  // the tgs.* counters are metrics-gated
-  const std::uint64_t migrations_before =
-      obs::metrics().counter("tgs.migrations").value();
   const std::uint64_t opens_before =
       obs::metrics().counter("tgs.view.opens").value();
 
   const DecisionTable mapped = DecisionTable::map(path);
   EXPECT_TRUE(mapped.is_mapped());
   EXPECT_FALSE(table.is_mapped());
-  // Cold start is one mmap + validation: the view-open counter moves,
-  // the migration counter must not — nothing was deserialized.
-  EXPECT_EQ(obs::metrics().counter("tgs.migrations").value(),
-            migrations_before);
+  // Cold start is one mmap + validation: exactly one view open.
   EXPECT_EQ(obs::metrics().counter("tgs.view.opens").value(),
             opens_before + 1);
 

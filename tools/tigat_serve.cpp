@@ -6,7 +6,6 @@
 //   tigat-serve drive --table=T.tgs --socket=PATH [--clients=N]
 //                     [--requests=R] [--batch=B] [--seed=S]
 //   tigat-serve info FILE.tgs
-//   tigat-serve migrate IN.tgs OUT.tgs
 //
 // `serve` maps the table read-only (DecisionTable::map — one mmap,
 // zero deserialization) and answers decide() over a Unix-domain
@@ -21,14 +20,12 @@
 // `--no-verify` skips the checksum + zone-canonicality passes for the
 // fastest possible cold start on trusted files (the structural bounds
 // checks always run).  `info` prints the v3 header and section table
-// without touching payload bytes beyond validation.  `migrate`
-// upgrades a v1/v2 stream file to a v3 image via the compat loader.
+// without touching payload bytes beyond validation.
 //
 // Exit codes follow run_model's taxonomy where it applies:
-//   0  served and shut down cleanly / info printed / migrated
-//   1  usage error, or the table needs re-solving (old format,
-//      corrupt image rejected by validation)
-//   2  I/O or socket failure
+//   0  served and shut down cleanly / info printed
+//   1  usage error, or the table needs re-solving (old format)
+//   2  I/O or socket failure, or a corrupt image
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -42,7 +39,6 @@
 #include <vector>
 
 #include "decision/format.h"
-#include "decision/serialize.h"
 #include "decision/table.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -69,8 +65,7 @@ int usage() {
       "                         [--no-verify]\n"
       "       tigat-serve drive --table=T.tgs --socket=PATH [--clients=N]\n"
       "                         [--requests=R] [--batch=B] [--seed=S]\n"
-      "       tigat-serve info FILE.tgs\n"
-      "       tigat-serve migrate IN.tgs OUT.tgs\n");
+      "       tigat-serve info FILE.tgs\n");
   return kExitUsage;
 }
 
@@ -131,17 +126,6 @@ int run_info(const std::string& path) {
                 static_cast<unsigned long long>(sec.bytes),
                 static_cast<unsigned long long>(sec.bytes / sec.record_size));
   }
-  return kExitOk;
-}
-
-// `tigat-serve migrate` — load via the auto-migrating compat path
-// (v1/v2 stream or v3 image in) and save the v3 image out.
-int run_migrate(const std::string& in, const std::string& out) {
-  namespace decision = tigat::decision;
-  const decision::DecisionTable table = decision::load(in);
-  decision::save(table, out);
-  std::fprintf(stderr, "tigat-serve: migrated '%s' -> '%s' (%zu bytes, v3)\n",
-               in.c_str(), out.c_str(), table.bytes().size());
   return kExitOk;
 }
 
@@ -368,18 +352,12 @@ int main(int argc, char** argv) {
       if (argc != 3) return usage();
       return run_info(argv[2]);
     }
-    if (mode == "migrate") {
-      if (argc != 4) return usage();
-      return run_migrate(argv[2], argv[3]);
-    }
   } catch (const decision::VersionError& e) {
     std::fprintf(stderr, "tigat-serve: %s\n", e.what());
     return kExitUsage;
   } catch (const decision::SerializeError& e) {
     std::fprintf(stderr, "tigat-serve: %s\n", e.what());
-    // Unreadable/corrupt bytes: I/O class for serve (the file could
-    // not be used), usage class for a structurally rejected image in
-    // info/migrate is still a corrupt-file problem — keep it I/O.
+    // Unreadable or corrupt bytes: the file could not be used.
     return kExitIo;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tigat-serve: %s\n", e.what());

@@ -19,10 +19,8 @@ Checks, per artifact kind:
                    as --metrics, the serve.* counters present with
                    connections/requests positive and errors zero,
                    decide.latency_ns populated (well-shaped, count > 0,
-                   no more samples than requests), tgs.view.opens
-                   exactly 1 (cold start really was one mmap) and no
-                   tgs.migrations counter (the map path never
-                   deserializes).
+                   no more samples than requests) and tgs.view.opens
+                   exactly 1 (cold start really was one mmap).
 
 Any subset of the flags may be given; CI runs the first three against
 a `run_model --trace-out --metrics-out --progress` solve and --serve
@@ -158,9 +156,6 @@ def check_serve(path):
     # The v3 acceptance number: a daemon's cold start is ONE mmap.
     check("tgs.view.opens is exactly 1", counters.get("tgs.view.opens") == 1,
           f"value = {counters.get('tgs.view.opens')!r}")
-    check("no tgs.migrations (map path never deserializes)",
-          "tgs.migrations" not in counters,
-          f"value = {counters.get('tgs.migrations')!r}")
 
     h = doc.get("histograms", {}).get("decide.latency_ns")
     check("decide.latency_ns histogram present", isinstance(h, dict))
