@@ -37,7 +37,7 @@ ZonePool::ZonePool(std::uint32_t dim) : dim_(dim) {
   TIGAT_ASSERT(dim >= 1, "a zone pool needs at least the reference clock");
 }
 
-ZonePool::~ZonePool() { util::zone_memory().sub(metered_); }
+ZonePool::~ZonePool() { util::zone_memory_sub(metered_); }
 
 ZonePool::RowId ZonePool::intern_row(const raw_t* row) {
   if (obs::metrics_enabled()) row_lookups().add(1);
@@ -52,7 +52,7 @@ ZonePool::RowId ZonePool::intern_row(const raw_t* row) {
   const auto id = static_cast<RowId>(count);
   slab_.insert(slab_.end(), row, row + dim_);
   chain.push_back(id);
-  util::zone_memory().add(dim_ * sizeof(raw_t));
+  util::zone_memory_add(dim_ * sizeof(raw_t));
   metered_ += dim_ * sizeof(raw_t);
   return id;
 }
@@ -70,7 +70,7 @@ std::size_t ZonePool::memory_bytes() const noexcept {
 
 PooledFed::PooledFed(const PooledFed& other)
     : dim_(other.dim_), ids_(other.ids_) {
-  util::zone_memory().add(memory_bytes());
+  util::zone_memory_add(memory_bytes());
 }
 
 PooledFed::PooledFed(PooledFed&& other) noexcept
@@ -88,21 +88,21 @@ PooledFed& PooledFed::operator=(const PooledFed& other) {
 
 PooledFed& PooledFed::operator=(PooledFed&& other) noexcept {
   if (this == &other) return *this;
-  util::zone_memory().sub(memory_bytes());
+  util::zone_memory_sub(memory_bytes());
   dim_ = other.dim_;
   ids_ = std::move(other.ids_);
   other.ids_.clear();
   return *this;
 }
 
-PooledFed::~PooledFed() { util::zone_memory().sub(memory_bytes()); }
+PooledFed::~PooledFed() { util::zone_memory_sub(memory_bytes()); }
 
 void PooledFed::meter_resize(std::size_t new_ids) {
   const std::size_t old_ids = ids_.size();
   if (new_ids > old_ids) {
-    util::zone_memory().add((new_ids - old_ids) * sizeof(ZonePool::RowId));
+    util::zone_memory_add((new_ids - old_ids) * sizeof(ZonePool::RowId));
   } else {
-    util::zone_memory().sub((old_ids - new_ids) * sizeof(ZonePool::RowId));
+    util::zone_memory_sub((old_ids - new_ids) * sizeof(ZonePool::RowId));
   }
 }
 

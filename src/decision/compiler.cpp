@@ -1,15 +1,17 @@
 #include "decision/compiler.h"
 
+#include <algorithm>
 #include <deque>
-#include <functional>
-#include <map>
-#include <tuple>
+#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/assert.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace tigat::decision {
 
@@ -19,8 +21,144 @@ using dbm::Dbm;
 using dbm::Fed;
 using game::GameSolution;
 using game::MoveKind;
-using semantics::SymbolicEdge;
 using semantics::SymbolicGraph;
+
+// Games with fewer keys compile on the caller as one fragment: Smart
+// Light-sized games pay for no worker threads.
+constexpr std::uint32_t kParallelKeys = 1024;
+// Key ranges per worker.  Per-key cost is uneven, so a few ranges per
+// worker balance the load and let packing overlap compilation; each
+// range re-interns the sub-decisions it shares with the others, so
+// more ranges cost memory and packing time.
+constexpr std::uint32_t kRangesPerWorker = 4;
+
+constexpr std::uint32_t kUnset = 0xffff'ffffu;
+
+// Content keys of the interning tables: a record flattened to 32-bit
+// words.
+using Words = std::vector<std::uint32_t>;
+struct WordsHash {
+  std::size_t operator()(const Words& words) const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ull ^ words.size();
+    for (const std::uint32_t w : words) h = (h ^ w) * 0x100000001b3ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+using WordsIndex = std::unordered_map<Words, std::uint32_t, WordsHash>;
+
+// A TableData under construction whose pools are hash-consed by
+// content: interning a record equal to one already pooled returns its
+// id, anything else is appended.  Slices and act runs return their
+// first index (their length is the caller's).
+class Pools {
+ public:
+  TableData data;
+
+  std::uint32_t zone(const Dbm& zone) {
+    auto& ids = zone_index_[zone.hash()];
+    for (const std::uint32_t id : ids) {
+      if (data.zones[id] == zone) return id;
+    }
+    const auto id = static_cast<std::uint32_t>(data.zones.size());
+    data.zones.push_back(zone);
+    ids.push_back(id);
+    return id;
+  }
+
+  std::uint32_t slice(const Words& refs) {
+    const auto [it, inserted] = slice_index_.try_emplace(
+        refs, static_cast<std::uint32_t>(data.zone_refs.size()));
+    if (inserted) {
+      data.zone_refs.insert(data.zone_refs.end(), refs.begin(), refs.end());
+    }
+    return it->second;
+  }
+
+  std::uint32_t acts(const std::vector<TableData::Act>& acts) {
+    key_.clear();
+    for (const TableData::Act& a : acts) {
+      key_.insert(key_.end(), {a.edge_slot, a.zones_first, a.zones_count});
+    }
+    const auto [it, inserted] = acts_index_.try_emplace(
+        key_, static_cast<std::uint32_t>(data.acts.size()));
+    if (inserted) data.acts.insert(data.acts.end(), acts.begin(), acts.end());
+    return it->second;
+  }
+
+  target_t leaf(const TableData::Leaf& leaf) {
+    key_.assign({static_cast<std::uint32_t>(leaf.kind), leaf.rank,
+                 leaf.edge_slot, leaf.zones_first, leaf.zones_count,
+                 leaf.acts_first, leaf.acts_count, leaf.danger_first,
+                 leaf.danger_count});
+    const auto [it, inserted] = leaf_index_.try_emplace(
+        key_, static_cast<std::uint32_t>(data.leaves.size()));
+    if (inserted) data.leaves.push_back(leaf);
+    return leaf_target(it->second);
+  }
+
+  target_t node(std::uint16_t i, std::uint16_t j,
+                const std::vector<TableData::Arc>& arcs) {
+    key_.assign({i, j});
+    for (const TableData::Arc& a : arcs) {
+      key_.insert(key_.end(),
+                  {static_cast<std::uint32_t>(a.bound), a.target});
+    }
+    const auto [it, inserted] = node_index_.try_emplace(
+        key_, static_cast<std::uint32_t>(data.nodes.size()));
+    if (inserted) {
+      TableData::Node node;
+      node.i = i;
+      node.j = j;
+      node.first_arc = static_cast<std::uint32_t>(data.arcs.size());
+      node.arc_count = static_cast<std::uint32_t>(arcs.size());
+      data.arcs.insert(data.arcs.end(), arcs.begin(), arcs.end());
+      data.nodes.push_back(node);
+    }
+    return node_target(it->second);
+  }
+
+  // Edge slots are keyed by the original edge index.
+  std::uint32_t edge(std::uint32_t original,
+                     const semantics::TransitionInstance& inst) {
+    const auto [it, inserted] = edge_index_.try_emplace(
+        original, static_cast<std::uint32_t>(data.edges.size()));
+    if (inserted) data.edges.push_back({original, inst});
+    return it->second;
+  }
+
+ private:
+  std::unordered_map<std::size_t, std::vector<std::uint32_t>> zone_index_;
+  WordsIndex slice_index_;
+  WordsIndex acts_index_;
+  WordsIndex leaf_index_;
+  WordsIndex node_index_;
+  std::unordered_map<std::uint32_t, std::uint32_t> edge_index_;
+  Words key_;  // scratch for the lookups
+};
+
+// P ⊆ fed.  Most covered cells lie inside a single member zone; the
+// rest are carved by the members (no pairwise dedup: only emptiness
+// matters), stopping as soon as nothing is left.
+bool covers(const Fed& fed, const Dbm& P) {
+  for (const Dbm& z : fed.zones()) {
+    if (P.is_subset_of(z)) return true;
+  }
+  std::vector<Dbm> rest{P};
+  std::vector<Dbm> next;
+  for (const Dbm& z : fed.zones()) {
+    next.clear();
+    for (Dbm& r : rest) {
+      if (!r.intersects(z)) {
+        next.push_back(std::move(r));
+        continue;
+      }
+      for (Dbm& piece : dbm::subtract(r, z)) next.push_back(std::move(piece));
+    }
+    std::swap(rest, next);
+    if (rest.empty()) return true;
+  }
+  return false;
+}
 
 // One row of a key's decision cascade: "if the point is in `fed` (and
 // in no earlier row), the prescription is `leaf`".
@@ -29,114 +167,53 @@ struct Entry {
   target_t leaf = 0;
 };
 
+// The uncompacted lowering of one contiguous key range: its keys over
+// pools content-interned within the range.
+struct Fragment {
+  TableData data;
+  // Whether the range's first interned zone slice was empty; unset
+  // when it interned none (see Packer::pack_slice).
+  std::optional<bool> first_slice_empty;
+  std::size_t cascade_entries = 0;
+  std::size_t nodes_built = 0;
+};
+
+// Lowers the keys of one range into a Fragment.  Every pool is
+// hash-consed by content, so equal sub-decisions get equal ids.
 class Compiler {
  public:
   explicit Compiler(const GameSolution& solution)
       : sol_(solution),
         g_(solution.graph()),
-        safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety) {
-    out_.fingerprint = model_fingerprint(g_.system(), solution.purpose());
-    out_.clock_dim = g_.system().clock_count();
-    out_.purpose_kind = safety_ ? 1 : 0;
-    out_.system_name = g_.system().name();
-    out_.purpose_source = solution.purpose().source;
-  }
+        safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
+        dim_(g_.system().clock_count()) {}
 
-  TableData run(CompileStats* stats) {
-    util::Stopwatch watch;
-    for (std::uint32_t k = 0; k < g_.key_count(); ++k) compile_key(k);
-    compact();
-    if (stats != nullptr) {
-      stats->cascade_entries = cascade_entries_;
-      stats->nodes_built = nodes_built_;
-      stats->compile_seconds = watch.seconds();
-    }
-    return std::move(out_);
+  Fragment run(std::uint32_t begin, std::uint32_t end) {
+    for (std::uint32_t k = begin; k < end; ++k) compile_key(k);
+    Fragment fragment;
+    fragment.data = std::move(pools_.data);
+    fragment.first_slice_empty = first_slice_empty_;
+    fragment.cascade_entries = cascade_entries_;
+    fragment.nodes_built = nodes_built_;
+    return fragment;
   }
 
  private:
   // ── interning ───────────────────────────────────────────────────────
-  std::uint32_t intern_zone(const Dbm& zone) {
-    auto& ids = zone_index_[zone.hash()];
-    for (const std::uint32_t id : ids) {
-      if (out_.zones[id] == zone) return id;
-    }
-    const auto id = static_cast<std::uint32_t>(out_.zones.size());
-    out_.zones.push_back(zone);
-    ids.push_back(id);
-    return id;
-  }
-
-  std::pair<std::uint32_t, std::uint32_t> intern_slice(
-      const std::vector<std::uint32_t>& refs) {
-    const auto it = slice_index_.find(refs);
-    if (it != slice_index_.end()) return it->second;
-    const auto first = static_cast<std::uint32_t>(out_.zone_refs.size());
-    out_.zone_refs.insert(out_.zone_refs.end(), refs.begin(), refs.end());
-    const auto slice =
-        std::make_pair(first, static_cast<std::uint32_t>(refs.size()));
-    slice_index_.emplace(refs, slice);
-    return slice;
-  }
-
-  target_t intern_leaf(const TableData::Leaf& leaf) {
-    const auto key = std::make_tuple(leaf.kind, leaf.rank, leaf.edge_slot,
-                                     leaf.zones_first, leaf.zones_count,
-                                     leaf.acts_first, leaf.acts_count,
-                                     leaf.danger_first, leaf.danger_count);
-    const auto it = leaf_index_.find(key);
-    if (it != leaf_index_.end()) return leaf_target(it->second);
-    const auto id = static_cast<std::uint32_t>(out_.leaves.size());
-    out_.leaves.push_back(leaf);
-    leaf_index_.emplace(key, id);
-    return leaf_target(id);
-  }
-
-  std::pair<std::uint32_t, std::uint32_t> intern_acts(
-      const std::vector<TableData::Act>& acts) {
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> key;
-    key.reserve(acts.size());
-    for (const TableData::Act& a : acts) {
-      key.emplace_back(a.edge_slot, a.zones_first, a.zones_count);
-    }
-    const auto it = acts_index_.find(key);
-    if (it != acts_index_.end()) return it->second;
-    const auto first = static_cast<std::uint32_t>(out_.acts.size());
-    out_.acts.insert(out_.acts.end(), acts.begin(), acts.end());
-    const auto slice =
-        std::make_pair(first, static_cast<std::uint32_t>(acts.size()));
-    acts_index_.emplace(std::move(key), slice);
-    return slice;
+  // Returns the slice's first index; its count is refs.size().
+  std::uint32_t intern_slice(const Words& refs) {
+    if (!first_slice_empty_) first_slice_empty_ = refs.empty();
+    return pools_.slice(refs);
   }
 
   target_t intern_node(std::uint16_t i, std::uint16_t j,
-                       std::vector<TableData::Arc> arcs) {
+                       const std::vector<TableData::Arc>& arcs) {
     ++nodes_built_;
-    std::vector<std::pair<dbm::raw_t, target_t>> sig;
-    sig.reserve(arcs.size());
-    for (const TableData::Arc& a : arcs) sig.emplace_back(a.bound, a.target);
-    const auto key = std::make_tuple(i, j, std::move(sig));
-    const auto it = node_index_.find(key);
-    if (it != node_index_.end()) return node_target(it->second);
-    const auto id = static_cast<std::uint32_t>(out_.nodes.size());
-    TableData::Node node;
-    node.i = i;
-    node.j = j;
-    node.first_arc = static_cast<std::uint32_t>(out_.arcs.size());
-    node.arc_count = static_cast<std::uint32_t>(arcs.size());
-    out_.arcs.insert(out_.arcs.end(), arcs.begin(), arcs.end());
-    out_.nodes.push_back(node);
-    node_index_.emplace(key, id);
-    return node_target(id);
+    return pools_.node(i, j, arcs);
   }
 
   std::uint32_t edge_slot(std::uint32_t ei) {
-    const auto it = edge_slots_.find(ei);
-    if (it != edge_slots_.end()) return it->second;
-    const auto slot = static_cast<std::uint32_t>(out_.edges.size());
-    out_.edges.push_back({ei, g_.edges()[ei].inst});
-    edge_slots_.emplace(ei, slot);
-    return slot;
+    return pools_.edge(ei, g_.edges()[ei].inst);
   }
 
   // ── the per-key cascade ─────────────────────────────────────────────
@@ -146,21 +223,22 @@ class Compiler {
   // over these zones, so the zone list itself must match, not just the
   // denoted set).
   target_t delay_leaf(std::uint32_t k, std::uint32_t round) {
-    std::vector<std::uint32_t> refs;
+    Words refs;
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
       for (const Dbm& z : sol_.action_region(ei, round - 1).zones()) {
-        refs.push_back(intern_zone(z));
+        refs.push_back(pools_.zone(z));
       }
     }
     for (const Dbm& z : sol_.winning_up_to(k, round - 1).zones()) {
-      refs.push_back(intern_zone(z));
+      refs.push_back(pools_.zone(z));
     }
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = round;
-    std::tie(leaf.zones_first, leaf.zones_count) = intern_slice(refs);
-    return intern_leaf(leaf);
+    leaf.zones_first = intern_slice(refs);
+    leaf.zones_count = static_cast<std::uint32_t>(refs.size());
+    return pools_.leaf(leaf);
   }
 
   // Safety keys compile to a single fat delay leaf over Safe (see
@@ -173,16 +251,18 @@ class Compiler {
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = 0;
-    std::vector<std::uint32_t> refs;
+    Words refs;
     for (const Dbm& z : sol_.winning(k).zones()) {
-      refs.push_back(intern_zone(z));
+      refs.push_back(pools_.zone(z));
     }
-    std::tie(leaf.zones_first, leaf.zones_count) = intern_slice(refs);
+    leaf.zones_first = intern_slice(refs);
+    leaf.zones_count = static_cast<std::uint32_t>(refs.size());
     refs.clear();
     for (const Dbm& z : sol_.danger_region(k).zones()) {
-      refs.push_back(intern_zone(z));
+      refs.push_back(pools_.zone(z));
     }
-    std::tie(leaf.danger_first, leaf.danger_count) = intern_slice(refs);
+    leaf.danger_first = intern_slice(refs);
+    leaf.danger_count = static_cast<std::uint32_t>(refs.size());
     std::vector<TableData::Act> acts;
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
@@ -190,13 +270,15 @@ class Compiler {
       if (region.is_empty()) continue;
       TableData::Act act;
       act.edge_slot = edge_slot(ei);
-      std::vector<std::uint32_t> arefs;
-      for (const Dbm& z : region.zones()) arefs.push_back(intern_zone(z));
-      std::tie(act.zones_first, act.zones_count) = intern_slice(arefs);
+      refs.clear();
+      for (const Dbm& z : region.zones()) refs.push_back(pools_.zone(z));
+      act.zones_first = intern_slice(refs);
+      act.zones_count = static_cast<std::uint32_t>(refs.size());
       acts.push_back(act);
     }
-    std::tie(leaf.acts_first, leaf.acts_count) = intern_acts(acts);
-    return intern_leaf(leaf);
+    leaf.acts_first = pools_.acts(acts);
+    leaf.acts_count = static_cast<std::uint32_t>(acts.size());
+    return pools_.leaf(leaf);
   }
 
   void compile_key(std::uint32_t k) {
@@ -210,9 +292,9 @@ class Compiler {
       } else {
         std::vector<Entry> entries{{&safe, safety_leaf(k)}};
         cascade_entries_ += entries.size();
-        key.root = build(Dbm::universal(out_.clock_dim), entries);
+        key.root = build(Dbm::universal(dim_), entries);
       }
-      out_.keys.push_back(std::move(key));
+      pools_.data.keys.push_back(std::move(key));
       return;
     }
     std::deque<Fed> owned;
@@ -222,7 +304,7 @@ class Compiler {
         TableData::Leaf goal;
         goal.kind = MoveKind::kGoalReached;
         goal.rank = 0;
-        entries.push_back({&d.gained, intern_leaf(goal)});
+        entries.push_back({&d.gained, pools_.leaf(goal)});
         continue;
       }
       for (const std::uint32_t ei : g_.edges_out(k)) {
@@ -235,7 +317,7 @@ class Compiler {
         act.rank = d.round;
         act.edge_slot = edge_slot(ei);
         owned.push_back(std::move(region));
-        entries.push_back({&owned.back(), intern_leaf(act)});
+        entries.push_back({&owned.back(), pools_.leaf(act)});
       }
       entries.push_back({&d.gained, delay_leaf(k, d.round)});
     }
@@ -245,11 +327,11 @@ class Compiler {
     key.locs = g_.key(k).locs;
     key.data = g_.key(k).data;
     key.root = entries.empty() ? unwinnable_leaf()
-                               : build(Dbm::universal(out_.clock_dim), entries);
-    out_.keys.push_back(std::move(key));
+                               : build(Dbm::universal(dim_), entries);
+    pools_.data.keys.push_back(std::move(key));
   }
 
-  target_t unwinnable_leaf() { return intern_leaf(TableData::Leaf{}); }
+  target_t unwinnable_leaf() { return pools_.leaf(TableData::Leaf{}); }
 
   // ── cascade → DAG lowering ──────────────────────────────────────────
   // `P` is the convex path zone implied by the tests taken so far (the
@@ -267,7 +349,7 @@ class Compiler {
 
       // First live row.  If it covers P the whole cell is decided (no
       // earlier row can fire anywhere in P).
-      if (Fed(P).is_subset_of(*entry.fed)) return entry.leaf;
+      if (covers(*entry.fed, P)) return entry.leaf;
 
       // Otherwise split P on a bound of a live member zone.  Some zone
       // must have one: a live zone without a P-tightening bound would
@@ -308,157 +390,169 @@ class Compiler {
     // one could not intersect the no-side cell), so sortedness holds;
     // the guard keeps it an invariant even for hash-consed reuse.
     if (!is_leaf(on_no)) {
-      const TableData::Node& chain = out_.nodes[target_index(on_no)];
+      const TableData& out = pools_.data;
+      const TableData::Node& chain = out.nodes[target_index(on_no)];
       if (chain.i == i && chain.j == j &&
-          out_.arcs[chain.first_arc].bound > bound) {
+          out.arcs[chain.first_arc].bound > bound) {
         for (std::uint32_t a = 0; a < chain.arc_count; ++a) {
-          arcs.push_back(out_.arcs[chain.first_arc + a]);
+          arcs.push_back(out.arcs[chain.first_arc + a]);
         }
-        return intern_node(i, j, std::move(arcs));
+        return intern_node(i, j, arcs);
       }
     }
     arcs.push_back({dbm::kInfinity, on_no});
-    return intern_node(i, j, std::move(arcs));
-  }
-
-  // ── mark & compact ──────────────────────────────────────────────────
-  // Chain fusion and leaf sharing strand intermediate nodes and (after
-  // dedup) unreferenced pool entries; rebuild every array with only
-  // what the key roots reach, renumbering in deterministic DFS order.
-  void compact() {
-    TableData packed;
-    packed.fingerprint = out_.fingerprint;
-    packed.clock_dim = out_.clock_dim;
-    packed.purpose_kind = out_.purpose_kind;
-    packed.system_name = std::move(out_.system_name);
-    packed.purpose_source = std::move(out_.purpose_source);
-
-    constexpr std::uint32_t kUnset = 0xffff'ffffu;
-    std::vector<std::uint32_t> node_map(out_.nodes.size(), kUnset);
-    std::vector<std::uint32_t> leaf_map(out_.leaves.size(), kUnset);
-    std::vector<std::uint32_t> zone_map(out_.zones.size(), kUnset);
-    std::vector<std::uint32_t> edge_map(out_.edges.size(), kUnset);
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::pair<std::uint32_t, std::uint32_t>>
-        slice_map;
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> acts_map;
-
-    const auto map_zone = [&](std::uint32_t z) {
-      if (zone_map[z] == kUnset) {
-        zone_map[z] = static_cast<std::uint32_t>(packed.zones.size());
-        packed.zones.push_back(out_.zones[z]);
-      }
-      return zone_map[z];
-    };
-    const auto map_edge = [&](std::uint32_t slot) {
-      if (edge_map[slot] == kUnset) {
-        edge_map[slot] = static_cast<std::uint32_t>(packed.edges.size());
-        packed.edges.push_back(out_.edges[slot]);
-      }
-      return edge_map[slot];
-    };
-    const auto remap_slice = [&](std::uint32_t& first, std::uint32_t count) {
-      const auto old = std::make_pair(first, count);
-      const auto it = slice_map.find(old);
-      if (it != slice_map.end()) {
-        first = it->second.first;
-        return;
-      }
-      const auto fresh = static_cast<std::uint32_t>(packed.zone_refs.size());
-      for (std::uint32_t r = 0; r < count; ++r) {
-        packed.zone_refs.push_back(map_zone(out_.zone_refs[old.first + r]));
-      }
-      slice_map.emplace(old, std::make_pair(fresh, count));
-      first = fresh;
-    };
-    const auto map_leaf = [&](std::uint32_t l) {
-      if (leaf_map[l] != kUnset) return leaf_map[l];
-      TableData::Leaf leaf = out_.leaves[l];
-      if (leaf.kind == MoveKind::kAction) {
-        leaf.edge_slot = map_edge(leaf.edge_slot);
-      }
-      if (leaf.kind == MoveKind::kDelay) {
-        remap_slice(leaf.zones_first, leaf.zones_count);
-        remap_slice(leaf.danger_first, leaf.danger_count);
-        if (leaf.acts_count != 0) {
-          const auto old = std::make_pair(leaf.acts_first, leaf.acts_count);
-          const auto it = acts_map.find(old);
-          if (it != acts_map.end()) {
-            leaf.acts_first = it->second;
-          } else {
-            const auto fresh = static_cast<std::uint32_t>(packed.acts.size());
-            for (std::uint32_t a = 0; a < old.second; ++a) {
-              TableData::Act act = out_.acts[old.first + a];
-              act.edge_slot = map_edge(act.edge_slot);
-              remap_slice(act.zones_first, act.zones_count);
-              packed.acts.push_back(act);
-            }
-            acts_map.emplace(old, fresh);
-            leaf.acts_first = fresh;
-          }
-        } else {
-          leaf.acts_first = 0;
-        }
-      }
-      leaf_map[l] = static_cast<std::uint32_t>(packed.leaves.size());
-      packed.leaves.push_back(leaf);
-      return leaf_map[l];
-    };
-
-    // Post-order DFS: a node's targets are numbered before the node
-    // itself, and its rebuilt arcs land contiguously in `packed.arcs`.
-    const std::function<target_t(target_t)> map_target =
-        [&](target_t t) -> target_t {
-      if (is_leaf(t)) return leaf_target(map_leaf(target_index(t)));
-      const std::uint32_t n = target_index(t);
-      if (node_map[n] != kUnset) return node_target(node_map[n]);
-      const TableData::Node& node = out_.nodes[n];
-      std::vector<TableData::Arc> arcs;
-      arcs.reserve(node.arc_count);
-      for (std::uint32_t a = 0; a < node.arc_count; ++a) {
-        const TableData::Arc& arc = out_.arcs[node.first_arc + a];
-        arcs.push_back({arc.bound, map_target(arc.target)});
-      }
-      TableData::Node fresh;
-      fresh.i = node.i;
-      fresh.j = node.j;
-      fresh.first_arc = static_cast<std::uint32_t>(packed.arcs.size());
-      fresh.arc_count = static_cast<std::uint32_t>(arcs.size());
-      packed.arcs.insert(packed.arcs.end(), arcs.begin(), arcs.end());
-      node_map[n] = static_cast<std::uint32_t>(packed.nodes.size());
-      packed.nodes.push_back(fresh);
-      return node_target(node_map[n]);
-    };
-
-    packed.keys.reserve(out_.keys.size());
-    for (TableData::Key& key : out_.keys) {
-      key.root = map_target(key.root);
-      packed.keys.push_back(std::move(key));
-    }
-    out_ = std::move(packed);
+    return intern_node(i, j, arcs);
   }
 
   const GameSolution& sol_;
   const SymbolicGraph& g_;
   const bool safety_;
-  TableData out_;
+  const std::uint32_t dim_;
+  Pools pools_;
+  std::optional<bool> first_slice_empty_;
+  std::size_t cascade_entries_ = 0;
+  std::size_t nodes_built_ = 0;
+};
 
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> zone_index_;
-  std::map<std::vector<std::uint32_t>, std::pair<std::uint32_t, std::uint32_t>>
-      slice_index_;
-  std::map<std::tuple<MoveKind, std::uint32_t, std::uint32_t, std::uint32_t,
-                      std::uint32_t, std::uint32_t, std::uint32_t,
-                      std::uint32_t, std::uint32_t>,
-           std::uint32_t>
-      leaf_index_;
-  std::map<std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>,
-           std::pair<std::uint32_t, std::uint32_t>>
-      acts_index_;
-  std::map<std::tuple<std::uint16_t, std::uint16_t,
-                      std::vector<std::pair<dbm::raw_t, target_t>>>,
-           std::uint32_t>
-      node_index_;
-  std::unordered_map<std::uint32_t, std::uint32_t> edge_slots_;
+// Merges fragments, in key order, into the final table.
+//
+// Chain fusion and leaf sharing strand intermediate nodes, and
+// different ranges intern the same sub-decisions under different ids;
+// the packer keeps only what the key roots reach, renumbering every
+// record in post-order DFS from the roots.  Records are hash-consed by
+// content in packed space — zones by value, zone slices by packed zone
+// ids, leaves, acts and nodes by their packed fields, edge slots by the
+// original edge index — and every fragment pool is content-interned
+// already, so the first time a record is reached does not depend on
+// where the ranges were cut.  The table is the same at any fragment
+// count: the mark-and-compact of a single whole-game fragment.
+class Packer {
+ public:
+  explicit Packer(const GameSolution& solution)
+      : safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety) {
+    const SymbolicGraph& g = solution.graph();
+    TableData& out = pools_.data;
+    out.fingerprint = model_fingerprint(g.system(), solution.purpose());
+    out.clock_dim = g.system().clock_count();
+    out.purpose_kind = safety_ ? 1 : 0;
+    out.system_name = g.system().name();
+    out.purpose_source = solution.purpose().source;
+  }
+
+  void pack(Fragment& fragment) {
+    TIGAT_SPAN("compile.pack");
+    if (!empties_shared_) empties_shared_ = fragment.first_slice_empty;
+    cascade_entries_ += fragment.cascade_entries;
+    nodes_built_ += fragment.nodes_built;
+    frag_ = &fragment.data;
+    node_map_.assign(frag_->nodes.size(), kUnset);
+    leaf_map_.assign(frag_->leaves.size(), kUnset);
+    zone_map_.assign(frag_->zones.size(), kUnset);
+    edge_map_.assign(frag_->edges.size(), kUnset);
+    for (TableData::Key& key : fragment.data.keys) {
+      key.root = pack_target(key.root);
+      pools_.data.keys.push_back(std::move(key));
+    }
+    frag_ = nullptr;
+  }
+
+  TableData finish(CompileStats* stats) {
+    if (stats != nullptr) {
+      stats->cascade_entries = cascade_entries_;
+      stats->nodes_built = nodes_built_;
+    }
+    return std::move(pools_.data);
+  }
+
+ private:
+  std::uint32_t pack_zone(std::uint32_t z) {
+    if (zone_map_[z] == kUnset) zone_map_[z] = pools_.zone(frag_->zones[z]);
+    return zone_map_[z];
+  }
+
+  std::uint32_t pack_edge(std::uint32_t slot) {
+    if (edge_map_[slot] == kUnset) {
+      const TableData::EdgeSlot& edge = frag_->edges[slot];
+      edge_map_[slot] = pools_.edge(edge.original, edge.inst);
+    }
+    return edge_map_[slot];
+  }
+
+  // Reach delay leaves carry no danger slice.  That default (0, 0)
+  // takes an offset of its own, apart from the interned empty slice,
+  // unless the game's first interned slice was empty: then the
+  // interned empty slice sits at (0, 0) too and the two are one.  Each
+  // takes the offset where it is first reached, which keeps .tgs bytes
+  // stable across compiler versions.
+  std::uint32_t pack_slice(std::uint32_t first, std::uint32_t count,
+                           bool interned) {
+    TIGAT_ASSERT(empties_shared_.has_value(), "slice in a sliceless game");
+    if (count == 0 && !interned && !*empties_shared_) {
+      if (!default_empty_) {
+        default_empty_ =
+            static_cast<std::uint32_t>(pools_.data.zone_refs.size());
+      }
+      return *default_empty_;
+    }
+    refs_.clear();
+    for (std::uint32_t r = 0; r < count; ++r) {
+      refs_.push_back(pack_zone(frag_->zone_refs[first + r]));
+    }
+    return pools_.slice(refs_);
+  }
+
+  std::uint32_t pack_leaf(std::uint32_t l) {
+    if (leaf_map_[l] != kUnset) return leaf_map_[l];
+    TableData::Leaf leaf = frag_->leaves[l];
+    if (leaf.kind == MoveKind::kAction) {
+      leaf.edge_slot = pack_edge(leaf.edge_slot);
+    }
+    if (leaf.kind == MoveKind::kDelay) {
+      leaf.zones_first = pack_slice(leaf.zones_first, leaf.zones_count, true);
+      leaf.danger_first =
+          pack_slice(leaf.danger_first, leaf.danger_count, safety_);
+      std::vector<TableData::Act> acts;
+      for (std::uint32_t a = 0; a < leaf.acts_count; ++a) {
+        TableData::Act act = frag_->acts[leaf.acts_first + a];
+        act.edge_slot = pack_edge(act.edge_slot);
+        act.zones_first = pack_slice(act.zones_first, act.zones_count, true);
+        acts.push_back(act);
+      }
+      leaf.acts_first = acts.empty() ? 0 : pools_.acts(acts);
+    }
+    leaf_map_[l] = target_index(pools_.leaf(leaf));
+    return leaf_map_[l];
+  }
+
+  // Post-order: a node's targets are numbered before the node itself,
+  // and its arcs land contiguously in the packed arc pool.
+  target_t pack_target(target_t t) {
+    if (is_leaf(t)) return leaf_target(pack_leaf(target_index(t)));
+    const std::uint32_t n = target_index(t);
+    if (node_map_[n] == kUnset) {
+      const TableData::Node& node = frag_->nodes[n];
+      std::vector<TableData::Arc> arcs;
+      arcs.reserve(node.arc_count);
+      for (std::uint32_t a = 0; a < node.arc_count; ++a) {
+        const TableData::Arc& arc = frag_->arcs[node.first_arc + a];
+        arcs.push_back({arc.bound, pack_target(arc.target)});
+      }
+      node_map_[n] = target_index(pools_.node(node.i, node.j, arcs));
+    }
+    return node_target(node_map_[n]);
+  }
+
+  const bool safety_;
+  Pools pools_;
+  // Whether the game's first interned slice was empty; set by the
+  // first fragment that interned a slice.
+  std::optional<bool> empties_shared_;
+  std::optional<std::uint32_t> default_empty_;
+  Words refs_;  // scratch for pack_slice
+
+  // The fragment being packed and its id → packed id maps.
+  const TableData* frag_ = nullptr;
+  std::vector<std::uint32_t> node_map_, leaf_map_, zone_map_, edge_map_;
 
   std::size_t cascade_entries_ = 0;
   std::size_t nodes_built_ = 0;
@@ -466,8 +560,52 @@ class Compiler {
 
 }  // namespace
 
+// Fans the key ranges out over the solve's worker count.  A finished
+// fragment is packed as soon as every earlier one has been, by
+// whichever worker holds the packing turn, so fragments are freed
+// early and packing overlaps the remaining compilation; the packing
+// order — and hence the table — is fixed whatever the schedule.
 DecisionTable compile(const GameSolution& solution, CompileStats* stats) {
-  return DecisionTable(Compiler(solution).run(stats));
+  TIGAT_SPAN("compile");
+  util::Stopwatch watch;
+  const std::uint32_t keys = solution.graph().key_count();
+  const unsigned workers =
+      keys < kParallelKeys ? 1 : std::max(1u, solution.worker_count());
+  const std::uint32_t ranges =
+      workers == 1 ? 1 : std::min(keys, workers * kRangesPerWorker);
+  const auto range_begin = [&](std::size_t r) {
+    return static_cast<std::uint32_t>(std::uint64_t{keys} * r / ranges);
+  };
+
+  Packer packer(solution);
+  std::vector<std::optional<Fragment>> ready(ranges);
+  std::mutex mutex;
+  std::size_t next = 0;  // first fragment not yet packed
+  bool packing = false;  // some worker holds the packing turn
+  util::ThreadPool pool(workers);
+  pool.parallel_for(ranges, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      Fragment fragment =
+          Compiler(solution).run(range_begin(r), range_begin(r + 1));
+      std::unique_lock lock(mutex);
+      ready[r] = std::move(fragment);
+      if (packing) continue;
+      packing = true;
+      while (next < ranges && ready[next]) {
+        Fragment turn = std::move(*ready[next]);
+        ready[next].reset();
+        ++next;
+        lock.unlock();
+        packer.pack(turn);
+        lock.lock();
+      }
+      packing = false;
+    }
+  }, "compile.keys");
+
+  TableData table = packer.finish(stats);
+  if (stats != nullptr) stats->compile_seconds = watch.seconds();
+  return DecisionTable(std::move(table));
 }
 
 }  // namespace tigat::decision

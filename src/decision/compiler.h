@@ -17,16 +17,26 @@
 // multi-arc node (bounds stay strictly sorted), and nodes, leaves,
 // zones and delay slices are hash-consed into shared pools, so equal
 // sub-decisions — frequent across ranks and keys — are stored once.
-// A final mark-and-compact pass drops every node/leaf/zone the fusion
-// left unreachable.
+//
+// Fragment + pack.  The keys are split into fixed contiguous ranges,
+// lowered in parallel on a util::ThreadPool as wide as the solve that
+// built the solution (GameSolution::worker_count; games of under a
+// thousand keys compile inline).  Each range yields an uncompacted
+// FRAGMENT with its own content-interned pools.  A packer then walks
+// the fragments in key order, keeps only what the key roots reach
+// (fusion strands intermediate nodes) and hash-conses every record by
+// content in packed space, numbering in post-order DFS from the roots;
+// each fragment is freed as soon as it is packed.
 //
 // The construction is exact (no sampling): on every concrete state
 // with integral non-negative ticks, walking the DAG reproduces
 // Strategy::decide bit for bit, because each path zone is partitioned
 // by the very bounds the federations are made of and delay leaves
 // carry the exact member zones whose earliest_entry_delay Strategy
-// minimises.  Compilation is deterministic — same solution, same
-// table, byte-stable .tgs files.
+// minimises.  Compilation is deterministic at any worker count — the
+// packed numbering depends only on content and key order, not on where
+// the ranges were cut — so the same solution gives the same table and
+// byte-stable .tgs files (tests/compile_determinism_test).
 #pragma once
 
 #include "decision/table.h"

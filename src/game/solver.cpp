@@ -23,7 +23,7 @@ GameSolution::GameSolution(std::unique_ptr<SymbolicGraph> graph,
     : graph_(std::move(graph)),
       purpose_(std::move(purpose)),
       empty_fed_(graph_->system().clock_count()),
-      action_mutex_(std::make_unique<std::shared_mutex>()),
+      region_shards_(std::make_unique<RegionShard[]>(kRegionShards)),
       mat_mutex_(std::make_unique<std::shared_mutex>()) {}
 
 const GameSolution::MaterializedKey* GameSolution::materialized(
@@ -76,10 +76,11 @@ const std::vector<GameSolution::Delta>& GameSolution::deltas(
 const Fed& GameSolution::action_region(std::uint32_t ei,
                                        std::uint32_t round) const {
   const std::uint64_t key = (static_cast<std::uint64_t>(ei) << 32) | round;
+  RegionShard& shard = region_shards_[ei % kRegionShards];
   {
-    std::shared_lock lock(*action_mutex_);
-    const auto it = action_cache_.find(key);
-    if (it != action_cache_.end()) return it->second;
+    std::shared_lock lock(shard.mutex);
+    const auto it = shard.actions.find(key);
+    if (it != shard.actions.end()) return it->second;
   }
   // Compute outside any lock (reads only immutable state); a racing
   // caller may duplicate the work, but emplace keeps the first
@@ -88,15 +89,16 @@ const Fed& GameSolution::action_region(std::uint32_t ei,
   Fed region = graph_->pred_through(e, winning_up_to(e.dst, round));
   Fed scratch(graph_->system().clock_count());
   region &= graph_->reach(e.src, scratch);
-  std::unique_lock lock(*action_mutex_);
-  return action_cache_.emplace(key, std::move(region)).first->second;
+  std::unique_lock lock(shard.mutex);
+  return shard.actions.emplace(key, std::move(region)).first->second;
 }
 
 const Fed& GameSolution::danger_region(std::uint32_t k) const {
+  RegionShard& shard = region_shards_[k % kRegionShards];
   {
-    std::shared_lock lock(*action_mutex_);
-    const auto it = danger_cache_.find(k);
-    if (it != danger_cache_.end()) return it->second;
+    std::shared_lock lock(shard.mutex);
+    const auto it = shard.danger.find(k);
+    if (it != shard.danger.end()) return it->second;
   }
   // Compute outside any lock (winning() takes its own); a racing
   // caller may duplicate the work, but emplace keeps the first
@@ -112,8 +114,8 @@ const Fed& GameSolution::danger_region(std::uint32_t k) const {
     danger |= graph_->pred_through(e, bad);
   }
   danger &= graph_->reach(k, scratch);
-  std::unique_lock lock(*action_mutex_);
-  return danger_cache_.emplace(k, std::move(danger)).first->second;
+  std::unique_lock lock(shard.mutex);
+  return shard.danger.emplace(k, std::move(danger)).first->second;
 }
 
 const Fed& GameSolution::winning_up_to(std::uint32_t k,
@@ -196,6 +198,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const std::uint32_t dim = sys_->clock_count();
 
   auto solution = std::make_shared<GameSolution>(std::move(graph), purpose_);
+  solution->worker_count_ = pool.worker_count();
   const SymbolicGraph& g = *solution->graph_;
   dbm::ZonePool* zpool = solution->graph_->zone_pool();
   const bool compact = zpool != nullptr;

@@ -107,7 +107,9 @@ struct SolverOptions {
   // thread included): 0 = hardware concurrency, 1 = serial.  Winning
   // federations, ranks, key numbering and strategies are bit-identical
   // at every value — work is distributed, results are merged in key
-  // order (see solve()).
+  // order (see solve()).  The resolved count is recorded on the
+  // solution (GameSolution::worker_count) and reused by
+  // decision::compile, whose tables are byte-identical at any value.
   unsigned threads = 0;
   // Dictionary-compress all bulk zone storage (see the file comment).
   // Mirrored into exploration.compact_zones by the solver.
@@ -188,6 +190,12 @@ class GameSolution {
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
 
+  // Workers of the solve that built this solution: SolverOptions::
+  // threads resolved (0 → hardware concurrency), 1 for a solution not
+  // built by GameSolver.  decision::compile fans out over as many, so
+  // one knob sizes the whole synthesis pipeline.
+  [[nodiscard]] unsigned worker_count() const { return worker_count_; }
+
  private:
   friend class GameSolver;
 
@@ -223,14 +231,23 @@ class GameSolution {
   std::vector<std::vector<PooledDelta>> deltas_pooled_;
   mutable std::unordered_map<std::uint32_t, MaterializedKey> mat_cache_;
   dbm::Fed empty_fed_;  // returned for rounds before the first delta
-  // Guards mat_cache_, action_cache_ and danger_cache_ (behind
-  // pointers to keep the class movable).  Node-based maps, so returned
-  // references survive rehashes; entries are immutable once inserted.
-  std::unique_ptr<std::shared_mutex> action_mutex_;
+  // The action_region / danger_region caches, sharded by edge and key
+  // index: decision::compile's workers query them on every key, and one
+  // shared lock for all of them became the contended cache line.
+  // Node-based maps, so returned references survive rehashes; entries
+  // are immutable once inserted.
+  struct RegionShard {
+    std::shared_mutex mutex;
+    std::unordered_map<std::uint64_t, dbm::Fed> actions;
+    std::unordered_map<std::uint32_t, dbm::Fed> danger;
+  };
+  static constexpr std::uint32_t kRegionShards = 64;
+  // Behind pointers to keep the class movable.  mat_mutex_ guards
+  // mat_cache_.
+  std::unique_ptr<RegionShard[]> region_shards_;
   std::unique_ptr<std::shared_mutex> mat_mutex_;
-  mutable std::unordered_map<std::uint64_t, dbm::Fed> action_cache_;
-  mutable std::unordered_map<std::uint32_t, dbm::Fed> danger_cache_;
   SolverStats stats_;
+  unsigned worker_count_ = 1;
 };
 
 // Solves `control: A<> φ` (PurposeKind::kReach) and `control: A[] φ`

@@ -10,12 +10,24 @@
 // The counters are relaxed atomics: the parallel solving pipeline
 // (util::ThreadPool) constructs and destroys zones on every worker, so
 // the meter must be race-free.  Relaxed ordering is enough — the
-// counts are statistics, not synchronisation — and keeps the cost to
-// one uncontended RMW per zone, which is noise next to the O(dim²)
-// work every zone represents.  `peak` is maintained with a CAS loop
-// and is exact up to the usual concurrent-high-water caveat (two
-// simultaneous `add`s may each observe the pre-update peak; the final
-// value still bounds every individually observed `current`).
+// counts are statistics, not synchronisation.  `current` is signed and
+// clamped at zero only when read, so a `sub` that races a reset() (or
+// lands on another thread before the matching `add` was published)
+// costs one plain RMW.  `peak` is maintained with a CAS loop and is
+// exact up to the usual concurrent-high-water caveat (two simultaneous
+// `add`s may each observe the pre-update peak; the final value still
+// bounds every individually observed `current`).
+//
+// Zones are far too numerous for one shared counter: every dbm::Dbm
+// copy and destructor hitting the same cache line serialises the
+// workers.  The zone layer therefore meters through `zone_memory_add`
+// / `zone_memory_sub`, which batch into a per-thread signed delta and
+// publish it to `zone_memory()` only once it reaches ±kZoneMeterSlack
+// bytes, and when the thread exits.  Readers see every other thread's
+// zone bytes up to that slack (at most workers × kZoneMeterSlack, a
+// few tens of KiB against the megabytes the budget and the Table 1
+// column measure); `zone_memory()` publishes the calling thread's own
+// delta first, so a thread always sees its own allocations exactly.
 #pragma once
 
 #include <atomic>
@@ -27,27 +39,27 @@ namespace tigat::util {
 class MemoryMeter {
  public:
   void add(std::size_t bytes) noexcept {
-    const std::size_t now =
-        current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
+    apply(static_cast<std::int64_t>(bytes));
+  }
+  void sub(std::size_t bytes) noexcept {
+    apply(-static_cast<std::int64_t>(bytes));
+  }
+  // Adds a signed byte delta; a positive one may raise the peak.
+  void apply(std::int64_t delta) noexcept {
+    const std::int64_t now =
+        current_.fetch_add(delta, std::memory_order_relaxed) + delta;
+    if (delta <= 0) return;
+    std::int64_t peak = peak_.load(std::memory_order_relaxed);
     while (now > peak &&
            !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
     }
   }
-  void sub(std::size_t bytes) noexcept {
-    // Clamped at zero (a reset() may race live zones); CAS keeps the
-    // clamp exact under concurrency.
-    std::size_t cur = current_.load(std::memory_order_relaxed);
-    while (!current_.compare_exchange_weak(cur, bytes > cur ? 0 : cur - bytes,
-                                           std::memory_order_relaxed)) {
-    }
-  }
 
   [[nodiscard]] std::size_t current() const noexcept {
-    return current_.load(std::memory_order_relaxed);
+    return clamped(current_.load(std::memory_order_relaxed));
   }
   [[nodiscard]] std::size_t peak() const noexcept {
-    return peak_.load(std::memory_order_relaxed);
+    return clamped(peak_.load(std::memory_order_relaxed));
   }
 
   // Forgets the history; used between benchmark cells.
@@ -57,17 +69,28 @@ class MemoryMeter {
   }
   // Keeps the live bytes but restarts the high-water mark from them.
   void reset_peak() noexcept {
-    peak_.store(current_.load(std::memory_order_relaxed),
+    peak_.store(static_cast<std::int64_t>(current()),
                 std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<std::size_t> current_{0};
-  std::atomic<std::size_t> peak_{0};
+  static std::size_t clamped(std::int64_t bytes) noexcept {
+    return bytes < 0 ? 0 : static_cast<std::size_t>(bytes);
+  }
+
+  std::atomic<std::int64_t> current_{0};
+  std::atomic<std::int64_t> peak_{0};
 };
 
-// Process-wide meter used by the zone layer.
+// Process-wide meter used by the zone layer.  Publishes the calling
+// thread's pending zone delta before returning it.
 MemoryMeter& zone_memory() noexcept;
+
+// Batched zone accounting (see the file comment): the per-thread delta
+// is published to zone_memory() once it reaches ±kZoneMeterSlack bytes.
+inline constexpr std::int64_t kZoneMeterSlack = 16 * 1024;
+void zone_memory_add(std::size_t bytes) noexcept;
+void zone_memory_sub(std::size_t bytes) noexcept;
 
 // Process high-water RSS from the OS (0 where unsupported).  The
 // counters above measure the zone layer exactly; this measures

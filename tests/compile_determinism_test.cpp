@@ -1,0 +1,140 @@
+// decision::compile fans out over the worker count of the solve that
+// built the solution (GameSolution::worker_count): each key range is
+// lowered into its own fragment and the fragments are packed in key
+// order.  The table must not depend on that count.  Solve at 1, 2 and 8
+// threads and require byte-identical .tgs images and equal compile
+// counters, on LEP n=4 TP1-TP3 (large enough to compile in parallel)
+// and the Smart Light reach, cooperative and safety purposes.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "decision/compiler.h"
+#include "decision/serialize.h"
+#include "game/cooperative.h"
+#include "game/solver.h"
+#include "lang/lang.h"
+
+#ifndef TIGAT_MODEL_DIR
+#error "TIGAT_MODEL_DIR must point at examples/models"
+#endif
+
+namespace tigat::decision {
+namespace {
+
+std::string model_path(const char* file) {
+  return std::string(TIGAT_MODEL_DIR) + "/" + file;
+}
+
+lang::LoadedModel load_lep4() {
+  lang::CompileOptions options;
+  options.params = {{"N", 4}};
+  return lang::load_model(model_path("lep.tg"), options);
+}
+
+struct Compiled {
+  std::vector<std::uint8_t> bytes;
+  CompileStats stats;
+};
+
+Compiled compile_at(const game::GameSolution& solution) {
+  Compiled out;
+  out.bytes = to_bytes(compile(solution, &out.stats));
+  return out;
+}
+
+// `solve(threads)` returns a solution built with that many workers.
+template <typename Solve>
+void expect_same_table_at_any_width(const Solve& solve) {
+  const auto base_solution = solve(1u);
+  ASSERT_EQ(base_solution->worker_count(), 1u);
+  const Compiled base = compile_at(*base_solution);
+  ASSERT_FALSE(base.bytes.empty());
+  for (const unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto solution = solve(threads);
+    EXPECT_EQ(solution->worker_count(), threads);
+    const Compiled other = compile_at(*solution);
+    EXPECT_TRUE(other.bytes == base.bytes) << "the .tgs image differs";
+    EXPECT_EQ(other.stats.cascade_entries, base.stats.cascade_entries);
+    EXPECT_EQ(other.stats.nodes_built, base.stats.nodes_built);
+  }
+}
+
+std::shared_ptr<const game::GameSolution> solve(const tsystem::System& system,
+                                                const tsystem::TestPurpose& p,
+                                                unsigned threads) {
+  game::SolverOptions options;
+  options.threads = threads;
+  return game::GameSolver(system, p, options).solve();
+}
+
+class CompileDeterminismLepN4 : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompileDeterminismLepN4, CompileIsByteIdenticalAcrossThreadCounts) {
+  const lang::LoadedModel lep = load_lep4();
+  ASSERT_EQ(lep.purposes.size(), 3u);
+  const tsystem::TestPurpose& purpose = lep.purposes.at(GetParam());
+  expect_same_table_at_any_width(
+      [&](unsigned threads) { return solve(lep.system, purpose, threads); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Purposes, CompileDeterminismLepN4,
+                         ::testing::Values(0, 1, 2), [](const auto& info) {
+                           return "TP" + std::to_string(info.param + 1);
+                         });
+
+// Reach delay leaves carry no danger slice, and their default (0, 0)
+// is packed apart from the interned empty zone slice unless the game's
+// first interned slice was empty.  LEP n=4 TP1 has three delay leaves
+// with an empty zone slice, and the .tgs format has always placed that
+// slice at zone_refs offset 6, where it is first reached.
+TEST(CompileDeterminism, LepN4Tp1EmptySliceKeepsItsOffset) {
+  const lang::LoadedModel lep = load_lep4();
+  const auto solution = solve(lep.system, lep.purposes.at(0), 2);
+  const TableData data = compile(*solution).export_data();
+  std::size_t empty = 0;
+  for (const TableData::Leaf& leaf : data.leaves) {
+    if (leaf.kind != game::MoveKind::kDelay || leaf.zones_count != 0) continue;
+    ++empty;
+    EXPECT_EQ(leaf.zones_first, 6u);
+  }
+  EXPECT_EQ(empty, 3u);
+}
+
+TEST(CompileDeterminism, SmartLightReach) {
+  const lang::LoadedModel light =
+      lang::load_model(model_path("smart_light.tg"));
+  expect_same_table_at_any_width([&](unsigned threads) {
+    return solve(light.system, light.purposes.at(0), threads);
+  });
+}
+
+TEST(CompileDeterminism, SmartLightCooperative) {
+  const lang::LoadedModel light =
+      lang::load_model(model_path("smart_light.tg"));
+  const auto purpose =
+      tsystem::TestPurpose::parse(light.system, "control: A<> IUT.L6");
+  // The relaxed system must outlive the solution built on it.
+  std::vector<game::CooperativeResult> kept;
+  expect_same_table_at_any_width([&](unsigned threads) {
+    game::SolverOptions options;
+    options.threads = threads;
+    kept.push_back(game::solve_cooperative(light.system, purpose, options));
+    return kept.back().solution;
+  });
+}
+
+TEST(CompileDeterminism, SmartLightSafety) {
+  const lang::LoadedModel lamp =
+      lang::load_model(model_path("smart_light_safety.tg"));
+  expect_same_table_at_any_width([&](unsigned threads) {
+    return solve(lamp.system, lamp.purposes.at(0), threads);
+  });
+}
+
+}  // namespace
+}  // namespace tigat::decision

@@ -91,6 +91,27 @@ TEST_P(DbmPropertyTest, IntersectionMatchesOracle) {
   }
 }
 
+// intersects() decides emptiness from the two canonical matrices alone
+// (no closure); it must agree with materialising the intersection.
+TEST_P(DbmPropertyTest, IntersectsAgreesWithIntersection) {
+  const auto [dim, seed] = GetParam();
+  GridOracle grid(dim, kMaxConst);
+  util::Rng rng(seed);
+  int disjoint = 0;
+  int overlapping = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const Dbm a = grid.random_zone(rng, kMaxConst, 5);
+    const Dbm b = grid.random_zone(rng, kMaxConst, 5);
+    const bool expect = Dbm(a).intersect_with(b);
+    EXPECT_EQ(a.intersects(b), expect) << a.to_string() << " ∩ " << b.to_string();
+    EXPECT_EQ(b.intersects(a), expect) << b.to_string() << " ∩ " << a.to_string();
+    (expect ? overlapping : disjoint) += 1;
+  }
+  // The sweep must exercise both answers to mean anything.
+  EXPECT_GT(disjoint, 0);
+  EXPECT_GT(overlapping, 0);
+}
+
 TEST_P(DbmPropertyTest, SubtractMatchesOracleAndIsDisjoint) {
   const auto [dim, seed] = GetParam();
   GridOracle grid(dim, kMaxConst);

@@ -3,6 +3,8 @@
 //   * the exported trace is well-formed Chrome trace-event JSON whose
 //     B/E events balance per thread row, even under an 8-thread solve
 //     with worker threads that die before the export;
+//   * a traced parallel decision::compile records its compile /
+//     compile.keys / compile.pack spans and the same table bytes;
 //   * worker threads appear under their OS names ("tigat-w<i>") in the
 //     thread_name metadata;
 //   * the metric counters the solver publishes equal SolverStats
@@ -25,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "decision/compiler.h"
+#include "decision/serialize.h"
 #include "game/cooperative.h"
 #include "game/solver.h"
 #include "game/strategy.h"
@@ -195,7 +199,8 @@ class JsonParser {
 };
 
 std::shared_ptr<const game::GameSolution> solve_lep(unsigned threads) {
-  models::Lep lep = models::make_lep({.nodes = 3});
+  // The solution's graph refers to the system: keep it alive.
+  static const models::Lep lep = models::make_lep({.nodes = 3});
   game::SolverOptions options;
   options.threads = threads;
   game::GameSolver solver(
@@ -258,6 +263,46 @@ TEST(ObsTrace, ChromeTraceBalancedUnderEightThreadSolve) {
   }
   // An 8-thread solve must have recorded at least one named worker row.
   EXPECT_TRUE(saw_named_worker);
+}
+
+// decision::compile attributes its time to the decision layer: one
+// "compile" span, "compile.keys" spans on the workers that lowered key
+// ranges and one "compile.pack" span per packed fragment, balanced on
+// every thread.  Tracing changes no byte of the table.
+TEST(ObsTrace, CompileSpansAttributeTheDecisionLayer) {
+  const auto solution = solve_lep(8);
+  const auto untraced = decision::to_bytes(decision::compile(*solution));
+  Tracer::instance().enable();
+  const auto traced = decision::to_bytes(decision::compile(*solution));
+  Tracer::instance().disable();
+  EXPECT_TRUE(traced == untraced) << "tracing changed the compiled table";
+
+  JsonValue doc;
+  ASSERT_TRUE(JsonParser(Tracer::instance().chrome_trace_json()).parse(doc));
+  const JsonValue* events = doc.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<double, std::vector<std::string>> stacks;
+  std::map<std::string, std::size_t> opened;
+  for (const JsonValue& e : events->array) {
+    const std::string& ph = e.get("ph")->string;
+    const std::string& name = e.get("name")->string;
+    auto& stack = stacks[e.get("tid")->number];
+    if (ph == "B") {
+      stack.push_back(name);
+      ++opened[name];
+    } else if (ph == "E") {
+      ASSERT_FALSE(stack.empty());
+      EXPECT_EQ(stack.back(), name);
+      stack.pop_back();
+    }
+  }
+  for (const auto& [tid, stack] : stacks) {
+    EXPECT_TRUE(stack.empty()) << "unbalanced spans on tid " << tid;
+  }
+  EXPECT_EQ(opened["compile"], 1u);
+  EXPECT_GE(opened["compile.keys"], 1u);
+  // LEP n=3 is large enough to be split into several fragments.
+  EXPECT_GT(opened["compile.pack"], 1u);
 }
 
 TEST(ObsTrace, ReenableDropsOldEvents) {

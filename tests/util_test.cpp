@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "dbm/dbm.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/text.h"
+#include "util/thread_pool.h"
 
 namespace tigat::util {
 namespace {
@@ -101,6 +104,36 @@ TEST(MemoryMeter, SubClampsAtZero) {
   m.add(5);
   m.sub(50);
   EXPECT_EQ(m.current(), 0u);
+}
+
+// Zone bytes are batched per thread (see memory_meter.h).  Zones built
+// on pool workers and destroyed on the caller must net out once every
+// thread has published its delta, and the peak must have seen them.
+TEST(MemoryMeter, ZoneBytesNetOutAcrossThreads) {
+  constexpr std::uint32_t kDim = 8;
+  constexpr std::size_t kChunks = 50;  // total bytes not a slack multiple
+  constexpr std::size_t kPerChunk = 200;
+  const std::size_t baseline = zone_memory().current();
+  std::vector<std::vector<dbm::Dbm>> made(kChunks);
+  std::size_t live = 0;
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(kChunks, 1, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t c = begin; c < end; ++c) {
+        for (std::size_t z = 0; z < kPerChunk; ++z) {
+          made[c].push_back(dbm::Dbm::universal(kDim));
+        }
+      }
+    });
+  }  // workers exit and publish what they still hold
+  for (const auto& chunk : made) {
+    for (const dbm::Dbm& z : chunk) live += z.memory_bytes();
+  }
+  EXPECT_EQ(live, kChunks * kPerChunk * kDim * kDim * sizeof(dbm::raw_t));
+  EXPECT_EQ(zone_memory().current(), baseline + live);
+  EXPECT_GE(zone_memory().peak(), baseline + live);
+  made.clear();  // destroyed on the caller, not where they were built
+  EXPECT_EQ(zone_memory().current(), baseline);
 }
 
 TEST(MemoryMeter, MebibyteConversion) {
