@@ -5,6 +5,10 @@
 // threads and require byte-identical .tgs images and equal compile
 // counters, on LEP n=4 TP1-TP3 (large enough to compile in parallel)
 // and the Smart Light reach, cooperative and safety purposes.
+//
+// Each image is also pinned to a golden FNV-1a hash of its bytes, so a
+// change to zone storage, the fixpoint or the compiler that alters any
+// table byte fails here even when it is deterministic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "decision/compiler.h"
+#include "decision/format.h"
 #include "decision/serialize.h"
 #include "game/cooperative.h"
 #include "game/solver.h"
@@ -46,13 +51,17 @@ Compiled compile_at(const game::GameSolution& solution) {
   return out;
 }
 
-// `solve(threads)` returns a solution built with that many workers.
+// `solve(threads)` returns a solution built with that many workers;
+// `golden` is the FNV-1a hash of the expected .tgs image.
 template <typename Solve>
-void expect_same_table_at_any_width(const Solve& solve) {
+void expect_same_table_at_any_width(const Solve& solve, std::uint64_t golden) {
   const auto base_solution = solve(1u);
   ASSERT_EQ(base_solution->worker_count(), 1u);
   const Compiled base = compile_at(*base_solution);
   ASSERT_FALSE(base.bytes.empty());
+  EXPECT_EQ(fnv1a(base.bytes.data(), base.bytes.size()), golden)
+      << std::hex << "image hash 0x"
+      << fnv1a(base.bytes.data(), base.bytes.size());
   for (const unsigned threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto solution = solve(threads);
@@ -75,11 +84,15 @@ std::shared_ptr<const game::GameSolution> solve(const tsystem::System& system,
 class CompileDeterminismLepN4 : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompileDeterminismLepN4, CompileIsByteIdenticalAcrossThreadCounts) {
+  constexpr std::uint64_t kGolden[] = {0xa68a49587483496aull,
+                                       0xa11f68b554ed405cull,
+                                       0xf472a316c990ee8cull};
   const lang::LoadedModel lep = load_lep4();
   ASSERT_EQ(lep.purposes.size(), 3u);
   const tsystem::TestPurpose& purpose = lep.purposes.at(GetParam());
   expect_same_table_at_any_width(
-      [&](unsigned threads) { return solve(lep.system, purpose, threads); });
+      [&](unsigned threads) { return solve(lep.system, purpose, threads); },
+      kGolden[GetParam()]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Purposes, CompileDeterminismLepN4,
@@ -110,7 +123,7 @@ TEST(CompileDeterminism, SmartLightReach) {
       lang::load_model(model_path("smart_light.tg"));
   expect_same_table_at_any_width([&](unsigned threads) {
     return solve(light.system, light.purposes.at(0), threads);
-  });
+  }, 0xa08aceabe3806690ull);
 }
 
 TEST(CompileDeterminism, SmartLightCooperative) {
@@ -125,7 +138,7 @@ TEST(CompileDeterminism, SmartLightCooperative) {
     options.threads = threads;
     kept.push_back(game::solve_cooperative(light.system, purpose, options));
     return kept.back().solution;
-  });
+  }, 0xbb7cc4be6396086bull);
 }
 
 TEST(CompileDeterminism, SmartLightSafety) {
@@ -133,7 +146,7 @@ TEST(CompileDeterminism, SmartLightSafety) {
       lang::load_model(model_path("smart_light_safety.tg"));
   expect_same_table_at_any_width([&](unsigned threads) {
     return solve(lamp.system, lamp.purposes.at(0), threads);
-  });
+  }, 0x76a604c4cb0d97d6ull);
 }
 
 }  // namespace
