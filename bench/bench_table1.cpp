@@ -15,7 +15,6 @@
 //   TIGAT_TABLE1_MEM_MB   per-cell zone-memory budget, MB (default 1024)
 //   TIGAT_TABLE1_THREADS  solver threads; 0 = hardware    (default 0)
 //   TIGAT_TABLE1_SPEEDUP  0 disables the 1-vs-N rerun     (default 1)
-//   TIGAT_TABLE1_COMPACT  1 = SolverOptions::compact_zones (default 0)
 //
 // Once a cell blows the budget, larger n in the same row are reported
 // "/" without being run (the growth is monotone).
@@ -66,7 +65,7 @@ tsystem::System elaborate_lep(std::uint32_t nodes) {
 }
 
 Cell run_cell(std::uint32_t nodes, const std::string& purpose, double budget,
-              std::size_t mem_budget_bytes, unsigned threads, bool compact) {
+              std::size_t mem_budget_bytes, unsigned threads) {
   Cell cell;
   try {
     const tsystem::System lep_system = elaborate_lep(nodes);
@@ -74,7 +73,6 @@ Cell run_cell(std::uint32_t nodes, const std::string& purpose, double budget,
     options.exploration.deadline_seconds = budget;
     options.exploration.max_zone_bytes = mem_budget_bytes;
     options.threads = threads;
-    options.compact_zones = compact;
     util::Stopwatch watch;
     game::GameSolver solver(
         lep_system, tsystem::TestPurpose::parse(lep_system, purpose), options);
@@ -114,13 +112,11 @@ int main(int argc, char** argv) {
   const auto threads =
       static_cast<unsigned>(env_int("TIGAT_TABLE1_THREADS", 0));
   const bool with_speedup = env_int("TIGAT_TABLE1_SPEEDUP", 1) != 0;
-  const bool compact = env_int("TIGAT_TABLE1_COMPACT", 0) != 0;
 
   benchio::BenchReport report("table1", argc, argv);
   report.root().set("max_n", max_n);
   report.root().set("budget_s", budget);
   report.root().set("mem_budget_mb", static_cast<long long>(mem_budget >> 20));
-  report.root().set("compact_zones", compact);
   report.root().set(
       "threads",
       static_cast<long long>(threads == 0 ? util::ThreadPool::hardware_threads()
@@ -160,7 +156,7 @@ int main(int argc, char** argv) {
       }
       util::zone_memory().reset();
       const Cell cell = run_cell(static_cast<std::uint32_t>(n), purpose,
-                                 budget, mem_budget, threads, compact);
+                                 budget, mem_budget, threads);
       auto& row = report.add_row();
       row.set("purpose", label);
       row.set("n", n);
@@ -176,10 +172,8 @@ int main(int argc, char** argv) {
         row.set("winning_zones", cell.stats.winning_zones);
         row.set("edges", cell.stats.edges);
         row.set("rounds", cell.stats.rounds);
-        if (compact) {
-          row.set("pool_rows", cell.stats.zone_pool_rows);
-          row.set("pool_mb", util::to_mebibytes(cell.stats.zone_pool_bytes));
-        }
+        row.set("pool_rows", cell.stats.zone_pool_rows);
+        row.set("pool_mb", util::to_mebibytes(cell.stats.zone_pool_bytes));
         time_row.push_back(util::format("%.2f", cell.seconds));
         mem_row.push_back(util::format("%.1f", cell.mebibytes));
         if (n > best_n) {
@@ -211,11 +205,10 @@ int main(int argc, char** argv) {
         threads > 1 ? threads : util::ThreadPool::hardware_threads();
     util::zone_memory().reset();
     const Cell serial = run_cell(static_cast<std::uint32_t>(best_n),
-                                 best_purpose, budget, mem_budget, 1, compact);
+                                 best_purpose, budget, mem_budget, 1);
     util::zone_memory().reset();
     const Cell pooled = run_cell(static_cast<std::uint32_t>(best_n),
-                                 best_purpose, budget, mem_budget, many,
-                                 compact);
+                                 best_purpose, budget, mem_budget, many);
     if (serial.completed && pooled.completed) {
       const double speedup =
           pooled.seconds > 0.0 ? serial.seconds / pooled.seconds : 0.0;

@@ -12,8 +12,9 @@
 //   ./build/examples/run_model solve examples/models/lep.tg --print-model
 //   ./build/examples/run_model solve model.tg "control: A<> IUT.Bright"
 //   ./build/examples/run_model solve model.tg --threads=4  # 0 = hardware
-//   ./build/examples/run_model solve model.tg --compact-zones  # pooled
-//                      # zone storage; what lets LEP n=6 fit in memory
+//
+// An argument starting with `--` that names no option is a usage error
+// (exit 1), reported before the model is loaded.
 //
 // `serve` opens the .tgs with the zero-copy v3 reader
 // (DecisionTable::map): a v1/v2 file exits 1 with a "re-solve"
@@ -219,7 +220,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: run_model solve|serve|run|campaign|explain "
                "<model.tg> [--print-model] "
-               "[--threads=N] [--compact-zones] [--param NAME=VALUE]... "
+               "[--threads=N] [--param NAME=VALUE]... "
                "[--strategy-out=FILE.tgs] "
                "[--strategy-in=FILE.tgs] "
                "[--trace-out=FILE] [--metrics-out=FILE] "
@@ -258,8 +259,7 @@ int run_main(int argc, char** argv) {
 
   std::string path;
   bool print_model = false;
-  bool compact_zones = false;  // dictionary-compressed zone storage
-  unsigned threads = 0;        // 0 = hardware concurrency
+  unsigned threads = 0;  // 0 = hardware concurrency
   std::string strategy_out;
   std::string strategy_in;
   std::string trace_out;
@@ -297,8 +297,6 @@ int run_main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-model") == 0) {
       print_model = true;
-    } else if (std::strcmp(argv[i], "--compact-zones") == 0) {
-      compact_zones = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--strategy-out=", 15) == 0) {
@@ -345,6 +343,9 @@ int run_main(int argc, char** argv) {
       add_param(argv[i] + 8);
     } else if (std::strcmp(argv[i], "--param") == 0) {
       add_param(i + 1 < argc ? argv[++i] : nullptr);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "run_model: unknown option '%s'\n", argv[i]);
+      return usage();
     } else if (path.empty()) {
       path = argv[i];
     } else {
@@ -489,7 +490,6 @@ int run_main(int argc, char** argv) {
     } else {
       game::SolverOptions options;
       options.threads = threads;
-      options.compact_zones = compact_zones;
       game::GameSolver solver(model.system, purposes.front(), options);
       solution = solver.solve();
       if (!solution->winning_from_initial()) {
@@ -626,7 +626,6 @@ int run_main(int argc, char** argv) {
     try {
       game::SolverOptions options;
       options.threads = threads;
-      options.compact_zones = compact_zones;
       game::GameSolver solver(model.system, purpose, options);
       const auto solution = solver.solve();
       game::Strategy strategy(solution);

@@ -189,15 +189,6 @@ void PooledFed::clear() {
   ids_.clear();
 }
 
-bool PooledFed::covers(const Dbm& zone, const ZonePool& pool) const {
-  const std::size_t members = size();
-  for (std::size_t m = 0; m < members; ++m) {
-    const Relation rel = member_relation(zone, m, pool);
-    if (rel == Relation::kEqual || rel == Relation::kSuperset) return true;
-  }
-  return false;
-}
-
 Dbm PooledFed::zone(std::size_t i, const ZonePool& pool) const {
   raw_t cells[64 * 64];
   TIGAT_ASSERT(dim_ <= 64, "pooled storage caps the clock count at 64");

@@ -9,20 +9,23 @@
 // share rows massively: a dim-3 LEP zone shrinks from a 256-byte
 // inline Dbm (plus vector slot) to 12 bytes of ids, and the dictionary
 // itself stays tiny.  This is what makes LEP n = 6 strategy tables fit
-// in CI-class memory (SolverOptions::compact_zones).
+// in CI-class memory.  It is the solver's only bulk zone storage: the
+// reach sets and exploration frontier (semantics::SymbolicGraph), the
+// fixpoint's loss cache and the solution's per-round gains
+// (game::GameSolution) all hold row ids.  Zones of up to 64 clocks
+// (reference clock included) can be pooled.
 //
 // Concurrency contract (matches the solving pipeline's fork-join
 // structure): intern_row() and every PooledFed mutator are SERIAL-ONLY
 // — they run in the serial merge sections between parallel waves /
-// fixpoint rounds.  Reads (row(), materialize, covers, contains_point)
+// fixpoint rounds.  Reads (row(), materialize, contains_point)
 // are safe from any number of threads as long as no write is
 // concurrent; the pool never hands out pointers that survive a later
 // intern_row (the slab may grow).
 //
 // Both the pool slab and PooledFed id vectors report their bytes to
 // util::zone_memory(), so the exploration budget and the Table 1
-// memory column measure the COMPRESSED footprint when compaction is
-// on.
+// memory column measure the COMPRESSED footprint.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +71,8 @@ class ZonePool {
 
 // A federation stored as row ids into a ZonePool.  Mirrors the exact
 // member-filtering semantics and member ORDER of Fed::add, so a
-// PooledFed round-trips to a bit-identical Fed — the compact_zones
-// on/off determinism the solver promises (tests/zone_pool_test.cpp).
+// PooledFed round-trips to a bit-identical Fed (tests/zone_pool_test.cpp,
+// with Fed as the reference).
 class PooledFed {
  public:
   PooledFed() = default;
@@ -88,7 +91,9 @@ class PooledFed {
 
   // Union with Fed::add's semantics: drop the zone if a member covers
   // it, drop members the zone covers, append otherwise.  Serial-only
-  // (interns rows).  Returns true iff the zone was appended.
+  // (interns rows).  Returns true iff the zone was appended, so the
+  // result doubles as the exploration's subsumption test (matches
+  // Dbm::is_subset_of against each member).
   bool add(const Dbm& zone, ZonePool& pool);
 
   // Row ids of the most recently appended member — lets callers reuse
@@ -107,10 +112,6 @@ class PooledFed {
   void assign(const Fed& fed, ZonePool& pool);
 
   void clear();
-
-  // True iff some single member contains `zone` (the exploration
-  // subsumption test; matches Dbm::is_subset_of against each member).
-  [[nodiscard]] bool covers(const Dbm& zone, const ZonePool& pool) const;
 
   // Decodes member `i`.
   [[nodiscard]] Dbm zone(std::size_t i, const ZonePool& pool) const;

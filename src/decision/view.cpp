@@ -286,23 +286,44 @@ TgsView TgsView::open(std::span<const std::uint8_t> bytes,
     }
   }
 
-  // ── zone canonicality: rebuild + close must be a no-op ──
+  // ── zone canonicality: encodable, closed and non-empty ──
+  // Checked in place instead of rebuilding and re-closing the zone:
+  // Dbm::close() on corrupted cells can sum bounds past the int32
+  // range, while one add_bounds of two encodable cells cannot.
   if (options.verify_zones) {
+    const std::uint32_t dim = h.clock_dim;
     for (std::size_t z = 0; z < v.zone_count_; ++z) {
-      dbm::Dbm zone = dbm::Dbm::from_raw(h.clock_dim, v.zone_cells(z));
-      if (!zone.close()) {
-        throw SerializeError("decision file corrupted: inconsistent zone");
+      const dbm::raw_t* m = v.zone_cells(static_cast<std::uint32_t>(z));
+      for (std::size_t c = 0; c < std::size_t{dim} * dim; ++c) {
+        if (m[c] != dbm::kInfinity &&
+            (dbm::bound_value(m[c]) >= dbm::kMaxBoundValue ||
+             dbm::bound_value(m[c]) <= -dbm::kMaxBoundValue)) {
+          throw SerializeError(util::format(
+              "decision file corrupted: zone bound outside the encodable "
+              "range (|value| < %d, or infinity)",
+              dbm::kMaxBoundValue));
+        }
       }
-      for (std::uint32_t i = 0; i < h.clock_dim && !zone.is_empty(); ++i) {
-        for (std::uint32_t j = 0; j < h.clock_dim; ++j) {
-          if (zone.at(i, j) != v.zone_cells(z)[i * h.clock_dim + j]) {
-            throw SerializeError(
-                "decision file corrupted: non-canonical zone");
+      // Closed and non-empty: every diagonal cell is `≤ 0` and no path
+      // is tighter than the direct bound — exactly when Dbm::close()
+      // would change nothing.
+      bool closed = true;
+      for (std::uint32_t i = 0; i < dim; ++i) {
+        if (m[i * dim + i] < dbm::kLeZero) {
+          throw SerializeError("decision file corrupted: empty zone in pool");
+        }
+        closed = closed && m[i * dim + i] == dbm::kLeZero;
+      }
+      for (std::uint32_t k = 0; k < dim && closed; ++k) {
+        for (std::uint32_t i = 0; i < dim && closed; ++i) {
+          for (std::uint32_t j = 0; j < dim && closed; ++j) {
+            closed = dbm::add_bounds(m[i * dim + k], m[k * dim + j]) >=
+                     m[i * dim + j];
           }
         }
       }
-      if (zone.is_empty()) {
-        throw SerializeError("decision file corrupted: empty zone in pool");
+      if (!closed) {
+        throw SerializeError("decision file corrupted: non-canonical zone");
       }
     }
   }

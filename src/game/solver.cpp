@@ -24,26 +24,23 @@ GameSolution::GameSolution(std::unique_ptr<SymbolicGraph> graph,
       purpose_(std::move(purpose)),
       empty_fed_(graph_->system().clock_count()),
       region_shards_(std::make_unique<RegionShard[]>(kRegionShards)),
-      mat_mutex_(std::make_unique<std::shared_mutex>()) {}
+      mat_slots_(std::make_unique<MaterializedSlot[]>(graph_->key_count())) {}
 
-const GameSolution::MaterializedKey* GameSolution::materialized(
+const GameSolution::MaterializedKey& GameSolution::materialized(
     std::uint32_t k) const {
-  if (!compact()) return nullptr;
-  {
-    std::shared_lock lock(*mat_mutex_);
-    const auto it = mat_cache_.find(k);
-    if (it != mat_cache_.end()) return &it->second;
-  }
-  // Decode outside the lock (reads only the immutable pooled store); a
-  // racing caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.  The winning
-  // federation is the concatenation of the delta federations — gains
-  // are pairwise disjoint, so Fed::add's filtering never fires and
-  // plain append reproduces the plain-mode member order exactly.
-  const dbm::ZonePool& pool = *graph_->zone_pool();
+  std::atomic<MaterializedKey*>& slot = mat_slots_[k].key;
+  MaterializedKey* published = slot.load(std::memory_order_acquire);
+  if (published != nullptr) return *published;
+  // Decode (reads only the immutable pooled store) and publish with
+  // one CAS; a racing caller may duplicate the work, but only the
+  // first publication sticks and the loser's copy is discarded.  The
+  // winning federation is the concatenation of the delta federations
+  // — gains are pairwise disjoint, so Fed::add's filtering never fires
+  // and append keeps the round order of the members.
+  const dbm::ZonePool& pool = graph_->zone_pool();
   const std::uint32_t dim = graph_->system().clock_count();
   MaterializedKey m{Fed(dim), {}, {}};
-  for (const PooledDelta& pd : deltas_pooled_[k]) {
+  for (const PooledDelta& pd : deltas_[k]) {
     Fed gained(dim);
     pd.gained.materialize(gained, pool);
     for (const Dbm& z : gained.zones()) m.win.append_raw(z);
@@ -58,19 +55,22 @@ const GameSolution::MaterializedKey* GameSolution::materialized(
       m.up_to.push_back(acc);
     }
   }
-  std::unique_lock lock(*mat_mutex_);
-  return &mat_cache_.emplace(k, std::move(m)).first->second;
+  auto fresh = std::make_unique<MaterializedKey>(std::move(m));
+  if (slot.compare_exchange_strong(published, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *published;
 }
 
 const Fed& GameSolution::winning(std::uint32_t k) const {
-  const MaterializedKey* m = materialized(k);
-  return m != nullptr ? m->win : win_all_[k];
+  return materialized(k).win;
 }
 
 const std::vector<GameSolution::Delta>& GameSolution::deltas(
     std::uint32_t k) const {
-  const MaterializedKey* m = materialized(k);
-  return m != nullptr ? m->deltas : deltas_[k];
+  return materialized(k).deltas;
 }
 
 const Fed& GameSolution::action_region(std::uint32_t ei,
@@ -120,8 +120,8 @@ const Fed& GameSolution::danger_region(std::uint32_t k) const {
 
 const Fed& GameSolution::winning_up_to(std::uint32_t k,
                                        std::uint32_t round) const {
-  const MaterializedKey* m = materialized(k);
-  const std::vector<Delta>& ds = m != nullptr ? m->deltas : deltas_[k];
+  const MaterializedKey& m = materialized(k);
+  const std::vector<Delta>& ds = m.deltas;
   // deltas are in round order; find how many apply.
   std::size_t idx = ds.size();
   while (idx > 0 && ds[idx - 1].round > round) --idx;
@@ -129,8 +129,8 @@ const Fed& GameSolution::winning_up_to(std::uint32_t k,
   // The full prefix is the complete winning set; intermediate prefixes
   // come from the cumulative cache (which omits the last level to
   // avoid duplicating the full federation).
-  if (idx == ds.size()) return m != nullptr ? m->win : win_all_[k];
-  return m != nullptr ? m->up_to[idx - 1] : win_up_to_[k][idx - 1];
+  if (idx == ds.size()) return m.win;
+  return m.up_to[idx - 1];
 }
 
 std::optional<std::uint32_t> GameSolution::rank(
@@ -144,16 +144,13 @@ std::optional<std::uint32_t> GameSolution::rank(
 
 bool GameSolution::winning_from_initial() const {
   const std::vector<std::int64_t> zero(graph_->system().clock_count(), 0);
-  if (compact()) {
-    // Pooled membership test — no materialization for the one question
-    // every Table 1 cell asks.
-    const dbm::ZonePool& pool = *graph_->zone_pool();
-    for (const PooledDelta& pd : deltas_pooled_[graph_->initial_key()]) {
-      if (pd.gained.contains_point(zero, pool, 1)) return true;
-    }
-    return false;
+  // Pooled membership test — no materialization for the one question
+  // every Table 1 cell asks.
+  const dbm::ZonePool& pool = graph_->zone_pool();
+  for (const PooledDelta& pd : deltas_[graph_->initial_key()]) {
+    if (pd.gained.contains_point(zero, pool, 1)) return true;
   }
-  return win_all_[graph_->initial_key()].contains_point(zero, 1);
+  return false;
 }
 
 GameSolver::GameSolver(const tsystem::System& system,
@@ -170,11 +167,11 @@ GameSolver::GameSolver(const tsystem::System& system,
 // the previous round, the merged state — and hence every subsequent
 // round, rank and strategy — is bit-identical at any thread count.
 //
-// compact_zones: the bulk stores (reach, loss, win/deltas) hold row
-// ids; workers decode into chunk-local scratch federations, and every
-// pool WRITE (compressing gains and refreshed loss sets) happens in
-// the serial merge sections, in key order — so the dictionary content
-// is deterministic too.
+// The bulk stores (reach, loss, win/deltas) hold row ids; workers
+// decode into chunk-local scratch federations, and every pool WRITE
+// (compressing gains and refreshed loss sets) happens in the serial
+// merge sections, in key order — so the dictionary content is
+// deterministic too.
 std::shared_ptr<const GameSolution> GameSolver::solve() {
   TIGAT_SPAN("solve");
   util::Stopwatch watch;
@@ -190,9 +187,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const bool safety = purpose_.kind == tsystem::PurposeKind::kSafety;
   const bool attacker_ctrl = !safety;
 
-  semantics::ExplorationOptions expl = options_.exploration;
-  expl.compact_zones = expl.compact_zones || options_.compact_zones;
-  auto graph = std::make_unique<SymbolicGraph>(*sys_, expl);
+  auto graph = std::make_unique<SymbolicGraph>(*sys_, options_.exploration);
   graph->explore(&pool);
   const std::uint32_t n = graph->key_count();
   const std::uint32_t dim = sys_->clock_count();
@@ -200,23 +195,19 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   auto solution = std::make_shared<GameSolution>(std::move(graph), purpose_);
   solution->worker_count_ = pool.worker_count();
   const SymbolicGraph& g = *solution->graph_;
-  dbm::ZonePool* zpool = solution->graph_->zone_pool();
-  const bool compact = zpool != nullptr;
+  dbm::ZonePool& zpool = solution->graph_->zone_pool();
+  auto& deltas = solution->deltas_;
 
   // Decodes a key's winning federation (the concatenation of its delta
   // federations; see GameSolution::materialized) into `out`.
   const auto win_fed = [&](std::uint32_t k, Fed& out) {
     out.clear();
-    for (const auto& pd : solution->deltas_pooled_[k]) {
+    for (const auto& pd : deltas[k]) {
       const std::size_t zones = pd.gained.size();
       for (std::size_t z = 0; z < zones; ++z) {
-        out.append_raw(pd.gained.zone(z, *zpool));
+        out.append_raw(pd.gained.zone(z, zpool));
       }
     }
-  };
-  const auto win_empty = [&](std::uint32_t k) {
-    return compact ? solution->deltas_pooled_[k].empty()
-                   : solution->win_all_[k].is_empty();
   };
 
   // Round 0: attractor seed keys win everywhere they are reachable
@@ -225,61 +216,33 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   // part; Sec. 2.4's purposes are location/data predicates).  The scan
   // is per-key independent.  `is_goal` always records φ itself (it
   // feeds goal_key_); the seed derives from it per purpose kind.
-  std::vector<Fed> loss;                    // plain: Reach \ Win cache
-  std::vector<dbm::PooledFed> loss_pooled;  // compact twin
+  std::vector<dbm::PooledFed> loss(n, dbm::PooledFed(dim));  // Reach \ Win
   std::vector<char> is_goal(n, 0);
   const auto seed_key = [&](std::uint32_t k) {
     return safety ? is_goal[k] == 0 : is_goal[k] != 0;
   };
-  if (compact) {
-    solution->deltas_pooled_.assign(n, {});
-    loss_pooled.assign(n, dbm::PooledFed(dim));
-    pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& key = g.key(k);
-        if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
-          is_goal[k] = 1;
-        }
-      }
-    }, "solve.goal_scan");
-    // Row-id copies are cheap; run them serially so the pool stays a
-    // single-writer structure.
-    for (std::uint32_t k = 0; k < n; ++k) {
-      if (seed_key(k)) {
-        solution->deltas_pooled_[k].push_back({0, g.reach_pooled(k)});
-      } else {
-        loss_pooled[k] = g.reach_pooled(k);
+  deltas.assign(n, {});
+  pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto k = static_cast<std::uint32_t>(i);
+      const auto& key = g.key(k);
+      if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
+        is_goal[k] = 1;
       }
     }
-  } else {
-    solution->win_all_.assign(n, Fed(dim));
-    loss.assign(n, Fed(dim));
-    pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& key = g.key(k);
-        if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
-          is_goal[k] = 1;
-        }
-        if (seed_key(k)) {
-          solution->win_all_[k] = g.reach(k);
-        } else {
-          loss[k] = g.reach(k);
-        }
-      }
-    }, "solve.goal_scan");
-  }
+  }, "solve.goal_scan");
   solution->goal_key_.assign(n, false);
-  if (!compact) solution->deltas_.assign(n, {});
   std::vector<bool> dirty(n, false);   // winning changed in last round
   std::vector<bool> saturated(n, false);  // win == reach, nothing to gain
+  // Row-id copies are cheap; run them serially so the pool stays a
+  // single-writer structure.
   for (std::uint32_t k = 0; k < n; ++k) {
     if (is_goal[k]) solution->goal_key_[k] = true;
-    if (!seed_key(k)) continue;
-    if (!compact) {
-      solution->deltas_[k].push_back({0, solution->win_all_[k]});
+    if (!seed_key(k)) {
+      loss[k] = g.reach_pooled(k);
+      continue;
     }
+    deltas[k].push_back({0, g.reach_pooled(k)});
     dirty[k] = true;
     saturated[k] = true;
   }
@@ -341,10 +304,10 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   std::size_t rounds = 0;
   std::vector<std::uint32_t> work;    // keys to recompute this round
   std::vector<Fed> gains;             // per-work-item staged gain
-  std::vector<Fed> loss_staged;       // compact: per-changed-key refresh
+  std::vector<Fed> loss_staged;       // per-changed-key refresh
   std::vector<std::uint32_t> changed; // keys that actually gained
-  // compact: the round's gains, compressed batch by batch and applied
-  // only once the round is complete.
+  // The round's gains, compressed batch by batch and applied only once
+  // the round is complete.
   std::vector<std::pair<std::uint32_t, GameSolution::PooledDelta>> staged;
   const std::uint64_t reach_zone_count = g.stats().zones;
   for (std::uint32_t r = 1;; ++r) {
@@ -380,25 +343,24 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     // strategy extraction (an action prescribed at rank r provably
     // lands at rank < r) — and the per-key computations of a round are
     // independent, the source of all parallelism here.  Gains are
-    // staged per work item and applied after the round.  compact mode
-    // processes the work list in batches — compute a slice in
-    // parallel, compress its gains serially, move on — so the
-    // uncompressed staging buffer stays bounded; the compressed stage
-    // is still applied only after the WHOLE round (Jacobi reads
-    // round-r−1 state throughout).
+    // staged per work item and applied after the round.  The work
+    // list is processed in batches — compute a slice in parallel,
+    // compress its gains serially, move on — so the uncompressed
+    // staging buffer stays bounded; the compressed stage is still
+    // applied only after the WHOLE round (Jacobi reads round-r−1 state
+    // throughout).
     const auto round_body = [&](std::size_t base) {
       return [&, base](std::size_t begin, std::size_t end) {
       Fed scratch(dim);
-      Fed other(dim);   // compact: decoded win/loss of a neighbour
-      Fed win_k(dim);   // compact: decoded win of k
+      Fed other(dim);  // decoded win/loss of a neighbour
+      Fed wk(dim);     // decoded win of k
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t k = work[base + i];
 
         // B: already-winning here, an attacker edge into winning, or a
         // deadline where the defender is forced to move (G filters out
         // forced states with a non-winning escape).
-        if (compact) win_fed(k, win_k);
-        const Fed& wk = compact ? win_k : solution->win_all_[k];
+        win_fed(k, wk);
         Fed b = wk;
         if (!forced[k].is_empty()) b |= forced[k];
         // G: a defender edge can escape to a non-winning state.
@@ -406,25 +368,13 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         for (const std::uint32_t ei : g.edges_out(k)) {
           const SymbolicEdge& e = g.edges()[ei];
           if (e.inst.controllable == attacker_ctrl) {
-            if (!win_empty(e.dst)) {
-              if (compact) {
-                win_fed(e.dst, other);
-                b |= g.pred_through(e, other);
-              } else {
-                b |= g.pred_through(e, solution->win_all_[e.dst]);
-              }
+            if (!deltas[e.dst].empty()) {
+              win_fed(e.dst, other);
+              b |= g.pred_through(e, other);
             }
-          } else {
-            const bool loss_empty = compact ? loss_pooled[e.dst].is_empty()
-                                            : loss[e.dst].is_empty();
-            if (!loss_empty) {
-              if (compact) {
-                loss_pooled[e.dst].materialize(other, *zpool);
-                gbad |= g.pred_through(e, other);
-              } else {
-                gbad |= g.pred_through(e, loss[e.dst]);
-              }
-            }
+          } else if (!loss[e.dst].is_empty()) {
+            loss[e.dst].materialize(other, zpool);
+            gbad |= g.pred_through(e, other);
           }
         }
         // One decode serves all three intersections (materializing a
@@ -452,74 +402,49 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     std::vector<bool> new_dirty(n, false);
     changed.clear();
     constexpr std::size_t kGainBatch = std::size_t{1} << 16;
-    if (compact) {
-      staged.clear();
-      for (std::size_t base = 0; base < work.size(); base += kGainBatch) {
-        const std::size_t count = std::min(kGainBatch, work.size() - base);
-        gains.assign(count, Fed(dim));
-        pool.parallel_for(count, 1, round_body(base), "fixpoint.recompute");
-        TIGAT_SPAN("fixpoint.compress_gains");
-        for (std::size_t i = 0; i < count; ++i) {
-          if (gains[i].is_empty()) continue;
-          GameSolution::PooledDelta pd{r, dbm::PooledFed(dim)};
-          pd.gained.assign(gains[i], *zpool);
-          staged.emplace_back(work[base + i], std::move(pd));
-        }
-      }
-      // Apply only after the whole round was computed (Jacobi).
-      for (auto& [k, pd] : staged) {
-        solution->deltas_pooled_[k].push_back(std::move(pd));
-        new_dirty[k] = true;
-        changed.push_back(k);
-      }
-    } else {
-      gains.assign(work.size(), Fed(dim));
-      pool.parallel_for(work.size(), 1, round_body(0), "fixpoint.recompute");
-      for (std::size_t i = 0; i < work.size(); ++i) {
+    staged.clear();
+    for (std::size_t base = 0; base < work.size(); base += kGainBatch) {
+      const std::size_t count = std::min(kGainBatch, work.size() - base);
+      gains.assign(count, Fed(dim));
+      pool.parallel_for(count, 1, round_body(base), "fixpoint.recompute");
+      TIGAT_SPAN("fixpoint.compress_gains");
+      for (std::size_t i = 0; i < count; ++i) {
         if (gains[i].is_empty()) continue;
-        const std::uint32_t k = work[i];
-        solution->deltas_[k].push_back({r, gains[i]});
-        solution->win_all_[k] |= gains[i];
-        new_dirty[k] = true;
-        changed.push_back(k);
+        GameSolution::PooledDelta pd{r, dbm::PooledFed(dim)};
+        pd.gained.assign(gains[i], zpool);
+        staged.emplace_back(work[base + i], std::move(pd));
       }
     }
-    // Loss refresh (Reach \ Win) per changed key, again independent.
-    // compact: the subtraction fans out into staging slots, the
-    // re-compression (a pool write) stays serial in key order.
-    if (compact) {
-      for (std::size_t base = 0; base < changed.size(); base += kGainBatch) {
-        const std::size_t count = std::min(kGainBatch, changed.size() - base);
-        loss_staged.assign(count, Fed(dim));
-        pool.parallel_for(count, 4, [&](std::size_t begin, std::size_t end) {
-          Fed scratch(dim);
-          Fed win_k(dim);
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t k = changed[base + i];
-            win_fed(k, win_k);
-            loss_staged[i] = g.reach(k, scratch).minus(win_k);
-          }
-        }, "fixpoint.refresh_loss");
-        // Loss sets are only read by the NEXT round's body, so batch
-        // application is safe; the pool write stays serial.
-        for (std::size_t i = 0; i < count; ++i) {
-          loss_pooled[changed[base + i]].assign(loss_staged[i], *zpool);
-          loss_staged[i] = Fed(dim);
+    // Apply only after the whole round was computed (Jacobi).
+    for (auto& [k, pd] : staged) {
+      deltas[k].push_back(std::move(pd));
+      new_dirty[k] = true;
+      changed.push_back(k);
+    }
+    // Loss refresh (Reach \ Win) per changed key, again independent:
+    // the subtraction fans out into staging slots, the re-compression
+    // (a pool write) stays serial in key order.
+    for (std::size_t base = 0; base < changed.size(); base += kGainBatch) {
+      const std::size_t count = std::min(kGainBatch, changed.size() - base);
+      loss_staged.assign(count, Fed(dim));
+      pool.parallel_for(count, 4, [&](std::size_t begin, std::size_t end) {
+        Fed scratch(dim);
+        Fed win_k(dim);
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint32_t k = changed[base + i];
+          win_fed(k, win_k);
+          loss_staged[i] = g.reach(k, scratch).minus(win_k);
         }
+      }, "fixpoint.refresh_loss");
+      // Loss sets are only read by the NEXT round's body, so batch
+      // application is safe; the pool write stays serial.
+      for (std::size_t i = 0; i < count; ++i) {
+        loss[changed[base + i]].assign(loss_staged[i], zpool);
+        loss_staged[i] = Fed(dim);
       }
-    } else {
-      pool.parallel_for(changed.size(), 4,
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            const std::uint32_t k = changed[i];
-                            loss[k] = g.reach(k).minus(solution->win_all_[k]);
-                          }
-                        }, "fixpoint.refresh_loss");
     }
     for (const std::uint32_t k : changed) {
-      const bool empty =
-          compact ? loss_pooled[k].is_empty() : loss[k].is_empty();
-      if (empty) saturated[k] = true;
+      if (loss[k].is_empty()) saturated[k] = true;
     }
     if (obs::metrics_enabled()) {
       obs::metrics().counter("solver.fixpoint.recomputed_keys")
@@ -530,9 +455,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
       // `changed` has one entry per gain applied this round, so the
       // round's zones are the last delta of each changed key.
       for (const std::uint32_t k : changed) {
-        gained_zones += compact
-                            ? solution->deltas_pooled_[k].back().gained.size()
-                            : solution->deltas_[k].back().gained.size();
+        gained_zones += deltas[k].back().gained.size();
       }
       obs::metrics().counter("solver.fixpoint.gained_zones").add(gained_zones);
     }
@@ -552,57 +475,14 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   // structure — the strategy is "stay inside Safe" — so one delta is
   // the honest shape, and every downstream consumer (winning_up_to,
   // rank, action_region, decision::compile) works off round 0.  All
-  // pooled writes behind loss_pooled happened serially in key order
-  // during the rounds, so the compact store and the published
-  // solution stay bit-identical at any thread count.
+  // pooled writes behind `loss` happened serially in key order during
+  // the rounds, so the published solution stays bit-identical at any
+  // thread count.
   if (safety) {
-    if (compact) {
-      for (std::uint32_t k = 0; k < n; ++k) {
-        solution->deltas_pooled_[k].clear();
-        if (!loss_pooled[k].is_empty()) {
-          solution->deltas_pooled_[k].push_back(
-              {0, std::move(loss_pooled[k])});
-        }
-      }
-    } else {
-      for (std::uint32_t k = 0; k < n; ++k) {
-        solution->win_all_[k] = std::move(loss[k]);
-        solution->deltas_[k].clear();
-        if (!solution->win_all_[k].is_empty()) {
-          solution->deltas_[k].push_back({0, solution->win_all_[k]});
-        }
-      }
+    for (std::uint32_t k = 0; k < n; ++k) {
+      deltas[k].clear();
+      if (!loss[k].is_empty()) deltas[k].push_back({0, std::move(loss[k])});
     }
-  }
-
-  // Solve-time peak, sampled BEFORE building the executor-facing
-  // cache below so the Table 1 memory column keeps the paper's
-  // semantics (memory consumed by strategy generation).
-  const std::size_t solve_peak_bytes = util::zone_memory().peak();
-
-  // Cumulative winning_up_to cache: per key, the union of the delta
-  // prefix at every round but the last (the full prefix is win_all_).
-  // It's what the executor's per-decision lookups read.  compact mode
-  // builds it lazily per touched key instead (GameSolution::
-  // materialized) — eagerly decoding every key would re-inflate the
-  // memory the pooled store just saved.
-  if (!compact) {
-    solution->win_up_to_.assign(n, {});
-    pool.parallel_for(n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& ds = solution->deltas_[k];
-        if (ds.size() < 2) continue;
-        auto& cum = solution->win_up_to_[k];
-        cum.reserve(ds.size() - 1);
-        Fed acc = ds.front().gained;
-        cum.push_back(acc);
-        for (std::size_t d = 1; d + 1 < ds.size(); ++d) {
-          acc |= ds[d].gained;
-          cum.push_back(acc);
-        }
-      }
-    }, "solve.up_to_cache");
   }
 
   // Stats.
@@ -612,14 +492,10 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   st.reach_zones = gstats.zones;
   st.edges = gstats.edges;
   st.rounds = rounds;
-  if (compact) {
-    for (const auto& pds : solution->deltas_pooled_) {
-      for (const auto& pd : pds) st.winning_zones += pd.gained.size();
-    }
-  } else {
-    for (const Fed& w : solution->win_all_) st.winning_zones += w.size();
+  for (const auto& pds : deltas) {
+    for (const auto& pd : pds) st.winning_zones += pd.gained.size();
   }
-  st.peak_zone_bytes = solve_peak_bytes;
+  st.peak_zone_bytes = util::zone_memory().peak();
   st.explore_expand_seconds = gstats.expand_seconds;
   st.explore_merge_seconds = gstats.merge_seconds;
   st.zone_pool_rows = gstats.pool_rows;

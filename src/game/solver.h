@@ -58,7 +58,7 @@
 //   Safe[q] = Reach[q] \ Attr[q].
 //
 // One attractor loop thus serves both purpose kinds; the Jacobi round
-// structure, serial in-key-order merges and compact-zones staging are
+// structure, serial in-key-order merges and pooled gain staging are
 // shared verbatim, so safety solutions inherit the bit-identical-at-
 // any-thread-count guarantee.  The published solution holds Safe as a
 // single round-0 delta per key (a greatest fixpoint has no rank
@@ -68,24 +68,25 @@
 // edge ei keeps the play inside Safe — which is exactly what
 // Strategy::decide and decision::compile consume.
 //
-// ── compact_zones ──────────────────────────────────────────────────────
+// ── zone storage ───────────────────────────────────────────────────────
 //
-// With SolverOptions::compact_zones the reach sets, the fixpoint's
-// loss cache and the solution's winning/delta federations are all
-// stored dictionary-compressed (dbm/zone_pool.h): a zone costs dim row
-// ids instead of an inline dim×dim matrix, which is what makes LEP
-// n = 6 strategy tables fit in CI-class memory.  Solutions are
-// BIT-IDENTICAL with the flag on or off (tests/zone_pool_test.cpp);
-// the executor-facing accessors (winning, deltas, winning_up_to,
-// rank) materialize a key's federations on first touch and cache them
-// — test execution visits a handful of keys per run, so serving stays
-// cheap while bulk storage stays compressed.  Caveat: consumers that
-// touch EVERY key (Strategy::to_string, decision::compile) fill that
-// cache completely and re-inflate to plain-mode memory — extract
-// strategies at the instance sizes plain mode can hold; compact_zones
-// buys the solve + verdict at sizes it cannot.
+// The reach sets, the fixpoint's loss cache and the solution's
+// per-round gains are all stored dictionary-compressed
+// (dbm/zone_pool.h): a zone costs dim row ids instead of an inline
+// dim×dim matrix, which is what makes LEP n = 6 strategy tables fit in
+// CI-class memory.  The executor-facing accessors (winning, deltas,
+// winning_up_to, rank) decode a key's federations on first touch into
+// that key's materialization slot, sized from key_count() when the
+// solution is built.  A slot is published once by a CAS; afterwards a
+// hit is one atomic load — no lock, no hashing — so strategy walks and
+// compile workers never contend on it.  Test execution visits a
+// handful of keys per run, so serving stays cheap while bulk storage
+// stays compressed.  Caveat: consumers that touch EVERY key
+// (Strategy::to_string, decision::compile) fill every slot and
+// re-inflate each key's federations to matrices.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -111,9 +112,6 @@ struct SolverOptions {
   // solution (GameSolution::worker_count) and reused by
   // decision::compile, whose tables are byte-identical at any value.
   unsigned threads = 0;
-  // Dictionary-compress all bulk zone storage (see the file comment).
-  // Mirrored into exploration.compact_zones by the solver.
-  bool compact_zones = false;
 };
 
 struct SolverStats {
@@ -128,7 +126,7 @@ struct SolverStats {
   // seal+merge remainder (the striped interner shrinks the latter).
   double explore_expand_seconds = 0.0;
   double explore_merge_seconds = 0.0;
-  // Zone-pool dictionary stats (0 unless compact_zones).
+  // Zone-pool dictionary stats.
   std::size_t zone_pool_rows = 0;
   std::size_t zone_pool_bytes = 0;
 };
@@ -152,13 +150,12 @@ class GameSolution {
 
   [[nodiscard]] bool goal_key(std::uint32_t k) const { return goal_key_[k]; }
 
-  // Full winning federation of a key.  compact_zones: materialized and
-  // cached on first touch.
+  // Full winning federation of a key (materialized on first touch).
   [[nodiscard]] const dbm::Fed& winning(std::uint32_t k) const;
-  // Winning states of rank ≤ round.  Served from the cumulative
-  // per-round cache built at solve time (the executor asks on every
-  // decision; rebuilding the union federation per call dominated the
-  // per-decision hot path).
+  // Winning states of rank ≤ round.  Served from the key's cumulative
+  // per-round unions, built when the key is materialized (the executor
+  // asks on every decision; rebuilding the union federation per call
+  // dominated the per-decision hot path).
   [[nodiscard]] const dbm::Fed& winning_up_to(std::uint32_t k,
                                               std::uint32_t round) const;
   [[nodiscard]] const std::vector<Delta>& deltas(std::uint32_t k) const;
@@ -203,33 +200,29 @@ class GameSolution {
     std::uint32_t round;
     dbm::PooledFed gained;
   };
-  // A key's executor-facing federations, materialized from the pooled
-  // store on first access (compact mode only).
+  // A key's executor-facing federations, decoded from the pooled store
+  // on first access.
   struct MaterializedKey {
     dbm::Fed win;
     std::vector<Delta> deltas;
     std::vector<dbm::Fed> up_to;  // delta-prefix unions minus the last
   };
+  // Null until key k is first materialized; set once, never changed.
+  struct MaterializedSlot {
+    std::atomic<MaterializedKey*> key{nullptr};
+    ~MaterializedSlot() { delete key.load(std::memory_order_relaxed); }
+  };
 
-  [[nodiscard]] bool compact() const { return graph_->zones_compacted(); }
-  // Compact mode: materializes key k (idempotent, thread-safe) and
-  // returns its cache node; plain mode: nullptr.
-  const MaterializedKey* materialized(std::uint32_t k) const;
+  // Materializes key k (idempotent, thread-safe) and returns it.
+  const MaterializedKey& materialized(std::uint32_t k) const;
 
   std::unique_ptr<semantics::SymbolicGraph> graph_;
   tsystem::TestPurpose purpose_;
   std::vector<bool> goal_key_;
-  // Plain mode stores.  In compact mode win federations live ONLY in
-  // deltas_pooled_ (a key's winning set is the concatenation of its
-  // delta federations — gains are disjoint, so no filtering applies).
-  std::vector<dbm::Fed> win_all_;
-  std::vector<std::vector<Delta>> deltas_;
-  // win_up_to_[k][i] = union of deltas_[k][0..i].gained, so
-  // winning_up_to is a lookup instead of a federation rebuild.
-  std::vector<std::vector<dbm::Fed>> win_up_to_;
-  // Compact mode stores.
-  std::vector<std::vector<PooledDelta>> deltas_pooled_;
-  mutable std::unordered_map<std::uint32_t, MaterializedKey> mat_cache_;
+  // Per key, the gains of each round in round order.  A key's winning
+  // set is the concatenation of its gains — they are disjoint, so no
+  // filtering applies.
+  std::vector<std::vector<PooledDelta>> deltas_;
   dbm::Fed empty_fed_;  // returned for rounds before the first delta
   // The action_region / danger_region caches, sharded by edge and key
   // index: decision::compile's workers query them on every key, and one
@@ -242,10 +235,9 @@ class GameSolution {
     std::unordered_map<std::uint32_t, dbm::Fed> danger;
   };
   static constexpr std::uint32_t kRegionShards = 64;
-  // Behind pointers to keep the class movable.  mat_mutex_ guards
-  // mat_cache_.
+  // Behind pointers to keep the class movable.
   std::unique_ptr<RegionShard[]> region_shards_;
-  std::unique_ptr<std::shared_mutex> mat_mutex_;
+  std::unique_ptr<MaterializedSlot[]> mat_slots_;  // one per key
   SolverStats stats_;
   unsigned worker_count_ = 1;
 };

@@ -109,8 +109,8 @@ Move Strategy::decide(const semantics::ConcreteState& state,
 
 std::size_t Strategy::size() const {
   // = sum over keys of the delta-federation zone counts, which the
-  // solver already tallied — and, under compact_zones, counting via
-  // deltas(k) would materialize every key.
+  // solver already tallied — counting via deltas(k) would materialize
+  // every key out of the pooled store.
   return solution_->stats().winning_zones;
 }
 

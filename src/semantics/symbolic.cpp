@@ -28,7 +28,9 @@ std::size_t DiscreteKey::hash() const noexcept {
 
 SymbolicGraph::SymbolicGraph(const tsystem::System& system,
                              ExplorationOptions options)
-    : sys_(&system), options_(std::move(options)) {
+    : sys_(&system),
+      options_(std::move(options)),
+      pool_(system.clock_count()) {
   TIGAT_ASSERT(system.finalized(), "system must be finalized");
   max_constants_ = system.max_constants();
   if (!options_.extra_max_constants.empty()) {
@@ -38,9 +40,6 @@ SymbolicGraph::SymbolicGraph(const tsystem::System& system,
       max_constants_[i] =
           std::max(max_constants_[i], options_.extra_max_constants[i]);
     }
-  }
-  if (options_.compact_zones) {
-    pool_ = std::make_unique<dbm::ZonePool>(sys_->clock_count());
   }
 }
 
@@ -90,30 +89,8 @@ void SymbolicGraph::seal_wave() {
   if (intern_.size() > options_.max_keys) {
     throw ExplorationLimit("discrete state limit exceeded");
   }
-  const std::uint32_t dim = sys_->clock_count();
-  if (pool_ != nullptr) {
-    reach_pooled_.resize(intern_.size(), dbm::PooledFed(dim));
-  } else {
-    reach_.resize(intern_.size(), Fed(dim));
-  }
+  reach_.resize(intern_.size(), dbm::PooledFed(sys_->clock_count()));
   (void)fresh;
-}
-
-const Fed& SymbolicGraph::reach(std::uint32_t k) const {
-  TIGAT_ASSERT(pool_ == nullptr,
-               "plain reach() access with compact_zones on; pass a scratch");
-  return reach_[k];
-}
-
-const Fed& SymbolicGraph::reach(std::uint32_t k, Fed& scratch) const {
-  if (pool_ == nullptr) return reach_[k];
-  reach_pooled_[k].materialize(scratch, *pool_);
-  return scratch;
-}
-
-const dbm::PooledFed& SymbolicGraph::reach_pooled(std::uint32_t k) const {
-  TIGAT_ASSERT(pool_ != nullptr, "pooled reach access in plain mode");
-  return reach_pooled_[k];
 }
 
 void SymbolicGraph::collect_guard(const EdgeRef& ref, Dbm& zone,
@@ -220,11 +197,10 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
     fill_invariant(*entry);
     seal_wave();  // initial key gets id 0
   }
-  Dbm z0 = Dbm::zero(dim);
   {
     const std::uint32_t k0 = 0;
     bool alive = !invariant(k0).is_empty();
-    Dbm z(z0);
+    Dbm z = Dbm::zero(dim);
     if (alive) alive = z.intersect_with(invariant(k0));
     TIGAT_ASSERT(alive, "initial state violates invariants");
     if (!time_frozen(*sys_, key(k0).locs)) {
@@ -233,12 +209,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
       TIGAT_ASSERT(ok, "initial delay closure empty");
     }
     if (options_.extrapolate) z.extrapolate_max_bounds(max_constants_);
-    z0 = z;
-    if (pool_ != nullptr) {
-      reach_pooled_[k0].add(z0, *pool_);
-    } else {
-      reach_[k0].add(z0);
-    }
+    reach_[k0].add(z, pool_);
   }
 
   // A FIFO queue drains in waves (everything currently queued is one
@@ -258,9 +229,9 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   // an n = 6 LEP frontier holds millions of zones.  Batching preserves
   // the numbering: slices cover the wave in index order, and a key's
   // first discovery lands in the earliest slice that mentions it, so
-  // per-slice rank-sorted sealing equals whole-wave sealing.  In
-  // compact mode the frontier itself is stored as row ids (the rows
-  // were interned when the zone entered reach) and decoded per item.
+  // per-slice rank-sorted sealing equals whole-wave sealing.  The
+  // frontier itself is stored as row ids (the rows were interned when
+  // the zone entered reach) and decoded per item.
   struct Successor {
     InternMap::Entry* entry;
     Dbm zone;
@@ -268,49 +239,29 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   };
   constexpr std::uint64_t kRankShift = 24;  // successors per wave item
   constexpr std::size_t kExpandBatch = 1u << 15;
-  const bool compact = pool_ != nullptr;
-  std::vector<std::pair<std::uint32_t, Dbm>> wave, next_wave;   // plain
-  std::vector<std::uint32_t> wave_keys, next_wave_keys;         // compact
-  std::vector<dbm::ZonePool::RowId> wave_rows, next_wave_rows;  // compact
+  std::vector<std::uint32_t> wave_keys{0}, next_wave_keys;
+  // dim row ids per frontier zone; k0's single zone is reach_[0]'s.
+  const auto k0_ids = reach_[0].last_zone_ids();
+  std::vector<dbm::ZonePool::RowId> wave_rows(k0_ids.begin(), k0_ids.end());
+  std::vector<dbm::ZonePool::RowId> next_wave_rows;
   std::vector<std::vector<Successor>> expanded;
-  if (compact) {
-    wave_keys.push_back(0);
-    raw_t row[64];
-    TIGAT_ASSERT(dim <= 64, "pooled storage caps the clock count at 64");
-    for (std::uint32_t r = 0; r < dim; ++r) {
-      for (std::uint32_t c = 0; c < dim; ++c) row[c] = z0.at(r, c);
-      wave_rows.push_back(pool_->intern_row(row));
-    }
-  } else {
-    wave.emplace_back(0u, std::move(z0));
-  }
-  const auto wave_count = [&] {
-    return compact ? wave_keys.size() : wave.size();
-  };
-  const auto wave_key_at = [&](std::size_t i) {
-    return compact ? wave_keys[i] : wave[i].first;
-  };
-  // Compact mode decodes the frontier zone into `into` and returns it;
-  // plain mode returns the stored zone by reference (no copy on the
-  // default path).
-  const auto wave_zone_at = [&](std::size_t i, Dbm& into) -> const Dbm& {
-    if (!compact) return wave[i].second;
+  // Decodes frontier zone i.
+  const auto wave_zone_at = [&](std::size_t i) {
     raw_t cells[64 * 64];
     for (std::uint32_t r = 0; r < dim; ++r) {
       std::memcpy(cells + std::size_t{r} * dim,
-                  pool_->row(wave_rows[i * dim + r]), dim * sizeof(raw_t));
+                  pool_.row(wave_rows[i * dim + r]), dim * sizeof(raw_t));
     }
-    into = Dbm::from_raw(dim, cells);
-    return into;
+    return Dbm::from_raw(dim, cells);
   };
 
   const util::Stopwatch watch;
   std::size_t zone_count = 1;
   std::size_t merged = 0;
   std::uint64_t wave_index = 0;
-  while (wave_count() != 0) {
+  while (!wave_keys.empty()) {
     ++wave_index;
-    const std::size_t wave_size = wave_count();
+    const std::size_t wave_size = wave_keys.size();
     for (std::size_t base = 0; base < wave_size; base += kExpandBatch) {
       const std::size_t count = std::min(kExpandBatch, wave_size - base);
       obs::progress().tick("explore", intern_.size(), zone_count, wave_index);
@@ -336,9 +287,8 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
             throw ExplorationLimit("discrete state limit exceeded");
           }
           const std::size_t gi = base + li;
-          const std::uint32_t k = wave_key_at(gi);
-          Dbm decoded;
-          const Dbm& z = wave_zone_at(gi, decoded);
+          const std::uint32_t k = wave_keys[gi];
+          const Dbm z = wave_zone_at(gi);
           std::vector<Successor>& out = expanded[li];
           for (const TransitionInstance& inst :
                instances_from(*sys_, key(k).locs)) {
@@ -382,7 +332,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
       }
       TIGAT_SPAN("explore.merge");
       for (std::size_t li = 0; li < count; ++li) {
-        const std::uint32_t k = wave_key_at(base + li);
+        const std::uint32_t k = wave_keys[base + li];
         if (options_.deadline_seconds > 0.0 && (++merged & 1023u) == 0 &&
             watch.seconds() > options_.deadline_seconds) {
           throw ExplorationLimit("exploration deadline exceeded");
@@ -414,29 +364,13 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
             edges_.push_back({k, kd, s.inst});
           }
 
-          // Subsumption: skip zones already covered by a single member.
-          const bool covered =
-              compact ? reach_pooled_[kd].covers(s.zone, *pool_)
-                      : std::any_of(reach_[kd].zones().begin(),
-                                    reach_[kd].zones().end(),
-                                    [&](const Dbm& e) {
-                                      return s.zone.is_subset_of(e);
-                                    });
-          if (covered) continue;
-          if (compact) {
-            const bool appended = reach_pooled_[kd].add(s.zone, *pool_);
-            TIGAT_ASSERT(appended,
-                         "zone passed the subsumption check but add() "
-                         "dropped it");
-            next_wave_keys.push_back(kd);
-            // Reuse the row ids add() just interned for this zone.
-            const auto ids = reach_pooled_[kd].last_zone_ids();
-            next_wave_rows.insert(next_wave_rows.end(), ids.begin(),
-                                  ids.end());
-          } else {
-            reach_[kd].add(s.zone);
-            next_wave.emplace_back(kd, std::move(s.zone));
-          }
+          // Subsumption: add() skips zones already covered by a single
+          // member (and drops the members the new zone covers).
+          if (!reach_[kd].add(s.zone, pool_)) continue;
+          next_wave_keys.push_back(kd);
+          // Reuse the row ids add() just interned for this zone.
+          const auto ids = reach_[kd].last_zone_ids();
+          next_wave_rows.insert(next_wave_rows.end(), ids.begin(), ids.end());
           ++zone_count;
           if (zone_count > options_.max_zones) {
             throw ExplorationLimit("zone limit exceeded");
@@ -448,15 +382,10 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
       }
       merge_seconds_ += watch.seconds() - expand_end;
     }
-    if (compact) {
-      wave_keys.swap(next_wave_keys);
-      wave_rows.swap(next_wave_rows);
-      next_wave_keys.clear();
-      next_wave_rows.clear();
-    } else {
-      wave.swap(next_wave);
-      next_wave.clear();
-    }
+    wave_keys.swap(next_wave_keys);
+    wave_rows.swap(next_wave_rows);
+    next_wave_keys.clear();
+    next_wave_rows.clear();
   }
 
   {
@@ -534,13 +463,9 @@ SymbolicGraph::Stats SymbolicGraph::stats() const {
   Stats s;
   s.keys = intern_.size();
   s.edges = edges_.size();
-  if (pool_ != nullptr) {
-    for (const dbm::PooledFed& f : reach_pooled_) s.zones += f.size();
-    s.pool_rows = pool_->row_count();
-    s.pool_bytes = pool_->memory_bytes();
-  } else {
-    for (const Fed& f : reach_) s.zones += f.size();
-  }
+  for (const dbm::PooledFed& f : reach_) s.zones += f.size();
+  s.pool_rows = pool_.row_count();
+  s.pool_bytes = pool_.memory_bytes();
   s.peak_zone_bytes = util::zone_memory().peak();
   s.expand_seconds = expand_seconds_;
   s.merge_seconds = merge_seconds_;

@@ -20,10 +20,11 @@
 //     (util/striped_intern.h): workers intern during wave expansion,
 //     numbering is assigned between waves in deterministic
 //     first-encounter order — bit-identical at any thread count;
-//   * with ExplorationOptions::compact_zones the reach federations are
+//   * reach federations — and the exploration frontier — are stored
 //     dictionary-compressed (dbm/zone_pool.h): each stored zone is dim
 //     row ids into a shared hash-consed row dictionary, which is what
-//     lets LEP n ≥ 6 tables fit in CI-class memory.
+//     lets LEP n ≥ 6 tables fit in CI-class memory.  Readers decode a
+//     key's federation into a caller-owned scratch (reach(k, scratch)).
 #pragma once
 
 #include <cstdint>
@@ -80,10 +81,6 @@ struct ExplorationOptions {
   // Wall-clock budget for exploration (seconds); 0 = unlimited.  Used
   // by the Table 1 harness to reproduce the paper's "/" cells.
   double deadline_seconds = 0.0;
-  // Store reach federations dictionary-compressed (dbm/zone_pool.h).
-  // Opt-in: reach() then needs a scratch federation to materialize
-  // into.  Solutions are bit-identical either way.
-  bool compact_zones = false;
 };
 
 class SymbolicGraph {
@@ -118,19 +115,19 @@ class SymbolicGraph {
       const DiscreteKey& key) const;
 
   // ── reach federations ────────────────────────────────────────────────
-  [[nodiscard]] bool zones_compacted() const { return pool_ != nullptr; }
-  [[nodiscard]] const dbm::ZonePool* zone_pool() const { return pool_.get(); }
-  [[nodiscard]] dbm::ZonePool* zone_pool() { return pool_.get(); }
+  [[nodiscard]] const dbm::ZonePool& zone_pool() const { return pool_; }
+  [[nodiscard]] dbm::ZonePool& zone_pool() { return pool_; }
 
-  // Plain storage only; asserts when compact_zones is on.
-  [[nodiscard]] const dbm::Fed& reach(std::uint32_t k) const;
-  // Mode-independent: returns the stored federation (plain) or
-  // materializes it into `scratch` and returns that (compact).  The
-  // result is bit-identical across modes.
+  // Decodes key k's reach federation into `scratch` and returns it.
   [[nodiscard]] const dbm::Fed& reach(std::uint32_t k,
-                                      dbm::Fed& scratch) const;
-  // Compact storage only; asserts in plain mode.
-  [[nodiscard]] const dbm::PooledFed& reach_pooled(std::uint32_t k) const;
+                                      dbm::Fed& scratch) const {
+    reach_[k].materialize(scratch, pool_);
+    return scratch;
+  }
+  // The stored (row-id) form of key k's reach federation.
+  [[nodiscard]] const dbm::PooledFed& reach_pooled(std::uint32_t k) const {
+    return reach_[k];
+  }
 
   [[nodiscard]] const std::vector<SymbolicEdge>& edges() const {
     return edges_;
@@ -167,7 +164,7 @@ class SymbolicGraph {
     // merge share is the Amdahl cap the striped interner attacks.
     double expand_seconds = 0.0;
     double merge_seconds = 0.0;
-    // Zone-pool dictionary stats (0 when compact_zones is off).
+    // Zone-pool dictionary stats.
     std::size_t pool_rows = 0;
     std::size_t pool_bytes = 0;
   };
@@ -199,9 +196,8 @@ class SymbolicGraph {
 
   InternMap intern_;
   mutable InvariantMap invariants_{/*stripes=*/8};
-  std::vector<dbm::Fed> reach_;              // plain mode
-  std::unique_ptr<dbm::ZonePool> pool_;      // compact mode
-  std::vector<dbm::PooledFed> reach_pooled_;  // compact mode
+  dbm::ZonePool pool_;
+  std::vector<dbm::PooledFed> reach_;
   std::vector<SymbolicEdge> edges_;
   // During exploration the out-edges per key grow incrementally (the
   // dedup structure of the merge); build_edge_index() flattens both

@@ -53,7 +53,8 @@ TEST_F(StrategyTest, RanksArePerRoundDeltas) {
     if (solution_->goal_key(k)) {
       ASSERT_FALSE(solution_->deltas(k).empty());
       EXPECT_EQ(solution_->deltas(k).front().round, 0u);
-      EXPECT_TRUE(g.reach(k).is_subset_of(solution_->winning(k)));
+      dbm::Fed scratch(g.system().clock_count());
+      EXPECT_TRUE(g.reach(k, scratch).is_subset_of(solution_->winning(k)));
     }
   }
 }

@@ -36,6 +36,20 @@ int run_cli(const std::string& args) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+// Like run_cli, but also returns stdout and stderr, interleaved.
+int run_cli_output(const std::string& args, std::string& output) {
+  const std::string cmd = kBin + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+    output.append(buf, got);
+  }
+  const int rc = pclose(pipe);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
 TEST(RunModelCli, NoArgumentsIsUsageError) {
   EXPECT_EQ(run_cli(""), 1);
 }
@@ -101,6 +115,22 @@ TEST(RunModelCli, SafetyStrategyServesAndPinsItsModel) {
 
 TEST(RunModelCli, UnknownSubcommandIsUsageError) {
   EXPECT_EQ(run_cli("frobnicate " + kSafetyModel), 1);
+}
+
+// An unknown `--` flag is named, with the usage text, before the model
+// is loaded — it must not fall through to the purpose parser.
+TEST(RunModelCli, UnknownOptionIsUsageError) {
+  for (const char* flag : {"--bogus", "--threads"}) {
+    SCOPED_TRACE(flag);
+    std::string output;
+    EXPECT_EQ(run_cli_output("solve " + kSafetyModel + " " + flag, output), 1);
+    EXPECT_NE(output.find(std::string("unknown option '") + flag + "'"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("usage: run_model"), std::string::npos) << output;
+    EXPECT_EQ(output.find("loaded "), std::string::npos) << output;
+    EXPECT_EQ(output.find("bad purpose"), std::string::npos) << output;
+  }
 }
 
 TEST(RunModelCli, SolveSubcommandRejectsCampaignFlags) {

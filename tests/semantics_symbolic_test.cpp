@@ -36,7 +36,8 @@ TEST(Symbolic, InitialZoneIsDelayClosed) {
   SmartLight m = make_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
-  const auto& f = g.reach(g.initial_key());
+  dbm::Fed scratch(m.system.clock_count());
+  const auto& f = g.reach(g.initial_key(), scratch);
   // (Off, Init) has no invariant: any uniform valuation is reachable.
   EXPECT_TRUE(f.contains_point({0, 0, 0, 0}));
   EXPECT_TRUE(f.contains_point({0, 55, 55, 55}));
@@ -83,14 +84,16 @@ TEST(Symbolic, PredThroughInvertsApply) {
   // pred_through(image) recovers at least the guard-satisfying part of
   // the source zone.
   int checked = 0;
+  dbm::Fed src_scratch(m.system.clock_count());
+  dbm::Fed dst_fed(m.system.clock_count());
   for (const SymbolicEdge& e : g.edges()) {
-    const auto& src_fed = g.reach(e.src);
+    const auto& src_fed = g.reach(e.src, src_scratch);
     for (const dbm::Dbm& z : src_fed.zones()) {
       auto fwd = g.apply(e.src, z, e.inst);
       if (!fwd) continue;
       // Forward states are reachable.
       dbm::Fed img(fwd->second);
-      EXPECT_TRUE(img.is_subset_of(g.reach(e.dst)))
+      EXPECT_TRUE(img.is_subset_of(g.reach(e.dst, dst_fed)))
           << "edge " << e.inst.label(m.system);
       ++checked;
     }
@@ -104,6 +107,7 @@ TEST(Symbolic, RandomConcreteRunsStayInsideReach) {
   g.explore();
   ConcreteSemantics sem(m.system, /*scale=*/4);
   util::Rng rng(2024);
+  dbm::Fed scratch(m.system.clock_count());
 
   for (int run = 0; run < 60; ++run) {
     ConcreteState s = sem.initial();
@@ -117,7 +121,7 @@ TEST(Symbolic, RandomConcreteRunsStayInsideReach) {
       DiscreteKey key{s.locs, s.data};
       const auto k = g.find_key(key);
       ASSERT_TRUE(k.has_value()) << sem.to_string(s);
-      EXPECT_TRUE(g.reach(*k).contains_point(s.clocks, sem.scale()))
+      EXPECT_TRUE(g.reach(*k, scratch).contains_point(s.clocks, sem.scale()))
           << sem.to_string(s);
       // Random enabled action, if any; otherwise force a delay.
       const auto actions = sem.enabled_instances(s);

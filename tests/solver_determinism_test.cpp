@@ -5,9 +5,9 @@
 // (util/striped_intern.h) but numbers them in serial-FIFO rank order
 // whatever the pool size, and the Jacobi fixpoint stages per-key gains
 // that are merged in key index order.  This test solves the LEP
-// (n = 4) and the Smart Light with 1, 2 and 8 threads — with
-// compact_zones off AND on — and asserts identical verdicts, per-key
-// winning federations, ranks/round counts, and strategy-guided traces.
+// (n = 4) and the Smart Light with 1, 2 and 8 threads and asserts
+// identical verdicts, per-key winning federations, ranks/round counts,
+// and strategy-guided traces.
 // Safety games (`A[] φ`, the dual fixpoint) get the same treatment.
 // It is the test the CI ThreadSanitizer job leans on.
 #include <gtest/gtest.h>
@@ -31,11 +31,9 @@ namespace {
 using tsystem::TestPurpose;
 
 std::shared_ptr<const GameSolution> solve_with_threads(
-    const tsystem::System& sys, const std::string& prop, unsigned threads,
-    bool compact = false) {
+    const tsystem::System& sys, const std::string& prop, unsigned threads) {
   SolverOptions options;
   options.threads = threads;
-  options.compact_zones = compact;
   GameSolver solver(sys, TestPurpose::parse(sys, prop), options);
   return solver.solve();
 }
@@ -87,19 +85,6 @@ TEST(SolverDeterminism, LepN4AcrossThreadCounts) {
   }
 }
 
-TEST(SolverDeterminism, LepN4CompactZonesAcrossThreadCounts) {
-  // The striped interner + pooled storage path: compact solutions at
-  // every thread count must equal the plain serial solution exactly.
-  models::Lep lep = models::make_lep({.nodes = 4});
-  const auto base = solve_with_threads(lep.system, models::lep_tp1(), 1);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const auto sol = solve_with_threads(lep.system, models::lep_tp1(), threads,
-                                        /*compact=*/true);
-    expect_same_solution(*base, *sol, threads);
-    EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
-  }
-}
-
 TEST(SolverDeterminism, SmartLightAcrossThreadCounts) {
   models::SmartLight spec = models::make_smart_light();
   for (const char* prop :
@@ -126,20 +111,6 @@ TEST(SolverDeterminism, SafetyAcrossThreadCounts) {
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
     }
-  }
-}
-
-TEST(SolverDeterminism, SafetyCompactZonesAcrossThreadCounts) {
-  // Pooled zone storage under the safety fixpoint: compact solutions at
-  // every thread count must equal the plain serial solution exactly.
-  models::SmartLight spec = models::make_smart_light();
-  const char* prop = "control: A[] !IUT.Bright";
-  const auto base = solve_with_threads(spec.system, prop, 1);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const auto sol =
-        solve_with_threads(spec.system, prop, threads, /*compact=*/true);
-    expect_same_solution(*base, *sol, threads);
-    EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -252,6 +253,32 @@ TEST(TgsFormat, PayloadBitRotNeverCrashes) {
   // mutations break an invariant (sorted arcs, slice bounds, zone
   // canonicality, bucket agreement...).
   EXPECT_GT(rejected, survived);
+}
+
+// A zone cell outside the encodable bound range must be rejected by
+// name before any bound arithmetic runs on it (adding such cells
+// overflows int32).
+TEST(TgsFormat, OutOfRangeZoneCellIsRejected) {
+  auto bytes = smart_light_image("control: A[] !IUT.Bright");
+  SectionRec zones;
+  std::memcpy(&zones,
+              bytes.data() + sizeof(TgsHeader) +
+                  (kSecZones - 1) * sizeof(SectionRec),
+              sizeof zones);
+  ASSERT_EQ(zones.id, kSecZones);
+  ASSERT_GT(zones.bytes, 0u);
+  // Zone 0, row 0, column 1: an off-diagonal cell.
+  const dbm::raw_t huge = std::numeric_limits<std::int32_t>::max();
+  std::memcpy(bytes.data() + zones.offset + sizeof(dbm::raw_t), &huge,
+              sizeof huge);
+  fix_checksum(bytes);
+  try {
+    (void)DecisionTable(std::move(bytes));
+    FAIL() << "out-of-range zone cell accepted";
+  } catch (const SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("encodable range"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ── pre-v3 files ────────────────────────────────────────────────────

@@ -1,12 +1,12 @@
 // dbm::ZonePool / dbm::PooledFed — dictionary-compressed zone storage.
 //
-// Two layers of guarantees:
-//   1. representation: a PooledFed mirrors Fed::add's filtering and
-//      member ORDER exactly, so compress → materialize round-trips to
-//      a bit-identical federation (operator== per zone, same order);
-//   2. end to end: GameSolver with compact_zones on and off produces
-//      identical solutions — keys, reach sets, winning federations,
-//      deltas, ranks and rendered strategies.
+// A PooledFed mirrors Fed::add's filtering and member ORDER exactly,
+// so compress → materialize round-trips to a bit-identical federation
+// (operator== per zone, same order); Fed is the reference throughout.
+// End-to-end solver behaviour is pinned by the golden .tgs hashes of
+// tests/compile_determinism_test.cpp, the region-solver cross-check
+// and the thread-count determinism suites.  Here the solver is only
+// checked for reporting the compressed footprint.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,9 +14,7 @@
 
 #include "dbm/zone_pool.h"
 #include "game/solver.h"
-#include "game/strategy.h"
 #include "models/lep.h"
-#include "models/smart_light.h"
 #include "util/rng.h"
 
 namespace tigat::dbm {
@@ -83,7 +81,9 @@ TEST(ZonePool, AddMirrorsFedExactly) {
   }
 }
 
-TEST(ZonePool, CoversMatchesSingleMemberSubsumption) {
+// add() is also the exploration's subsumption test: it must refuse a
+// zone exactly when a single member contains it.
+TEST(ZonePool, AddRejectsExactlyTheZonesOneMemberCovers) {
   util::Rng rng(7);
   const std::uint32_t dim = 3;
   ZonePool pool(dim);
@@ -103,7 +103,8 @@ TEST(ZonePool, CoversMatchesSingleMemberSubsumption) {
         break;
       }
     }
-    EXPECT_EQ(pooled.covers(probe, pool), plain) << "probe " << i;
+    PooledFed grown = pooled;
+    EXPECT_EQ(grown.add(probe, pool), !plain) << "probe " << i;
   }
 }
 
@@ -144,114 +145,24 @@ TEST(ZonePool, AssignRoundTripsArbitraryFeds) {
   }
 }
 
-// End to end: compact_zones on/off solve to identical solutions.
-void expect_identical_solutions(const tsystem::System& sys,
-                                const std::string& prop) {
-  using game::GameSolution;
-  using game::GameSolver;
-  using game::SolverOptions;
-  using game::Strategy;
-
-  SolverOptions plain_opt;
-  plain_opt.threads = 1;
-  GameSolver plain_solver(sys, tsystem::TestPurpose::parse(sys, prop),
-                          plain_opt);
-  const auto plain = plain_solver.solve();
-
-  SolverOptions compact_opt;
-  compact_opt.threads = 1;
-  compact_opt.compact_zones = true;
-  GameSolver compact_solver(sys, tsystem::TestPurpose::parse(sys, prop),
-                            compact_opt);
-  const auto compact = compact_solver.solve();
-
-  EXPECT_EQ(plain->winning_from_initial(), compact->winning_from_initial());
-  EXPECT_EQ(plain->stats().rounds, compact->stats().rounds);
-  EXPECT_EQ(plain->stats().reach_zones, compact->stats().reach_zones);
-  EXPECT_EQ(plain->stats().winning_zones, compact->stats().winning_zones);
-  ASSERT_EQ(plain->graph().key_count(), compact->graph().key_count());
-  EXPECT_GT(compact->stats().zone_pool_rows, 0u);
-  EXPECT_EQ(plain->stats().zone_pool_rows, 0u);
-
-  Fed scratch(sys.clock_count());
-  for (std::uint32_t k = 0; k < plain->graph().key_count(); ++k) {
-    ASSERT_EQ(plain->graph().key(k).locs, compact->graph().key(k).locs)
-        << "key " << k;
-    // Reach sets must be bit-identical (zone by zone, same order), not
-    // just equal as point sets.
-    const Fed& pr = plain->graph().reach(k);
-    const Fed& cr = compact->graph().reach(k, scratch);
-    ASSERT_EQ(pr.size(), cr.size()) << "key " << k;
-    for (std::size_t z = 0; z < pr.size(); ++z) {
-      ASSERT_TRUE(pr.zones()[z] == cr.zones()[z]) << "key " << k << " zone "
-                                                  << z;
-    }
-    // Winning federations and deltas via the materializing accessors.
-    const Fed& pw = plain->winning(k);
-    const Fed& cw = compact->winning(k);
-    ASSERT_EQ(pw.size(), cw.size()) << "key " << k;
-    for (std::size_t z = 0; z < pw.size(); ++z) {
-      ASSERT_TRUE(pw.zones()[z] == cw.zones()[z]) << "key " << k;
-    }
-    const auto& pd = plain->deltas(k);
-    const auto& cd = compact->deltas(k);
-    ASSERT_EQ(pd.size(), cd.size()) << "key " << k;
-    for (std::size_t d = 0; d < pd.size(); ++d) {
-      EXPECT_EQ(pd[d].round, cd[d].round) << "key " << k;
-      ASSERT_EQ(pd[d].gained.size(), cd[d].gained.size()) << "key " << k;
-      for (std::size_t z = 0; z < pd[d].gained.size(); ++z) {
-        ASSERT_TRUE(pd[d].gained.zones()[z] == cd[d].gained.zones()[z])
-            << "key " << k << " delta " << d;
-      }
-      EXPECT_TRUE(plain->winning_up_to(k, pd[d].round)
-                      .same_set_as(compact->winning_up_to(k, cd[d].round)))
-          << "key " << k;
-    }
-  }
-  // The rendered strategy exercises action_region / winning_up_to on
-  // the compact path end to end.
-  EXPECT_EQ(Strategy(plain).to_string(), Strategy(compact).to_string());
-}
-
-TEST(ZonePoolSolver, SmartLightCompactOnOffIdentical) {
-  models::SmartLight spec = models::make_smart_light();
-  expect_identical_solutions(spec.system, "control: A<> IUT.Bright");
-  expect_identical_solutions(spec.system, "control: A<> IUT.Dim");
-}
-
-TEST(ZonePoolSolver, LepN3CompactOnOffIdentical) {
-  models::Lep lep = models::make_lep({.nodes = 3});
-  expect_identical_solutions(lep.system, models::lep_tp1());
-  expect_identical_solutions(lep.system, models::lep_tp3());
-}
-
 TEST(ZonePoolSolver, CompactReportsCompressedFootprint) {
-  // The Table 1 memory column must reflect the compressed store: the
-  // same game solved compact must peak well below plain.
+  // The Table 1 memory column must reflect the compressed store.  At
+  // the end of a solve the reach and winning sets are both live, so
+  // any storage as dim×dim matrices would peak at least at their
+  // matrix bytes; row ids must stay below that.
   models::Lep lep = models::make_lep({.nodes = 4});
-  // Scoped so the first solution's zones are gone before the second
-  // solve samples its peak (solve() restarts the high-water mark from
-  // the bytes still live).
-  std::size_t plain_peak = 0;
-  {
-    game::SolverOptions opt;
-    opt.threads = 1;
-    game::GameSolver solver(
-        lep.system, tsystem::TestPurpose::parse(lep.system, models::lep_tp1()),
-        opt);
-    plain_peak = solver.solve()->stats().peak_zone_bytes;
-  }
-  std::size_t compact_peak = 0;
-  {
-    game::SolverOptions opt;
-    opt.threads = 1;
-    opt.compact_zones = true;
-    game::GameSolver solver(
-        lep.system, tsystem::TestPurpose::parse(lep.system, models::lep_tp1()),
-        opt);
-    compact_peak = solver.solve()->stats().peak_zone_bytes;
-  }
-  EXPECT_LT(compact_peak, plain_peak / 2);
+  game::SolverOptions opt;
+  opt.threads = 1;
+  game::GameSolver solver(
+      lep.system, tsystem::TestPurpose::parse(lep.system, models::lep_tp1()),
+      opt);
+  const auto solution = solver.solve();
+  const game::SolverStats& st = solution->stats();
+  const std::size_t dim = lep.system.clock_count();
+  EXPECT_GT(st.zone_pool_rows, 0u);
+  const std::size_t matrix_bytes =
+      (st.reach_zones + st.winning_zones) * dim * dim * sizeof(raw_t);
+  EXPECT_LT(st.peak_zone_bytes, matrix_bytes);
 }
 
 }  // namespace
