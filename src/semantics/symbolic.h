@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
