@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     const double compile_s = compile_watch.seconds() / reps;
 
     for (std::size_t i = 0; i < model.purposes.size(); ++i) {
-      util::zone_memory().reset();
       util::Stopwatch solve_watch;
       game::GameSolver solver(model.system, model.purposes[i]);
       const auto solution = solver.solve();

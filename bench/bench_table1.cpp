@@ -9,6 +9,11 @@
 // path `run_model --param N=n` takes — not from a C++ builder;
 // tests/lang_template_test.cpp proves the two coincide exactly.
 //
+// Each column elaborates ONE System and solves TP1–TP3 on it.  The
+// zone graph does not depend on the purpose, so TP1 explores it and
+// TP2/TP3 solve against the same graph: their cells exclude the
+// shared exploration (see game/solver.h).
+//
 // Environment overrides:
 //   TIGAT_TABLE1_MAX_N    largest n to attempt            (default 6)
 //   TIGAT_TABLE1_BUDGET   per-cell wall-clock budget, s   (default 60)
@@ -17,7 +22,9 @@
 //   TIGAT_TABLE1_SPEEDUP  0 disables the 1-vs-N rerun     (default 1)
 //
 // Once a cell blows the budget, larger n in the same row are reported
-// "/" without being run (the growth is monotone).
+// "/" without being run (the growth is monotone).  A model error in a
+// column (n outside the template's parameter range) fails every live
+// cell of that column.
 //
 // With --json (or TIGAT_BENCH_JSON, see bench_json.h) every cell lands
 // in BENCH_table1.json with its deterministic shape counters (keys,
@@ -27,6 +34,7 @@
 // serial share the striped interner attacks).
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +57,7 @@ namespace {
 using namespace tigat;
 
 struct Cell {
+  bool ran = false;
   bool completed = false;
   bool winning = false;
   double seconds = 0.0;
@@ -64,11 +73,12 @@ tsystem::System elaborate_lep(std::uint32_t nodes) {
       .system;
 }
 
-Cell run_cell(std::uint32_t nodes, const std::string& purpose, double budget,
+Cell run_cell(const tsystem::System& lep_system, std::uint32_t nodes,
+              const std::string& purpose, double budget,
               std::size_t mem_budget_bytes, unsigned threads) {
   Cell cell;
+  cell.ran = true;
   try {
-    const tsystem::System lep_system = elaborate_lep(nodes);
     game::SolverOptions options;
     options.exploration.deadline_seconds = budget;
     options.exploration.max_zone_bytes = mem_budget_bytes;
@@ -89,8 +99,6 @@ Cell run_cell(std::uint32_t nodes, const std::string& purpose, double budget,
   } catch (const semantics::ExplorationLimit&) {
     cell.completed = false;
   } catch (const tsystem::ModelError& e) {
-    // E.g. n outside the template's declared parameter range: report
-    // the cell as infeasible instead of killing the whole table.
     std::fprintf(stderr, "error: n=%u: %s\n", nodes, e.what());
     cell.completed = false;
   }
@@ -133,60 +141,82 @@ int main(int argc, char** argv) {
               "per column;\n");
   std::printf(" budget per cell: %.0fs / %zu MB; '/' = out of budget, the\n",
               budget, mem_budget >> 20);
-  std::printf(" paper's '/' cells were out-of-memory on 4 GB in 2008)\n\n");
+  std::printf(" paper's '/' cells were out-of-memory on 4 GB in 2008;\n");
+  std::printf(" TP1 explores each column's graph; the TP2/TP3 cells reuse\n");
+  std::printf(" it and exclude that shared exploration)\n\n");
 
   std::vector<std::string> header = {""};
   for (int n = 3; n <= max_n; ++n) header.push_back("n=" + std::to_string(n));
   util::TablePrinter time_table(header);
   util::TablePrinter mem_table(header);
 
+  // cells[p][n - 3]; a cell that did not run (its row died) is "/".
+  std::vector<std::vector<Cell>> cells(purposes.size());
+  std::vector<bool> dead(purposes.size(), false);
+  for (int n = 3; n <= max_n; ++n) {
+    const auto nodes = static_cast<std::uint32_t>(n);
+    std::optional<tsystem::System> lep_system;
+    try {
+      lep_system.emplace(elaborate_lep(nodes));
+    } catch (const tsystem::ModelError& e) {
+      // E.g. n outside the template's declared parameter range: report
+      // the column as infeasible instead of killing the whole table.
+      std::fprintf(stderr, "error: n=%d: %s\n", n, e.what());
+    }
+    for (std::size_t p = 0; p < purposes.size(); ++p) {
+      Cell cell;
+      if (!dead[p]) {
+        cell.ran = true;
+        if (lep_system) {
+          cell = run_cell(*lep_system, nodes, purposes[p].second, budget,
+                          mem_budget, threads);
+        }
+        dead[p] = !cell.completed;  // larger n cannot fit either
+        std::fprintf(stderr, "  %s n=%d done\n", purposes[p].first.c_str(), n);
+      }
+      cells[p].push_back(cell);
+    }
+  }
+
   // Largest cell that completed, for the speedup figure below.
   int best_n = 0;
   std::string best_label, best_purpose;
 
-  for (const auto& [label, purpose] : purposes) {
+  for (std::size_t p = 0; p < purposes.size(); ++p) {
+    const auto& [label, purpose] = purposes[p];
     std::vector<std::string> time_row = {label};
     std::vector<std::string> mem_row = {label};
-    bool dead = false;
     for (int n = 3; n <= max_n; ++n) {
-      if (dead) {
+      const Cell& cell = cells[p][static_cast<std::size_t>(n - 3)];
+      if (!cell.completed) {
         time_row.push_back("/");
         mem_row.push_back("/");
-        continue;
       }
-      util::zone_memory().reset();
-      const Cell cell = run_cell(static_cast<std::uint32_t>(n), purpose,
-                                 budget, mem_budget, threads);
+      if (!cell.ran) continue;
       auto& row = report.add_row();
       row.set("purpose", label);
       row.set("n", n);
       row.set("completed", cell.completed);
-      if (cell.completed) {
-        row.set("seconds", cell.seconds);
-        row.set("mem_mb", cell.mebibytes);
-        row.set("winning", cell.winning);
-        // Deterministic shape counters — identical across machines and
-        // thread counts; what tools/bench_gate.py pins hardest.
-        row.set("keys", cell.stats.keys);
-        row.set("reach_zones", cell.stats.reach_zones);
-        row.set("winning_zones", cell.stats.winning_zones);
-        row.set("edges", cell.stats.edges);
-        row.set("rounds", cell.stats.rounds);
-        row.set("pool_rows", cell.stats.zone_pool_rows);
-        row.set("pool_mb", util::to_mebibytes(cell.stats.zone_pool_bytes));
-        time_row.push_back(util::format("%.2f", cell.seconds));
-        mem_row.push_back(util::format("%.1f", cell.mebibytes));
-        if (n > best_n) {
-          best_n = n;
-          best_label = label;
-          best_purpose = purpose;
-        }
-      } else {
-        time_row.push_back("/");
-        mem_row.push_back("/");
-        dead = true;  // larger n cannot fit either
+      if (!cell.completed) continue;
+      row.set("seconds", cell.seconds);
+      row.set("mem_mb", cell.mebibytes);
+      row.set("winning", cell.winning);
+      // Deterministic shape counters — identical across machines and
+      // thread counts; what tools/bench_gate.py pins hardest.
+      row.set("keys", cell.stats.keys);
+      row.set("reach_zones", cell.stats.reach_zones);
+      row.set("winning_zones", cell.stats.winning_zones);
+      row.set("edges", cell.stats.edges);
+      row.set("rounds", cell.stats.rounds);
+      row.set("pool_rows", cell.stats.zone_pool_rows);
+      row.set("pool_mb", util::to_mebibytes(cell.stats.zone_pool_bytes));
+      time_row.push_back(util::format("%.2f", cell.seconds));
+      mem_row.push_back(util::format("%.1f", cell.mebibytes));
+      if (n > best_n) {
+        best_n = n;
+        best_label = label;
+        best_purpose = purpose;
       }
-      std::fprintf(stderr, "  %s n=%d done\n", label.c_str(), n);
     }
     time_table.add_row(std::move(time_row));
     mem_table.add_row(std::move(mem_row));
@@ -199,16 +229,16 @@ int main(int argc, char** argv) {
       "steps of the last feasible instance, as in the paper.\n");
 
   // Speedup figure: the largest completing cell, solved serially and
-  // with the full pool.  Verdicts must agree (determinism contract).
+  // with the full pool, each on a freshly elaborated System so that
+  // both runs explore.  Verdicts must agree (determinism contract).
   if (with_speedup && best_n != 0) {
     const unsigned many =
         threads > 1 ? threads : util::ThreadPool::hardware_threads();
-    util::zone_memory().reset();
-    const Cell serial = run_cell(static_cast<std::uint32_t>(best_n),
-                                 best_purpose, budget, mem_budget, 1);
-    util::zone_memory().reset();
-    const Cell pooled = run_cell(static_cast<std::uint32_t>(best_n),
-                                 best_purpose, budget, mem_budget, many);
+    const auto nodes = static_cast<std::uint32_t>(best_n);
+    const Cell serial = run_cell(elaborate_lep(nodes), nodes, best_purpose,
+                                 budget, mem_budget, 1);
+    const Cell pooled = run_cell(elaborate_lep(nodes), nodes, best_purpose,
+                                 budget, mem_budget, many);
     if (serial.completed && pooled.completed) {
       const double speedup =
           pooled.seconds > 0.0 ? serial.seconds / pooled.seconds : 0.0;

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
                             "strategy rows", "time (s)", "mem (MB)"});
 
   for (const auto& [label, prop] : purposes) {
-    util::zone_memory().reset();
     util::Stopwatch watch;
     game::GameSolver solver(lep.system,
                             tsystem::TestPurpose::parse(lep.system, prop));

@@ -621,7 +621,6 @@ int run_main(int argc, char** argv) {
                             "strategy rows", "time (s)", "mem (MB)"});
   bool all_winning = true;
   for (const tsystem::TestPurpose& purpose : purposes) {
-    util::zone_memory().reset();
     util::Stopwatch watch;
     try {
       game::SolverOptions options;

@@ -37,6 +37,14 @@ ZonePool::ZonePool(std::uint32_t dim) : dim_(dim) {
   TIGAT_ASSERT(dim >= 1, "a zone pool needs at least the reference clock");
 }
 
+ZonePool::ZonePool(const ZonePool& other)
+    : dim_(other.dim_),
+      slab_(other.slab_),
+      index_(other.index_),
+      metered_(other.metered_) {
+  util::zone_memory_add(metered_);
+}
+
 ZonePool::~ZonePool() { util::zone_memory_sub(metered_); }
 
 ZonePool::RowId ZonePool::intern_row(const raw_t* row) {

@@ -12,8 +12,9 @@
 // in CI-class memory.  It is the solver's only bulk zone storage: the
 // reach sets and exploration frontier (semantics::SymbolicGraph), the
 // fixpoint's loss cache and the solution's per-round gains
-// (game::GameSolution) all hold row ids.  Zones of up to 64 clocks
-// (reference clock included) can be pooled.
+// (game::GameSolution, whose pool starts as a copy of its graph's) all
+// hold row ids.  Zones of up to 64 clocks (reference clock included)
+// can be pooled.
 //
 // Concurrency contract (matches the solving pipeline's fork-join
 // structure): intern_row() and every PooledFed mutator are SERIAL-ONLY
@@ -41,7 +42,9 @@ class ZonePool {
   using RowId = std::uint32_t;
 
   explicit ZonePool(std::uint32_t dim);
-  ZonePool(const ZonePool&) = delete;
+  // Metered copy.  The copy interns on its own from then on; every row
+  // id of `other` names the same row in both.
+  explicit ZonePool(const ZonePool& other);
   ZonePool& operator=(const ZonePool&) = delete;
   ~ZonePool();
 

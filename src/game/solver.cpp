@@ -18,9 +18,10 @@ using dbm::Fed;
 using semantics::SymbolicEdge;
 using semantics::SymbolicGraph;
 
-GameSolution::GameSolution(std::unique_ptr<SymbolicGraph> graph,
+GameSolution::GameSolution(std::shared_ptr<const SymbolicGraph> graph,
                            tsystem::TestPurpose purpose)
     : graph_(std::move(graph)),
+      pool_(graph_->zone_pool()),
       purpose_(std::move(purpose)),
       empty_fed_(graph_->system().clock_count()),
       region_shards_(std::make_unique<RegionShard[]>(kRegionShards)),
@@ -37,12 +38,11 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
   // winning federation is the concatenation of the delta federations
   // — gains are pairwise disjoint, so Fed::add's filtering never fires
   // and append keeps the round order of the members.
-  const dbm::ZonePool& pool = graph_->zone_pool();
   const std::uint32_t dim = graph_->system().clock_count();
   MaterializedKey m{Fed(dim), {}, {}};
   for (const PooledDelta& pd : deltas_[k]) {
     Fed gained(dim);
-    pd.gained.materialize(gained, pool);
+    pd.gained.materialize(gained, pool_);
     for (const Dbm& z : gained.zones()) m.win.append_raw(z);
     m.deltas.push_back({pd.round, std::move(gained)});
   }
@@ -146,9 +146,8 @@ bool GameSolution::winning_from_initial() const {
   const std::vector<std::int64_t> zero(graph_->system().clock_count(), 0);
   // Pooled membership test — no materialization for the one question
   // every Table 1 cell asks.
-  const dbm::ZonePool& pool = graph_->zone_pool();
   for (const PooledDelta& pd : deltas_[graph_->initial_key()]) {
-    if (pd.gained.contains_point(zero, pool, 1)) return true;
+    if (pd.gained.contains_point(zero, pool_, 1)) return true;
   }
   return false;
 }
@@ -187,15 +186,16 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const bool safety = purpose_.kind == tsystem::PurposeKind::kSafety;
   const bool attacker_ctrl = !safety;
 
-  auto graph = std::make_unique<SymbolicGraph>(*sys_, options_.exploration);
-  graph->explore(&pool);
+  bool explored_now = false;
+  auto graph = SymbolicGraph::explored(*sys_, options_.exploration, &pool,
+                                       &explored_now);
   const std::uint32_t n = graph->key_count();
   const std::uint32_t dim = sys_->clock_count();
 
   auto solution = std::make_shared<GameSolution>(std::move(graph), purpose_);
   solution->worker_count_ = pool.worker_count();
   const SymbolicGraph& g = *solution->graph_;
-  dbm::ZonePool& zpool = solution->graph_->zone_pool();
+  dbm::ZonePool& zpool = solution->pool_;
   auto& deltas = solution->deltas_;
 
   // Decodes a key's winning federation (the concatenation of its delta
@@ -278,7 +278,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
           }
         }
       }
-      if (boundary.is_empty() && !semantics::time_frozen(*sys_, key.locs)) {
+      if (boundary.is_empty() && !g.time_frozen(k)) {
         continue;
       }
       Fed def_enabled(dim);
@@ -288,7 +288,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         def_enabled |= g.pred_through(e, g.reach(e.dst, scratch));
       }
       if (def_enabled.is_empty()) continue;
-      if (semantics::time_frozen(*sys_, key.locs)) {
+      if (g.time_frozen(k)) {
         // Urgent/committed: every state is a deadline.
         forced[k] = def_enabled.intersection(g.reach(k, scratch));
       } else {
@@ -383,7 +383,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         b &= rk;
         gbad &= rk;
 
-        Fed new_win = semantics::time_frozen(*sys_, g.key(k).locs)
+        Fed new_win = g.time_frozen(k)
                           ? b.minus(gbad)
                           : b.pred_t(gbad);
         new_win &= rk;
@@ -496,10 +496,12 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     for (const auto& pd : pds) st.winning_zones += pd.gained.size();
   }
   st.peak_zone_bytes = util::zone_memory().peak();
-  st.explore_expand_seconds = gstats.expand_seconds;
-  st.explore_merge_seconds = gstats.merge_seconds;
-  st.zone_pool_rows = gstats.pool_rows;
-  st.zone_pool_bytes = gstats.pool_bytes;
+  if (explored_now) {
+    st.explore_expand_seconds = gstats.expand_seconds;
+    st.explore_merge_seconds = gstats.merge_seconds;
+  }
+  st.zone_pool_rows = zpool.row_count();
+  st.zone_pool_bytes = zpool.memory_bytes();
   st.solve_seconds = watch.seconds();
 
   // Publish the finished stats into the metrics registry: same fields,

@@ -68,13 +68,25 @@
 // edge ei keeps the play inside Safe — which is exactly what
 // Strategy::decide and decision::compile consume.
 //
+// ── the shared graph ───────────────────────────────────────────────────
+//
+// The zone graph does not depend on the purpose.  solve() takes it from
+// semantics::SymbolicGraph::explored, which explores once per (System,
+// ExplorationOptions) and memoizes the result on the System, so every
+// purpose of one model solves against one immutable graph.  A solve
+// that reuses the graph reports zero exploration seconds; keys, zones
+// and edges are the graph's either way.
+//
 // ── zone storage ───────────────────────────────────────────────────────
 //
 // The reach sets, the fixpoint's loss cache and the solution's
 // per-round gains are all stored dictionary-compressed
 // (dbm/zone_pool.h): a zone costs dim row ids instead of an inline
 // dim×dim matrix, which is what makes LEP n = 6 strategy tables fit in
-// CI-class memory.  The executor-facing accessors (winning, deltas,
+// CI-class memory.  The graph's dictionary is never written after
+// exploration: each solution owns a copy of it, so reach row ids stay
+// valid in the solution's dictionary, and the fixpoint interns the
+// loss and gain rows there.  The executor-facing accessors (winning, deltas,
 // winning_up_to, rank) decode a key's federations on first touch into
 // that key's materialization slot, sized from key_count() when the
 // solution is built.  A slot is published once by a CAS; afterwards a
@@ -124,15 +136,16 @@ struct SolverStats {
   double solve_seconds = 0.0;
   // Exploration phase split: parallel wave expansion vs the serial
   // seal+merge remainder (the striped interner shrinks the latter).
+  // Both are 0 when the solve reused a graph explored earlier.
   double explore_expand_seconds = 0.0;
   double explore_merge_seconds = 0.0;
-  // Zone-pool dictionary stats.
+  // The solution's zone-pool dictionary (the graph's rows included).
   std::size_t zone_pool_rows = 0;
   std::size_t zone_pool_bytes = 0;
 };
 
-// The solved game: symbolic graph + ranked winning federations.
-// Shared (immutably) by strategies and the test executor.
+// The solved game: the (shared) symbolic graph + ranked winning
+// federations.  Shared (immutably) by strategies and the test executor.
 class GameSolution {
  public:
   struct Delta {
@@ -140,7 +153,7 @@ class GameSolution {
     dbm::Fed gained;
   };
 
-  GameSolution(std::unique_ptr<semantics::SymbolicGraph> graph,
+  GameSolution(std::shared_ptr<const semantics::SymbolicGraph> graph,
                tsystem::TestPurpose purpose);
 
   [[nodiscard]] const semantics::SymbolicGraph& graph() const {
@@ -216,7 +229,9 @@ class GameSolution {
   // Materializes key k (idempotent, thread-safe) and returns it.
   const MaterializedKey& materialized(std::uint32_t k) const;
 
-  std::unique_ptr<semantics::SymbolicGraph> graph_;
+  std::shared_ptr<const semantics::SymbolicGraph> graph_;
+  // The graph's dictionary plus the fixpoint's rows; decodes deltas_.
+  dbm::ZonePool pool_;
   tsystem::TestPurpose purpose_;
   std::vector<bool> goal_key_;
   // Per key, the gains of each round in round order.  A key's winning

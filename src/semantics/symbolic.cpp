@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -43,6 +44,26 @@ SymbolicGraph::SymbolicGraph(const tsystem::System& system,
   }
 }
 
+std::shared_ptr<const SymbolicGraph> SymbolicGraph::explored(
+    const tsystem::System& system, const ExplorationOptions& options,
+    util::ThreadPool* pool, bool* explored_now) {
+  tsystem::GraphMemo& memo = system.graph_memo();
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  if (explored_now != nullptr) *explored_now = false;
+  if (memo.graph != nullptr && memo.graph->options() == options) {
+    return memo.graph;
+  }
+  // Drop the old entry first: its zones would otherwise count against
+  // this exploration's byte budget, and a limit must leave the slot
+  // empty.
+  memo.graph.reset();
+  auto graph = std::make_shared<SymbolicGraph>(system, options);
+  graph->explore(pool);
+  memo.graph = graph;
+  if (explored_now != nullptr) *explored_now = true;
+  return graph;
+}
+
 std::optional<std::uint32_t> SymbolicGraph::find_key(
     const DiscreteKey& key) const {
   const InternMap::Entry* e = intern_.find(key, key.hash());
@@ -50,23 +71,25 @@ std::optional<std::uint32_t> SymbolicGraph::find_key(
   return e->id;
 }
 
-void SymbolicGraph::fill_invariant(InternMap::Entry& e) const {
-  // Invariants depend only on the location vector, so they are
-  // hash-consed in a side map: at LEP n = 6 scale, ~11M keys share a
-  // few dozen invariant zones instead of each carrying a Dbm.
+void SymbolicGraph::fill_facts(InternMap::Entry& e) const {
+  // Invariants, outgoing instances and urgency depend only on the
+  // location vector, so they are hash-consed in a side map: at LEP
+  // n = 6 scale, ~11M keys share a few dozen entries instead of each
+  // carrying a Dbm, and a key's instances are enumerated once per
+  // location vector rather than once per expanded zone.
   std::size_t h = 0x811c9dc5u;
   for (const tsystem::LocId l : e.key.locs) {
     h ^= l + 0x9e3779b9u + (h << 6) + (h >> 2);
   }
   std::vector<tsystem::LocId> locs = e.key.locs;
-  auto [inv_entry, inserted] = invariants_.intern(std::move(locs), h, 0);
+  auto [facts, inserted] = facts_.intern(std::move(locs), h, 0);
   if (inserted) {
     Dbm inv = Dbm::universal(sys_->clock_count());
     bool alive = true;
     const auto& procs = sys_->processes();
     for (std::uint32_t p = 0; p < procs.size() && alive; ++p) {
       for (const ClockConstraint& c :
-           procs[p].locations()[inv_entry->key[p]].invariant) {
+           procs[p].locations()[facts->key[p]].invariant) {
         if (!inv.constrain(c.i, c.j, c.bound)) {
           alive = false;
           break;
@@ -74,23 +97,24 @@ void SymbolicGraph::fill_invariant(InternMap::Entry& e) const {
       }
     }
     TIGAT_ASSERT(alive, "key with unsatisfiable invariant interned");
-    inv_entry->aux = std::move(inv);
+    facts->aux.invariant = std::move(inv);
+    facts->aux.instances = instances_from(*sys_, facts->key);
+    facts->aux.frozen = semantics::time_frozen(*sys_, facts->key);
   }
-  e.aux = &inv_entry->aux;
+  e.aux = &facts->aux;
 }
 
 void SymbolicGraph::seal_wave() {
-  const auto fresh = intern_.seal_wave();
-  // Seal the invariant side map too: its ids go unused, but sealing
+  intern_.seal_wave();
+  // Seal the facts side map too: its ids go unused, but sealing
   // drains the pending lists and lets overloaded stripes rehash (a
   // model with many distinct location vectors would otherwise degrade
   // to linear chain scans).
-  invariants_.seal_wave();
+  facts_.seal_wave();
   if (intern_.size() > options_.max_keys) {
     throw ExplorationLimit("discrete state limit exceeded");
   }
   reach_.resize(intern_.size(), dbm::PooledFed(sys_->clock_count()));
-  (void)fresh;
 }
 
 void SymbolicGraph::collect_guard(const EdgeRef& ref, Dbm& zone,
@@ -168,7 +192,9 @@ std::optional<std::pair<DiscreteKey, Dbm>> SymbolicGraph::apply(
       if (!z.constrain(c.i, c.j, c.bound)) return std::nullopt;
     }
   }
-  if (!time_frozen(*sys_, key.locs)) {
+  // The target's facts may still be under construction by another
+  // worker of this wave, so urgency is read off the model directly.
+  if (!semantics::time_frozen(*sys_, key.locs)) {
     z.up();
     for (std::uint32_t p = 0; p < procs.size(); ++p) {
       for (const ClockConstraint& c :
@@ -194,7 +220,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   {
     auto [entry, inserted] = intern_.intern(std::move(init), init.hash(), 0);
     TIGAT_ASSERT(inserted, "fresh interner already held the initial key");
-    fill_invariant(*entry);
+    fill_facts(*entry);
     seal_wave();  // initial key gets id 0
   }
   {
@@ -203,7 +229,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
     Dbm z = Dbm::zero(dim);
     if (alive) alive = z.intersect_with(invariant(k0));
     TIGAT_ASSERT(alive, "initial state violates invariants");
-    if (!time_frozen(*sys_, key(k0).locs)) {
+    if (!time_frozen(k0)) {
       z.up();
       const bool ok = z.intersect_with(invariant(k0));
       TIGAT_ASSERT(ok, "initial delay closure empty");
@@ -289,9 +315,11 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
           const std::size_t gi = base + li;
           const std::uint32_t k = wave_keys[gi];
           const Dbm z = wave_zone_at(gi);
+          const std::vector<TransitionInstance>& instances =
+              intern_.entry(k)->aux->instances;
           std::vector<Successor>& out = expanded[li];
-          for (const TransitionInstance& inst :
-               instances_from(*sys_, key(k).locs)) {
+          out.reserve(instances.size());
+          for (const TransitionInstance& inst : instances) {
             // Data guards: evaluated once per (key, instance).
             const auto data_ok = [&](const EdgeRef& ref) {
               const Edge& e = sys_->processes()[ref.process].edges()[ref.edge];
@@ -312,7 +340,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
             const std::size_t h = next->first.hash();
             auto [entry, inserted] =
                 intern_.intern(std::move(next->first), h, rank);
-            if (inserted) fill_invariant(*entry);
+            if (inserted) fill_facts(*entry);
             out.push_back({entry, std::move(next->second), inst});
           }
         }
@@ -464,9 +492,6 @@ SymbolicGraph::Stats SymbolicGraph::stats() const {
   s.keys = intern_.size();
   s.edges = edges_.size();
   for (const dbm::PooledFed& f : reach_) s.zones += f.size();
-  s.pool_rows = pool_.row_count();
-  s.pool_bytes = pool_.memory_bytes();
-  s.peak_zone_bytes = util::zone_memory().peak();
   s.expand_seconds = expand_seconds_;
   s.merge_seconds = merge_seconds_;
   return s;

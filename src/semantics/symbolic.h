@@ -24,11 +24,16 @@
 //     dictionary-compressed (dbm/zone_pool.h): each stored zone is dim
 //     row ids into a shared hash-consed row dictionary, which is what
 //     lets LEP n ≥ 6 tables fit in CI-class memory.  Readers decode a
-//     key's federation into a caller-owned scratch (reach(k, scratch)).
+//     key's federation into a caller-owned scratch (reach(k, scratch));
+//   * the graph does not depend on the test purpose, so it is built once
+//     per (System, ExplorationOptions) and shared immutably: explored()
+//     memoizes it on the System, and every purpose of that model solves
+//     against the one graph.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -80,12 +85,24 @@ struct ExplorationOptions {
   // Wall-clock budget for exploration (seconds); 0 = unlimited.  Used
   // by the Table 1 harness to reproduce the paper's "/" cells.
   double deadline_seconds = 0.0;
+
+  // The graph memo's key (see SymbolicGraph::explored).
+  [[nodiscard]] bool operator==(const ExplorationOptions&) const = default;
 };
 
 class SymbolicGraph {
  public:
   explicit SymbolicGraph(const tsystem::System& system,
                          ExplorationOptions options = {});
+
+  // The explored graph of `system` under `options`, shared by every
+  // caller.  A hit returns the graph memoized on the System (see
+  // tsystem::GraphMemo); a miss explores with `pool`, memoizes the
+  // result and sets *explored_now.  ExplorationLimit propagates and
+  // leaves the memo empty.  The graph must not outlive the System.
+  [[nodiscard]] static std::shared_ptr<const SymbolicGraph> explored(
+      const tsystem::System& system, const ExplorationOptions& options,
+      util::ThreadPool* pool, bool* explored_now = nullptr);
 
   // Runs forward exploration to the fixpoint (or throws
   // ExplorationLimit).  Idempotent.
@@ -103,6 +120,7 @@ class SymbolicGraph {
   void explore(util::ThreadPool* pool = nullptr);
 
   [[nodiscard]] const tsystem::System& system() const { return *sys_; }
+  [[nodiscard]] const ExplorationOptions& options() const { return options_; }
   [[nodiscard]] std::uint32_t key_count() const {
     return static_cast<std::uint32_t>(intern_.size());
   }
@@ -115,7 +133,6 @@ class SymbolicGraph {
 
   // ── reach federations ────────────────────────────────────────────────
   [[nodiscard]] const dbm::ZonePool& zone_pool() const { return pool_; }
-  [[nodiscard]] dbm::ZonePool& zone_pool() { return pool_; }
 
   // Decodes key k's reach federation into `scratch` and returns it.
   [[nodiscard]] const dbm::Fed& reach(std::uint32_t k,
@@ -138,7 +155,11 @@ class SymbolicGraph {
   // time — invariants ignore the data valuation, so millions of keys
   // share a handful of invariant zones).
   [[nodiscard]] const dbm::Dbm& invariant(std::uint32_t k) const {
-    return *intern_.entry(k)->aux;
+    return intern_.entry(k)->aux->invariant;
+  }
+  // True when time cannot elapse at key k (urgent/committed location).
+  [[nodiscard]] bool time_frozen(std::uint32_t k) const {
+    return intern_.entry(k)->aux->frozen;
   }
 
   // Predecessor through an edge: states satisfying the edge's clock
@@ -158,14 +179,10 @@ class SymbolicGraph {
     std::size_t keys = 0;
     std::size_t zones = 0;
     std::size_t edges = 0;
-    std::size_t peak_zone_bytes = 0;
     // Wave-expansion (parallel) vs seal+merge (serial) wall time; the
     // merge share is the Amdahl cap the striped interner attacks.
     double expand_seconds = 0.0;
     double merge_seconds = 0.0;
-    // Zone-pool dictionary stats.
-    std::size_t pool_rows = 0;
-    std::size_t pool_bytes = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -174,15 +191,23 @@ class SymbolicGraph {
   }
 
  private:
-  // Key entries point at their hash-consed invariant zone; the
-  // invariant map is keyed on the location vector alone.
-  using InternMap = util::StripedInternMap<DiscreteKey, const dbm::Dbm*>;
-  using InvariantMap =
-      util::StripedInternMap<std::vector<tsystem::LocId>, dbm::Dbm>;
+  // What a key's location vector alone decides: its invariant zone,
+  // the transition instances leaving it (data guards unevaluated) and
+  // whether time is frozen there.
+  struct LocationFacts {
+    dbm::Dbm invariant;
+    std::vector<TransitionInstance> instances;
+    bool frozen = false;
+  };
+  // Key entries point at the hash-consed facts of their location
+  // vector; the facts map is keyed on the location vector alone.
+  using InternMap = util::StripedInternMap<DiscreteKey, const LocationFacts*>;
+  using FactsMap =
+      util::StripedInternMap<std::vector<tsystem::LocId>, LocationFacts>;
 
-  // Resolves (interning if new) the invariant zone of a freshly
+  // Resolves (interning if new) the location facts of a freshly
   // interned key — the inserting worker's one-time aux write.
-  void fill_invariant(InternMap::Entry& e) const;
+  void fill_facts(InternMap::Entry& e) const;
   // Numbers the keys interned during the last wave and grows the
   // per-key stores; throws on the key limit.
   void seal_wave();
@@ -194,7 +219,7 @@ class SymbolicGraph {
   std::vector<dbm::bound_t> max_constants_;
 
   InternMap intern_;
-  mutable InvariantMap invariants_{/*stripes=*/8};
+  mutable FactsMap facts_{/*stripes=*/8};
   dbm::ZonePool pool_;
   std::vector<dbm::PooledFed> reach_;
   std::vector<SymbolicEdge> edges_;

@@ -30,6 +30,8 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +39,10 @@
 #include "dbm/bound.h"
 #include "tsystem/data.h"
 #include "tsystem/expr.h"
+
+namespace tigat::semantics {
+class SymbolicGraph;
+}
 
 namespace tigat::tsystem {
 
@@ -210,6 +216,35 @@ class Process {
 
 // ── the network ───────────────────────────────────────────────────────
 
+// The explored zone graph of a System, memoized on it so that every
+// purpose solved on one model explores once (see
+// semantics::SymbolicGraph::explored, its only reader and writer).
+// One slot, keyed by the graph's ExplorationOptions; the mutex makes
+// concurrent solvers of one System wait for a single exploration.  A
+// moved System starts with an empty slot, and so does its source: the
+// graph points at the System it was explored from.
+class GraphMemo {
+ public:
+  GraphMemo() = default;
+  GraphMemo(GraphMemo&& other) noexcept { other.clear(); }
+  GraphMemo& operator=(GraphMemo&& other) noexcept {
+    if (this != &other) {
+      clear();
+      other.clear();
+    }
+    return *this;
+  }
+
+  std::mutex mutex;
+  std::shared_ptr<const semantics::SymbolicGraph> graph;  // under `mutex`
+
+ private:
+  void clear() noexcept {
+    const std::lock_guard<std::mutex> lock(mutex);
+    graph.reset();
+  }
+};
+
 class System {
  public:
   explicit System(std::string name) : name_(std::move(name)) {}
@@ -266,6 +301,10 @@ class System {
   // Multi-line description of the network (used by --print-models).
   [[nodiscard]] std::string to_string() const;
 
+  // The explored-graph memo.  Mutable through a const System: caching
+  // the graph does not change the model.
+  [[nodiscard]] GraphMemo& graph_memo() const { return graph_memo_; }
+
  private:
   void validate_constraint(const ClockConstraint& c, const std::string& where) const;
   void bump_max_constant(const ClockConstraint& c);
@@ -278,6 +317,7 @@ class System {
   DataLayout data_;
   std::vector<dbm::bound_t> max_constants_ = {0};
   bool finalized_ = false;
+  mutable GraphMemo graph_memo_;
 };
 
 }  // namespace tigat::tsystem

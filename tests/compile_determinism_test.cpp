@@ -9,9 +9,13 @@
 // Each image is also pinned to a golden FNV-1a hash of its bytes, so a
 // change to zone storage, the fixpoint or the compiler that alters any
 // table byte fails here even when it is deterministic.
+//
+// A System memoizes its explored graph, so every width solves a freshly
+// loaded model and explores at that width.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +70,8 @@ void expect_same_table_at_any_width(const Solve& solve, std::uint64_t golden) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto solution = solve(threads);
     EXPECT_EQ(solution->worker_count(), threads);
+    EXPECT_NE(&solution->graph(), &base_solution->graph())
+        << "the solve reused the base graph instead of exploring";
     const Compiled other = compile_at(*solution);
     EXPECT_TRUE(other.bytes == base.bytes) << "the .tgs image differs";
     EXPECT_EQ(other.stats.cascade_entries, base.stats.cascade_entries);
@@ -81,17 +87,27 @@ std::shared_ptr<const game::GameSolution> solve(const tsystem::System& system,
   return game::GameSolver(system, p, options).solve();
 }
 
+// Solves purpose `index` of a model loaded afresh into `kept`, which
+// must outlive the solution.
+template <typename Load>
+std::shared_ptr<const game::GameSolution> solve_fresh(
+    std::deque<lang::LoadedModel>& kept, const Load& load, std::size_t index,
+    unsigned threads) {
+  kept.push_back(load());
+  return solve(kept.back().system, kept.back().purposes.at(index), threads);
+}
+
 class CompileDeterminismLepN4 : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompileDeterminismLepN4, CompileIsByteIdenticalAcrossThreadCounts) {
   constexpr std::uint64_t kGolden[] = {0xa68a49587483496aull,
                                        0xa11f68b554ed405cull,
                                        0xf472a316c990ee8cull};
-  const lang::LoadedModel lep = load_lep4();
-  ASSERT_EQ(lep.purposes.size(), 3u);
-  const tsystem::TestPurpose& purpose = lep.purposes.at(GetParam());
+  std::deque<lang::LoadedModel> kept;
   expect_same_table_at_any_width(
-      [&](unsigned threads) { return solve(lep.system, purpose, threads); },
+      [&](unsigned threads) {
+        return solve_fresh(kept, load_lep4, GetParam(), threads);
+      },
       kGolden[GetParam()]);
 }
 
@@ -119,10 +135,12 @@ TEST(CompileDeterminism, LepN4Tp1EmptySliceKeepsItsOffset) {
 }
 
 TEST(CompileDeterminism, SmartLightReach) {
-  const lang::LoadedModel light =
-      lang::load_model(model_path("smart_light.tg"));
+  std::deque<lang::LoadedModel> kept;
+  const auto load = [] {
+    return lang::load_model(model_path("smart_light.tg"));
+  };
   expect_same_table_at_any_width([&](unsigned threads) {
-    return solve(light.system, light.purposes.at(0), threads);
+    return solve_fresh(kept, load, 0, threads);
   }, 0xa08aceabe3806690ull);
 }
 
@@ -142,10 +160,12 @@ TEST(CompileDeterminism, SmartLightCooperative) {
 }
 
 TEST(CompileDeterminism, SmartLightSafety) {
-  const lang::LoadedModel lamp =
-      lang::load_model(model_path("smart_light_safety.tg"));
+  std::deque<lang::LoadedModel> kept;
+  const auto load = [] {
+    return lang::load_model(model_path("smart_light_safety.tg"));
+  };
   expect_same_table_at_any_width([&](unsigned threads) {
-    return solve(lamp.system, lamp.purposes.at(0), threads);
+    return solve_fresh(kept, load, 0, threads);
   }, 0x76a604c4cb0d97d6ull);
 }
 

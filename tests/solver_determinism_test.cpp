@@ -10,12 +10,20 @@
 // and strategy-guided traces.
 // Safety games (`A[] φ`, the dual fixpoint) get the same treatment.
 // It is the test the CI ThreadSanitizer job leans on.
+//
+// A System memoizes its explored graph (SymbolicGraph::explored), so
+// every thread count solves a freshly built System: otherwise only the
+// first solve would explore.  SharedGraphAcrossPurposes pins the memo
+// itself.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "decision/compiler.h"
+#include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "models/lep.h"
@@ -42,6 +50,8 @@ std::shared_ptr<const GameSolution> solve_with_threads(
 void expect_same_solution(const GameSolution& a, const GameSolution& b,
                           unsigned threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
+  // Two explorations, or the comparison below proves nothing.
+  ASSERT_NE(&a.graph(), &b.graph());
   EXPECT_EQ(a.winning_from_initial(), b.winning_from_initial());
   EXPECT_EQ(a.stats().rounds, b.stats().rounds);
   EXPECT_EQ(a.stats().keys, b.stats().keys);
@@ -77,7 +87,9 @@ TEST(SolverDeterminism, LepN4AcrossThreadCounts) {
   models::Lep lep = models::make_lep({.nodes = 4});
   const auto base = solve_with_threads(lep.system, models::lep_tp1(), 1);
   for (const unsigned threads : {2u, 8u}) {
-    const auto sol = solve_with_threads(lep.system, models::lep_tp1(), threads);
+    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const auto sol =
+        solve_with_threads(fresh.system, models::lep_tp1(), threads);
     expect_same_solution(*base, *sol, threads);
     // The textual strategy is the artifact a tester ships; identical
     // federations must render identically.
@@ -91,7 +103,8 @@ TEST(SolverDeterminism, SmartLightAcrossThreadCounts) {
        {"control: A<> IUT.Bright", "control: A<> IUT.Dim"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const auto sol = solve_with_threads(spec.system, prop, threads);
+      const models::SmartLight fresh = models::make_smart_light();
+      const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
     }
@@ -107,7 +120,8 @@ TEST(SolverDeterminism, SafetyAcrossThreadCounts) {
        {"control: A[] !IUT.Bright", "control: A[] IUT.Off"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const auto sol = solve_with_threads(spec.system, prop, threads);
+      const models::SmartLight fresh = models::make_smart_light();
+      const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
     }
@@ -123,13 +137,86 @@ TEST(SolverDeterminism, TracedSolvesBitIdentical) {
   obs::Tracer::instance().enable();
   obs::enable_metrics();
   for (const unsigned threads : {1u, 8u}) {
-    const auto sol = solve_with_threads(lep.system, models::lep_tp1(), threads);
+    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const auto sol =
+        solve_with_threads(fresh.system, models::lep_tp1(), threads);
     expect_same_solution(*base, *sol, threads);
     EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
   }
   obs::Tracer::instance().disable();
   obs::disable_metrics();
   EXPECT_GT(obs::Tracer::instance().recorded_spans(), 0u);
+}
+
+TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
+  // The zone graph does not depend on the purpose: TP1-TP3 on one
+  // System solve against one graph that only the first solve explores,
+  // and each solution equals a solve on a freshly built System down to
+  // its compiled .tgs bytes.
+  const models::Lep lep = models::make_lep({.nodes = 4});
+  const std::vector<std::string> purposes = {
+      models::lep_tp1(), models::lep_tp2(), models::lep_tp3()};
+  std::vector<std::shared_ptr<const GameSolution>> shared;
+  for (const std::string& prop : purposes) {
+    shared.push_back(solve_with_threads(lep.system, prop, 2));
+  }
+  EXPECT_GT(shared[0]->stats().explore_expand_seconds, 0.0);
+  for (std::size_t p = 1; p < shared.size(); ++p) {
+    EXPECT_EQ(&shared[p]->graph(), &shared[0]->graph());
+    EXPECT_EQ(shared[p]->stats().explore_expand_seconds, 0.0);
+    EXPECT_EQ(shared[p]->stats().explore_merge_seconds, 0.0);
+  }
+  for (std::size_t p = 0; p < purposes.size(); ++p) {
+    SCOPED_TRACE("TP" + std::to_string(p + 1));
+    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const auto own = solve_with_threads(fresh.system, purposes[p], 2);
+    expect_same_solution(*own, *shared[p], 2);
+    EXPECT_TRUE(decision::to_bytes(decision::compile(*own)) ==
+                decision::to_bytes(decision::compile(*shared[p])));
+  }
+
+  // Other exploration options key another graph (the Smart Light's is
+  // finite without extrapolation, LEP's is not).
+  const models::SmartLight light = models::make_smart_light();
+  const char* bright = "control: A<> IUT.Bright";
+  const auto extrapolated = solve_with_threads(light.system, bright, 2);
+  SolverOptions plain;
+  plain.threads = 2;
+  plain.exploration.extrapolate = false;
+  const auto unextrapolated =
+      GameSolver(light.system, TestPurpose::parse(light.system, bright), plain)
+          .solve();
+  EXPECT_NE(&unextrapolated->graph(), &extrapolated->graph());
+  EXPECT_EQ(light.system.graph_memo().graph.get(), &unextrapolated->graph());
+
+  // A solve cut short by a limit memoizes nothing: the next solve
+  // explores afresh and succeeds.
+  SolverOptions tiny;
+  tiny.threads = 2;
+  tiny.exploration.max_keys = 16;
+  GameSolver limited(lep.system, TestPurpose::parse(lep.system, purposes[0]),
+                     tiny);
+  EXPECT_THROW((void)limited.solve(), semantics::ExplorationLimit);
+  EXPECT_EQ(lep.system.graph_memo().graph, nullptr);
+  const auto again = solve_with_threads(lep.system, purposes[0], 2);
+  EXPECT_GT(again->stats().explore_expand_seconds, 0.0);
+  EXPECT_NE(&again->graph(), &shared[0]->graph());
+  EXPECT_TRUE(again->winning_from_initial());
+  EXPECT_EQ(again->stats().keys, shared[0]->stats().keys);
+
+  // Concurrent solvers of one System wait for a single exploration.
+  const models::Lep racing = models::make_lep({.nodes = 4});
+  std::shared_ptr<const GameSolution> tp1, tp2;
+  std::thread t1(
+      [&] { tp1 = solve_with_threads(racing.system, purposes[0], 2); });
+  std::thread t2(
+      [&] { tp2 = solve_with_threads(racing.system, purposes[1], 2); });
+  t1.join();
+  t2.join();
+  EXPECT_EQ(&tp1->graph(), &tp2->graph());
+  EXPECT_EQ((tp1->stats().explore_expand_seconds > 0.0) +
+                (tp2->stats().explore_expand_seconds > 0.0),
+            1);
 }
 
 TEST(SolverDeterminism, StrategyGuidedTracesIdentical) {
@@ -148,8 +235,9 @@ TEST(SolverDeterminism, StrategyGuidedTracesIdentical) {
   const testing::TestReport base_report = base_exec.run();
 
   for (const unsigned threads : {2u, 8u}) {
+    const models::SmartLight fresh = models::make_smart_light();
     const auto sol =
-        solve_with_threads(spec.system, "control: A<> IUT.Bright", threads);
+        solve_with_threads(fresh.system, "control: A<> IUT.Bright", threads);
     Strategy strategy(sol);
     testing::SimulatedImplementation imp(plant.system, kScale,
                                          testing::ImpPolicy{kScale, {}});
