@@ -59,6 +59,8 @@
 //   --stats-json        print the metrics snapshot to stdout instead
 //                       of the human table (parse from the line
 //                       starting with {"schema").
+//   Both snapshots carry the process high-water RSS as the gauge
+//   process.peak_rss_bytes, taken when the snapshot is written.
 //
 // Test campaigns (see src/testing/campaign.h): solve the first purpose,
 // extract one process as the IUT (simulated), run it K times behind an
@@ -138,6 +140,10 @@ constexpr int kExitInconclusive = 5;
 bool write_obs_artifacts(const std::string& trace_out,
                          const std::string& metrics_out, bool stats_json) {
   bool ok = true;
+  if (!metrics_out.empty() || stats_json) {
+    tigat::obs::metrics().gauge("process.peak_rss_bytes")
+        .set(static_cast<double>(tigat::util::peak_rss_bytes()));
+  }
   if (!trace_out.empty()) {
     tigat::obs::Tracer::instance().disable();
     ok &= tigat::obs::Tracer::instance().write_chrome_trace(trace_out);

@@ -268,9 +268,11 @@ void Fed::reduce() {
   zones_ = std::move(kept);
 }
 
-std::size_t Fed::memory_bytes() const noexcept {
-  std::size_t total = sizeof(Fed);
-  for (const Dbm& z : zones_) total += z.memory_bytes();
+std::size_t Fed::heap_bytes() const noexcept {
+  std::size_t total = zones_.capacity() * sizeof(Dbm);
+  for (const Dbm& z : zones_) {
+    if (z.dimension() > Dbm::kInlineDim) total += z.memory_bytes();
+  }
   return total;
 }
 

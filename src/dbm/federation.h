@@ -133,7 +133,9 @@ class Fed {
   // the zone counts game solving produces).
   void reduce();
 
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  // Heap bytes the federation owns: its zone vector's capacity plus
+  // the matrices of zones too wide to store inline.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
   [[nodiscard]] std::string to_string(std::span<const std::string> names) const;
   [[nodiscard]] std::string to_string() const;
 

@@ -4,10 +4,12 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/assert.h"
 #include "util/stopwatch.h"
@@ -37,14 +39,99 @@ constexpr std::uint32_t kUnset = 0xffff'ffffu;
 // Content keys of the interning tables: a record flattened to 32-bit
 // words.
 using Words = std::vector<std::uint32_t>;
-struct WordsHash {
-  std::size_t operator()(const Words& words) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull ^ words.size();
-    for (const std::uint32_t w : words) h = (h ^ w) * 0x100000001b3ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
+
+std::uint64_t hash_words(std::span<const std::uint32_t> words) {
+  std::uint64_t h = 0xcbf29ce484222325ull ^ words.size();
+  for (const std::uint32_t w : words) h = (h ^ w) * 0x100000001b3ull;
+  return h ^ (h >> 32);
+}
+
+// An open-addressing table of (hash, id) pairs with linear probing.
+// It stores no keys: a probe asks the caller whether the record with a
+// candidate id is the one looked up, and the caller compares against
+// wherever that record lives.
+class FlatIndex {
+ public:
+  // Returns the id of the record with this hash for which `same(id)`
+  // holds and false, or records `fresh` under the hash and returns it
+  // and true.
+  template <typename Same>
+  std::pair<std::uint32_t, bool> find_or_insert(std::uint64_t hash,
+                                                std::uint32_t fresh,
+                                                const Same& same) {
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    const auto tag = static_cast<std::uint32_t>(hash);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(tag);; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == kUnset) {
+        slot = {tag, fresh};
+        ++count_;
+        return {fresh, true};
+      }
+      if (slot.tag == tag && same(slot.id)) return {slot.id, false};
+    }
   }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;  // low bits of the record's hash
+    std::uint32_t id = kUnset;
+  };
+
+  // Fibonacci hashing of the tag onto the table's 2^bits_ slots.
+  [[nodiscard]] std::size_t home(std::uint32_t tag) const {
+    return (tag * 0x9e3779b9u) >> (32 - bits_);
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    ++bits_;
+    TIGAT_ASSERT(bits_ <= 32, "interning index overflow");
+    slots_.assign(std::size_t{1} << bits_, Slot{});
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kUnset) continue;
+      std::size_t i = home(slot.tag);
+      while (slots_[i].id != kUnset) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::uint32_t bits_ = 3;  // the first grow() sizes the table to 16
+  std::size_t count_ = 0;
 };
-using WordsIndex = std::unordered_map<Words, std::uint32_t, WordsHash>;
+
+// Interns word strings: each distinct key is copied once into a word
+// arena, where probes compare against it in place, and maps to the id
+// it was first given.
+class WordsIndex {
+ public:
+  std::pair<std::uint32_t, bool> try_emplace(
+      std::span<const std::uint32_t> key, std::uint32_t fresh) {
+    const auto entry = static_cast<std::uint32_t>(ids_.size());
+    const auto [found, inserted] =
+        index_.find_or_insert(hash_words(key), entry, [&](std::uint32_t e) {
+          return std::equal(key.begin(), key.end(),
+                            arena_.begin() + starts_[e],
+                            arena_.begin() + starts_[e + 1]);
+        });
+    if (!inserted) return {ids_[found], false};
+    arena_.insert(arena_.end(), key.begin(), key.end());
+    TIGAT_ASSERT(arena_.size() < kUnset, "interning arena overflow");
+    starts_.push_back(static_cast<std::uint32_t>(arena_.size()));
+    ids_.push_back(fresh);
+    return {fresh, true};
+  }
+
+ private:
+  FlatIndex index_;                   // hash → entry
+  std::vector<std::uint32_t> arena_;  // the keys, back to back
+  // Entry e's key is arena_[starts_[e], starts_[e + 1]).
+  std::vector<std::uint32_t> starts_{0};
+  std::vector<std::uint32_t> ids_;  // entry → id
+};
 
 // A TableData under construction whose pools are hash-consed by
 // content: interning a record equal to one already pooled returns its
@@ -55,23 +142,21 @@ class Pools {
   TableData data;
 
   std::uint32_t zone(const Dbm& zone) {
-    auto& ids = zone_index_[zone.hash()];
-    for (const std::uint32_t id : ids) {
-      if (data.zones[id] == zone) return id;
-    }
-    const auto id = static_cast<std::uint32_t>(data.zones.size());
-    data.zones.push_back(zone);
-    ids.push_back(id);
+    const auto fresh = static_cast<std::uint32_t>(data.zones.size());
+    const auto [id, inserted] = zone_index_.find_or_insert(
+        zone.hash(), fresh,
+        [&](std::uint32_t candidate) { return data.zones[candidate] == zone; });
+    if (inserted) data.zones.push_back(zone);
     return id;
   }
 
   std::uint32_t slice(const Words& refs) {
-    const auto [it, inserted] = slice_index_.try_emplace(
+    const auto [id, inserted] = slice_index_.try_emplace(
         refs, static_cast<std::uint32_t>(data.zone_refs.size()));
     if (inserted) {
       data.zone_refs.insert(data.zone_refs.end(), refs.begin(), refs.end());
     }
-    return it->second;
+    return id;
   }
 
   std::uint32_t acts(const std::vector<TableData::Act>& acts) {
@@ -79,10 +164,10 @@ class Pools {
     for (const TableData::Act& a : acts) {
       key_.insert(key_.end(), {a.edge_slot, a.zones_first, a.zones_count});
     }
-    const auto [it, inserted] = acts_index_.try_emplace(
+    const auto [id, inserted] = acts_index_.try_emplace(
         key_, static_cast<std::uint32_t>(data.acts.size()));
     if (inserted) data.acts.insert(data.acts.end(), acts.begin(), acts.end());
-    return it->second;
+    return id;
   }
 
   target_t leaf(const TableData::Leaf& leaf) {
@@ -90,10 +175,10 @@ class Pools {
                  leaf.edge_slot, leaf.zones_first, leaf.zones_count,
                  leaf.acts_first, leaf.acts_count, leaf.danger_first,
                  leaf.danger_count});
-    const auto [it, inserted] = leaf_index_.try_emplace(
+    const auto [id, inserted] = leaf_index_.try_emplace(
         key_, static_cast<std::uint32_t>(data.leaves.size()));
     if (inserted) data.leaves.push_back(leaf);
-    return leaf_target(it->second);
+    return leaf_target(id);
   }
 
   target_t node(std::uint16_t i, std::uint16_t j,
@@ -103,7 +188,7 @@ class Pools {
       key_.insert(key_.end(),
                   {static_cast<std::uint32_t>(a.bound), a.target});
     }
-    const auto [it, inserted] = node_index_.try_emplace(
+    const auto [id, inserted] = node_index_.try_emplace(
         key_, static_cast<std::uint32_t>(data.nodes.size()));
     if (inserted) {
       TableData::Node node;
@@ -114,7 +199,7 @@ class Pools {
       data.arcs.insert(data.arcs.end(), arcs.begin(), arcs.end());
       data.nodes.push_back(node);
     }
-    return node_target(it->second);
+    return node_target(id);
   }
 
   // Edge slots are keyed by the original edge index.
@@ -127,7 +212,7 @@ class Pools {
   }
 
  private:
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> zone_index_;
+  FlatIndex zone_index_;  // compares against data.zones in place
   WordsIndex slice_index_;
   WordsIndex acts_index_;
   WordsIndex leaf_index_;
@@ -186,7 +271,8 @@ class Compiler {
       : sol_(solution),
         g_(solution.graph()),
         safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
-        dim_(g_.system().clock_count()) {}
+        dim_(g_.system().clock_count()),
+        reach_(dim_) {}
 
   Fragment run(std::uint32_t begin, std::uint32_t end) {
     for (std::uint32_t k = begin; k < end; ++k) compile_key(k);
@@ -217,18 +303,21 @@ class Compiler {
   }
 
   // ── the per-key cascade ─────────────────────────────────────────────
-  // Action regions come from GameSolution::action_region — the single
-  // cached implementation Strategy::decide also walks, including the
-  // member-zone layout (delay leaves take the earliest-entry minimum
-  // over these zones, so the zone list itself must match, not just the
-  // denoted set).
-  target_t delay_leaf(std::uint32_t k, std::uint32_t round) {
+  // Action and danger regions come from GameSolution::action_region /
+  // danger_region — the single definitions Strategy::decide also
+  // walks, including the member-zone layout (delay leaves take the
+  // earliest-entry minimum over these zones, so the zone list itself
+  // must match, not just the denoted set).  compile_key decodes the
+  // key's reach set once, computes each region once and drops them all
+  // before the next key.
+
+  // `regions` holds the action regions at round − 1 of k's
+  // controllable edges, in edges_out order.
+  target_t delay_leaf(std::uint32_t k, std::uint32_t round,
+                      const std::vector<Fed>& regions) {
     Words refs;
-    for (const std::uint32_t ei : g_.edges_out(k)) {
-      if (!g_.edges()[ei].inst.controllable) continue;
-      for (const Dbm& z : sol_.action_region(ei, round - 1).zones()) {
-        refs.push_back(pools_.zone(z));
-      }
+    for (const Fed& region : regions) {
+      for (const Dbm& z : region.zones()) refs.push_back(pools_.zone(z));
     }
     for (const Dbm& z : sol_.winning_up_to(k, round - 1).zones()) {
       refs.push_back(pools_.zone(z));
@@ -247,7 +336,7 @@ class Compiler {
   // controllable edges in edges_out order — empty action regions are
   // skipped, which is decide-equivalent since an empty region never
   // contains the point.
-  target_t safety_leaf(std::uint32_t k) {
+  target_t safety_leaf(std::uint32_t k, const Fed& reach) {
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = 0;
@@ -258,15 +347,14 @@ class Compiler {
     leaf.zones_first = intern_slice(refs);
     leaf.zones_count = static_cast<std::uint32_t>(refs.size());
     refs.clear();
-    for (const Dbm& z : sol_.danger_region(k).zones()) {
-      refs.push_back(pools_.zone(z));
-    }
+    const Fed danger = sol_.danger_region(k, reach);
+    for (const Dbm& z : danger.zones()) refs.push_back(pools_.zone(z));
     leaf.danger_first = intern_slice(refs);
     leaf.danger_count = static_cast<std::uint32_t>(refs.size());
     std::vector<TableData::Act> acts;
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
-      const Fed& region = sol_.action_region(ei, 0);
+      const Fed region = sol_.action_region(ei, 0, reach);
       if (region.is_empty()) continue;
       TableData::Act act;
       act.edge_slot = edge_slot(ei);
@@ -282,6 +370,7 @@ class Compiler {
   }
 
   void compile_key(std::uint32_t k) {
+    const Fed& reach = g_.reach(k, reach_);
     if (safety_) {
       const Fed& safe = sol_.winning(k);
       TableData::Key key;
@@ -290,7 +379,7 @@ class Compiler {
       if (safe.is_empty()) {
         key.root = unwinnable_leaf();
       } else {
-        std::vector<Entry> entries{{&safe, safety_leaf(k)}};
+        std::vector<Entry> entries{{&safe, safety_leaf(k, reach)}};
         cascade_entries_ += entries.size();
         key.root = build(Dbm::universal(dim_), entries);
       }
@@ -299,6 +388,7 @@ class Compiler {
     }
     std::deque<Fed> owned;
     std::vector<Entry> entries;
+    std::vector<Fed> regions;  // the current delta's action regions
     for (const GameSolution::Delta& d : sol_.deltas(k)) {
       if (d.round == 0) {
         TableData::Leaf goal;
@@ -307,10 +397,11 @@ class Compiler {
         entries.push_back({&d.gained, pools_.leaf(goal)});
         continue;
       }
+      regions.clear();
       for (const std::uint32_t ei : g_.edges_out(k)) {
         if (!g_.edges()[ei].inst.controllable) continue;
-        Fed region =
-            sol_.action_region(ei, d.round - 1).intersection(d.gained);
+        regions.push_back(sol_.action_region(ei, d.round - 1, reach));
+        Fed region = regions.back().intersection(d.gained);
         if (region.is_empty()) continue;
         TableData::Leaf act;
         act.kind = MoveKind::kAction;
@@ -319,7 +410,7 @@ class Compiler {
         owned.push_back(std::move(region));
         entries.push_back({&owned.back(), pools_.leaf(act)});
       }
-      entries.push_back({&d.gained, delay_leaf(k, d.round)});
+      entries.push_back({&d.gained, delay_leaf(k, d.round, regions)});
     }
     cascade_entries_ += entries.size();
 
@@ -408,6 +499,7 @@ class Compiler {
   const SymbolicGraph& g_;
   const bool safety_;
   const std::uint32_t dim_;
+  Fed reach_;  // the current key's decoded reach set
   Pools pools_;
   std::optional<bool> first_slice_empty_;
   std::size_t cascade_entries_ = 0;
@@ -605,6 +697,10 @@ DecisionTable compile(const GameSolution& solution, CompileStats* stats) {
 
   TableData table = packer.finish(stats);
   if (stats != nullptr) stats->compile_seconds = watch.seconds();
+  if (obs::metrics_enabled()) {
+    obs::metrics().gauge("decision.compile.materialized_bytes")
+        .set(static_cast<double>(solution.materialized_bytes()));
+  }
   return DecisionTable(std::move(table));
 }
 

@@ -1,7 +1,6 @@
 #include "game/solver.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -24,7 +23,6 @@ GameSolution::GameSolution(std::shared_ptr<const SymbolicGraph> graph,
       pool_(graph_->zone_pool()),
       purpose_(std::move(purpose)),
       empty_fed_(graph_->system().clock_count()),
-      region_shards_(std::make_unique<RegionShard[]>(kRegionShards)),
       mat_slots_(std::make_unique<MaterializedSlot[]>(graph_->key_count())) {}
 
 const GameSolution::MaterializedKey& GameSolution::materialized(
@@ -46,12 +44,12 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
     for (const Dbm& z : gained.zones()) m.win.append_raw(z);
     m.deltas.push_back({pd.round, std::move(gained)});
   }
+  // The prefix unions are concatenations too, for the same reason.
   if (m.deltas.size() >= 2) {
     m.up_to.reserve(m.deltas.size() - 1);
-    Fed acc = m.deltas.front().gained;
-    m.up_to.push_back(acc);
-    for (std::size_t d = 1; d + 1 < m.deltas.size(); ++d) {
-      acc |= m.deltas[d].gained;
+    Fed acc(dim);
+    for (std::size_t d = 0; d + 1 < m.deltas.size(); ++d) {
+      for (const Dbm& z : m.deltas[d].gained.zones()) acc.append_raw(z);
       m.up_to.push_back(acc);
     }
   }
@@ -73,36 +71,30 @@ const std::vector<GameSolution::Delta>& GameSolution::deltas(
   return materialized(k).deltas;
 }
 
-const Fed& GameSolution::action_region(std::uint32_t ei,
-                                       std::uint32_t round) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(ei) << 32) | round;
-  RegionShard& shard = region_shards_[ei % kRegionShards];
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.actions.find(key);
-    if (it != shard.actions.end()) return it->second;
+std::size_t GameSolution::materialized_bytes() const {
+  std::size_t total = 0;
+  for (std::uint32_t k = 0; k < graph_->key_count(); ++k) {
+    const MaterializedKey* m =
+        mat_slots_[k].key.load(std::memory_order_acquire);
+    if (m == nullptr) continue;
+    total += sizeof(MaterializedKey) + m->win.heap_bytes() +
+             m->deltas.capacity() * sizeof(Delta) +
+             m->up_to.capacity() * sizeof(Fed);
+    for (const Delta& d : m->deltas) total += d.gained.heap_bytes();
+    for (const Fed& u : m->up_to) total += u.heap_bytes();
   }
-  // Compute outside any lock (reads only immutable state); a racing
-  // caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.
-  const SymbolicEdge& e = graph_->edges()[ei];
-  Fed region = graph_->pred_through(e, winning_up_to(e.dst, round));
-  Fed scratch(graph_->system().clock_count());
-  region &= graph_->reach(e.src, scratch);
-  std::unique_lock lock(shard.mutex);
-  return shard.actions.emplace(key, std::move(region)).first->second;
+  return total;
 }
 
-const Fed& GameSolution::danger_region(std::uint32_t k) const {
-  RegionShard& shard = region_shards_[k % kRegionShards];
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.danger.find(k);
-    if (it != shard.danger.end()) return it->second;
-  }
-  // Compute outside any lock (winning() takes its own); a racing
-  // caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.
+Fed GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
+                                const Fed& reach_src) const {
+  const SymbolicEdge& e = graph_->edges()[ei];
+  Fed region = graph_->pred_through(e, winning_up_to(e.dst, round));
+  region &= reach_src;
+  return region;
+}
+
+Fed GameSolution::danger_region(std::uint32_t k, const Fed& reach_k) const {
   const std::uint32_t dim = graph_->system().clock_count();
   Fed danger(dim);
   Fed scratch(dim);
@@ -113,9 +105,8 @@ const Fed& GameSolution::danger_region(std::uint32_t k) const {
     if (bad.is_empty()) continue;
     danger |= graph_->pred_through(e, bad);
   }
-  danger &= graph_->reach(k, scratch);
-  std::unique_lock lock(shard.mutex);
-  return shard.danger.emplace(k, std::move(danger)).first->second;
+  danger &= reach_k;
+  return danger;
 }
 
 const Fed& GameSolution::winning_up_to(std::uint32_t k,

@@ -64,7 +64,7 @@
 // single round-0 delta per key (a greatest fixpoint has no rank
 // structure to exploit: the strategy is "stay inside Safe", not
 // "descend a progress measure"), `goal_key(q)` reports whether φ
-// holds at q, and `action_region(ei, 0)` is the region where taking
+// holds at q, and `action_region(ei, 0, ·)` is the region where taking
 // edge ei keeps the play inside Safe — which is exactly what
 // Strategy::decide and decision::compile consume.
 //
@@ -93,17 +93,22 @@
 // hit is one atomic load — no lock, no hashing — so strategy walks and
 // compile workers never contend on it.  Test execution visits a
 // handful of keys per run, so serving stays cheap while bulk storage
-// stays compressed.  Caveat: consumers that touch EVERY key
-// (Strategy::to_string, decision::compile) fill every slot and
-// re-inflate each key's federations to matrices.
+// stays compressed.
+//
+// The solution keeps no other derived state.  action_region and
+// danger_region are computed afresh on every call: Strategy keeps its
+// own cache of them for the walk, and decision::compile computes each
+// one once per key and drops it before the next.  Caveat: consumers
+// that touch EVERY key (Strategy::to_string, decision::compile) still
+// fill every materialization slot, re-inflating each key's winning
+// federations to matrices for the solution's lifetime
+// (materialized_bytes() reports how much).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dbm/federation.h"
@@ -181,20 +186,29 @@ class GameSolution {
   // pred_e(Win_{≤ round}[dst]) ∩ Reach[src] for edge index `ei` — the
   // region where the strategy prescribes taking `ei` from rank
   // round+1 (safety: round 0 — the region where taking `ei` keeps the
-  // play inside Safe).  Lazily computed, cached, safe for concurrent
-  // callers; the single home of this computation, shared by
-  // Strategy::decide and decision::compile so their results stay
-  // bit-identical.
-  [[nodiscard]] const dbm::Fed& action_region(std::uint32_t ei,
-                                              std::uint32_t round) const;
+  // play inside Safe).  `reach_src` is Reach[src], decoded by the
+  // caller (graph().reach(src, scratch)), so one decode serves every
+  // edge of a key.  Computed afresh on every call: this is the single
+  // definition of the region, shared by Strategy::decide (which caches
+  // it) and decision::compile (which computes it once per key), so
+  // their results — member-zone layout included — stay bit-identical.
+  [[nodiscard]] dbm::Fed action_region(std::uint32_t ei, std::uint32_t round,
+                                       const dbm::Fed& reach_src) const;
 
   // Safety games only: the sub-region of Reach[k] where some enabled
   // uncontrollable edge exits Safe.  Inside Safe \ Danger delaying is
   // harmless; the strategy must act no later than the play enters
   // Danger (the closed-avoidance fixpoint guarantees a safe
   // controllable escape is available by then — ties go to the
-  // tester).  Lazily computed, cached, safe for concurrent callers.
-  [[nodiscard]] const dbm::Fed& danger_region(std::uint32_t k) const;
+  // tester).  `reach_k` is Reach[k], decoded by the caller; computed
+  // afresh on every call, like action_region.
+  [[nodiscard]] dbm::Fed danger_region(std::uint32_t k,
+                                       const dbm::Fed& reach_k) const;
+
+  // Heap bytes held by the keys materialized so far (their winning,
+  // delta and prefix-union federations).  Safe for concurrent callers;
+  // a key materialized meanwhile may or may not be counted.
+  [[nodiscard]] std::size_t materialized_bytes() const;
 
   [[nodiscard]] bool winning_from_initial() const;
 
@@ -239,19 +253,7 @@ class GameSolution {
   // filtering applies.
   std::vector<std::vector<PooledDelta>> deltas_;
   dbm::Fed empty_fed_;  // returned for rounds before the first delta
-  // The action_region / danger_region caches, sharded by edge and key
-  // index: decision::compile's workers query them on every key, and one
-  // shared lock for all of them became the contended cache line.
-  // Node-based maps, so returned references survive rehashes; entries
-  // are immutable once inserted.
-  struct RegionShard {
-    std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, dbm::Fed> actions;
-    std::unordered_map<std::uint32_t, dbm::Fed> danger;
-  };
-  static constexpr std::uint32_t kRegionShards = 64;
-  // Behind pointers to keep the class movable.
-  std::unique_ptr<RegionShard[]> region_shards_;
+  // Behind a pointer to keep the class movable.
   std::unique_ptr<MaterializedSlot[]> mat_slots_;  // one per key
   SolverStats stats_;
   unsigned worker_count_ = 1;

@@ -10,9 +10,67 @@ namespace tigat::game {
 using dbm::Fed;
 using semantics::SymbolicEdge;
 
+namespace {
+
+// Returns map[key], computing and inserting it on a miss.  The value is
+// computed outside any lock (it reads only the immutable solution); a
+// racing caller may duplicate the work, but emplace keeps the first
+// insertion and the loser's copy is discarded.
+template <typename Map, typename Compute>
+const Fed& find_or_insert(std::shared_mutex& mutex, Map& map,
+                          typename Map::key_type key, const Compute& compute) {
+  {
+    std::shared_lock lock(mutex);
+    const auto it = map.find(key);
+    if (it != map.end()) return it->second;
+  }
+  Fed value = compute();
+  std::unique_lock lock(mutex);
+  return map.emplace(key, std::move(value)).first->second;
+}
+
+// A node-based map: its buckets, one node per entry, and the entries'
+// federations.  An empty map owns no heap.
+template <typename Map>
+std::size_t map_bytes(const Map& map) {
+  if (map.empty()) return 0;
+  constexpr std::size_t kNode =
+      sizeof(void*) + sizeof(typename Map::value_type);
+  std::size_t total = map.bucket_count() * sizeof(void*) + map.size() * kNode;
+  for (const auto& entry : map) total += entry.second.heap_bytes();
+  return total;
+}
+
+}  // namespace
+
 Strategy::Strategy(std::shared_ptr<const GameSolution> solution)
-    : solution_(std::move(solution)) {
+    : solution_(std::move(solution)),
+      cache_(std::make_unique<RegionCache>()) {
   TIGAT_ASSERT(solution_ != nullptr, "strategy needs a solution");
+}
+
+const Fed& Strategy::action_region(std::uint32_t ei,
+                                   std::uint32_t round) const {
+  const std::uint64_t key = (static_cast<std::uint64_t>(ei) << 32) | round;
+  return find_or_insert(cache_->mutex, cache_->actions, key, [&] {
+    const auto& g = solution_->graph();
+    Fed scratch(g.system().clock_count());
+    return solution_->action_region(ei, round,
+                                    g.reach(g.edges()[ei].src, scratch));
+  });
+}
+
+const Fed& Strategy::danger_region(std::uint32_t k) const {
+  return find_or_insert(cache_->mutex, cache_->danger, k, [&] {
+    const auto& g = solution_->graph();
+    Fed scratch(g.system().clock_count());
+    return solution_->danger_region(k, g.reach(k, scratch));
+  });
+}
+
+std::size_t Strategy::cached_region_bytes() const {
+  std::shared_lock lock(cache_->mutex);
+  return map_bytes(cache_->actions) + map_bytes(cache_->danger);
 }
 
 Move Strategy::decide(const semantics::ConcreteState& state,
@@ -34,7 +92,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
     // delay while delaying is harmless, act before the play reaches a
     // state where an enabled SUT move exits Safe.
     const Fed& safe = solution_->winning(*k);
-    const Fed& danger = solution_->danger_region(*k);
+    const Fed& danger = danger_region(*k);
     // Latest harmless wait: stay inside Safe and stop one tick short
     // of Danger — arriving at the boundary with the escape already
     // prescribed beats racing the SUT at the exact threat instant.
@@ -54,7 +112,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
     for (const std::uint32_t ei : g.edges_out(*k)) {
       const SymbolicEdge& e = g.edges()[ei];
       if (!e.inst.controllable) continue;
-      const Fed& region = solution_->action_region(ei, 0);
+      const Fed& region = action_region(ei, 0);
       if (region.contains_point(state.clocks, scale)) {
         move.kind = MoveKind::kAction;
         move.edge = ei;
@@ -79,7 +137,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
   for (const std::uint32_t ei : g.edges_out(*k)) {
     const SymbolicEdge& e = g.edges()[ei];
     if (!e.inst.controllable) continue;
-    const Fed& region = solution_->action_region(ei, *rank - 1);
+    const Fed& region = action_region(ei, *rank - 1);
     if (region.contains_point(state.clocks, scale)) {
       move.kind = MoveKind::kAction;
       move.edge = ei;
@@ -94,7 +152,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
   for (const std::uint32_t ei : g.edges_out(*k)) {
     const SymbolicEdge& e = g.edges()[ei];
     if (!e.inst.controllable) continue;
-    const Fed& region = solution_->action_region(ei, *rank - 1);
+    const Fed& region = action_region(ei, *rank - 1);
     if (const auto d = region.earliest_entry_delay(state.clocks, scale)) {
       next = std::min(next, *d);
     }
@@ -147,14 +205,14 @@ std::string Strategy::to_string() const {
       // escape actions available (in edge order, like decide()).
       out += "  while " + solution_->winning(k).to_string(names) +
              " -> stay safe\n";
-      const Fed& danger = solution_->danger_region(k);
+      const Fed& danger = danger_region(k);
       if (!danger.is_empty()) {
         out += "    act on entering " + danger.to_string(names) + "\n";
       }
       for (const std::uint32_t ei : g.edges_out(k)) {
         const SymbolicEdge& e = g.edges()[ei];
         if (!e.inst.controllable) continue;
-        const Fed& region = solution_->action_region(ei, 0);
+        const Fed& region = action_region(ei, 0);
         if (region.is_empty()) continue;
         out += "    take " + e.inst.label(sys) + " while " +
                region.to_string(names) + "\n";

@@ -27,7 +27,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 
 #include "game/solver.h"
 #include "semantics/concrete.h"
@@ -56,6 +58,10 @@ struct Move {
   [[nodiscard]] bool operator==(const Move&) const = default;
 };
 
+// The walk computes its action and danger regions through
+// GameSolution::action_region / danger_region and keeps them in a
+// cache of its own, filled lazily and kept for the Strategy's
+// lifetime; the solution itself holds no region state.
 class Strategy {
  public:
   explicit Strategy(std::shared_ptr<const GameSolution> solution);
@@ -63,10 +69,10 @@ class Strategy {
   [[nodiscard]] const GameSolution& solution() const { return *solution_; }
 
   // Decides at a concrete state (clock values in ticks at `scale`).
-  // Safe for concurrent callers: the lazily-built action-region cache
-  // (GameSolution::action_region) is guarded internally, so one
-  // Strategy can serve parallel test executions (see also
-  // decision::DecisionTable for the lock-free compiled backend).
+  // Safe for concurrent callers: the lazily-built region cache is
+  // guarded by a shared mutex, so one Strategy can serve parallel test
+  // executions (see also decision::DecisionTable for the lock-free
+  // compiled backend).
   [[nodiscard]] Move decide(const semantics::ConcreteState& state,
                             std::int64_t scale) const;
 
@@ -77,8 +83,26 @@ class Strategy {
   // "strategy size" metric used in the benchmarks.
   [[nodiscard]] std::size_t size() const;
 
+  // Approximate heap bytes held by the region cache.
+  [[nodiscard]] std::size_t cached_region_bytes() const;
+
  private:
+  // Node-based maps, so returned references survive rehashes; entries
+  // are immutable once inserted.
+  struct RegionCache {
+    std::shared_mutex mutex;
+    std::unordered_map<std::uint64_t, dbm::Fed> actions;  // edge << 32 | round
+    std::unordered_map<std::uint32_t, dbm::Fed> danger;   // by key
+  };
+
+  // GameSolution::action_region / danger_region, cached.
+  [[nodiscard]] const dbm::Fed& action_region(std::uint32_t ei,
+                                              std::uint32_t round) const;
+  [[nodiscard]] const dbm::Fed& danger_region(std::uint32_t k) const;
+
   std::shared_ptr<const GameSolution> solution_;
+  // Behind a pointer to keep the class movable.
+  std::unique_ptr<RegionCache> cache_;
 };
 
 }  // namespace tigat::game

@@ -12,8 +12,15 @@
 //
 // A System memoizes its explored graph, so every width solves a freshly
 // loaded model and explores at that width.
+//
+// Compile reads the solution and must leave nothing behind that a
+// later compile or strategy walk could observe; one test compiles
+// twice, compiles after a walk, and walks before and after compiling.
+// PrefixUnions pins the materialized per-round prefix unions that both
+// consumers read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -25,7 +32,10 @@
 #include "decision/serialize.h"
 #include "game/cooperative.h"
 #include "game/solver.h"
+#include "game/strategy.h"
 #include "lang/lang.h"
+#include "semantics/concrete.h"
+#include "util/rng.h"
 
 #ifndef TIGAT_MODEL_DIR
 #error "TIGAT_MODEL_DIR must point at examples/models"
@@ -167,6 +177,127 @@ TEST(CompileDeterminism, SmartLightSafety) {
   expect_same_table_at_any_width([&](unsigned threads) {
     return solve_fresh(kept, load, 0, threads);
   }, 0x76a604c4cb0d97d6ull);
+}
+
+// Draws `count` states the walk can decide (not unwinnable) from the
+// solution's keys, with clocks in [0, (max constant + 2) · scale].
+std::vector<semantics::ConcreteState> winnable_states(
+    const game::Strategy& walk, std::size_t count, std::int64_t scale) {
+  const semantics::SymbolicGraph& g = walk.solution().graph();
+  std::int64_t max_constant = 0;
+  for (const dbm::bound_t c : g.system().max_constants()) {
+    max_constant = std::max<std::int64_t>(max_constant, c);
+  }
+  const std::int64_t hi = (max_constant + 2) * scale;
+  util::Rng rng(7);
+  std::vector<semantics::ConcreteState> out;
+  for (std::size_t draws = 0; out.size() < count && draws < 100 * count;
+       ++draws) {
+    const auto k = static_cast<std::uint32_t>(
+        rng.range(0, static_cast<std::int64_t>(g.key_count()) - 1));
+    semantics::ConcreteState s{g.key(k).locs, g.key(k).data,
+                               std::vector<std::int64_t>(
+                                   g.system().clock_count(), 0)};
+    for (std::size_t c = 1; c < s.clocks.size(); ++c) {
+      s.clocks[c] = rng.range(0, hi);
+    }
+    if (walk.decide(s, scale).kind != game::MoveKind::kUnwinnable) {
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
+std::vector<game::Move> decide_all(
+    const game::Strategy& walk,
+    const std::vector<semantics::ConcreteState>& states, std::int64_t scale) {
+  std::vector<game::Move> moves;
+  for (const semantics::ConcreteState& s : states) {
+    moves.push_back(walk.decide(s, scale));
+  }
+  return moves;
+}
+
+// Compiling reads the solution without leaving state that changes a
+// later compile or walk: two compiles of one solution agree, a compile
+// after a walk equals a cold compile, and the walk decides the same
+// before and after a compile.
+TEST(CompileDeterminism, CompileLeavesTheSolutionUnchanged) {
+  constexpr std::int64_t kScale = 16;
+  const lang::LoadedModel lep = load_lep4();
+  const auto cold_solution = solve(lep.system, lep.purposes.at(0), 2);
+  const std::vector<std::uint8_t> cold = compile_at(*cold_solution).bytes;
+  EXPECT_TRUE(compile_at(*cold_solution).bytes == cold)
+      << "a second compile of one solution differs";
+
+  // Same System: the second solve shares the graph but has its own
+  // materialization slots, untouched by the compiles above.
+  const auto solution = solve(lep.system, lep.purposes.at(0), 2);
+  const game::Strategy walk(solution);
+  const auto states = winnable_states(walk, 64, kScale);
+  ASSERT_EQ(states.size(), 64u);
+  const std::vector<game::Move> before = decide_all(walk, states, kScale);
+  EXPECT_GT(walk.cached_region_bytes(), 0u);
+
+  EXPECT_TRUE(compile_at(*solution).bytes == cold)
+      << "compiling after a walk differs from a cold compile";
+  EXPECT_EQ(decide_all(walk, states, kScale), before);
+  EXPECT_EQ(decide_all(game::Strategy(solution), states, kScale), before)
+      << "a strategy started after the compile decides differently";
+}
+
+// The materialized prefix unions are concatenations of the key's
+// deltas in round order; that must be exactly the federation the
+// inclusion-filtering union builds, zone for zone, since the compiler
+// writes the member zones of winning_up_to into the table.  Returns
+// how many keys have an intermediate prefix joining two or more deltas.
+std::size_t expect_prefixes_are_unions(const game::GameSolution& solution) {
+  const semantics::SymbolicGraph& g = solution.graph();
+  std::size_t joined = 0;
+  const auto last_round = static_cast<std::uint32_t>(solution.stats().rounds);
+  for (std::uint32_t k = 0; k < g.key_count(); ++k) {
+    const auto& deltas = solution.deltas(k);
+    if (deltas.size() >= 3) ++joined;
+    for (std::uint32_t r = 0; r <= last_round; ++r) {
+      dbm::Fed expected(g.system().clock_count());
+      std::size_t applied = 0;
+      for (const game::GameSolution::Delta& d : deltas) {
+        if (d.round > r) break;
+        if (applied++ == 0) {
+          expected = d.gained;
+        } else {
+          expected |= d.gained;
+        }
+      }
+      EXPECT_TRUE(solution.winning_up_to(k, r).zones() == expected.zones())
+          << "key " << k << " round " << r;
+    }
+  }
+  return joined;
+}
+
+TEST(PrefixUnions, LepN4) {
+  const lang::LoadedModel lep = load_lep4();
+  std::size_t joined = 0;
+  for (std::size_t p = 0; p < 3; ++p) {
+    SCOPED_TRACE("TP" + std::to_string(p + 1));
+    joined +=
+        expect_prefixes_are_unions(*solve(lep.system, lep.purposes.at(p), 2));
+  }
+  EXPECT_GT(joined, 0u) << "no prefix joins two deltas";
+}
+
+TEST(PrefixUnions, SmartLight) {
+  const lang::LoadedModel light =
+      lang::load_model(model_path("smart_light.tg"));
+  expect_prefixes_are_unions(*solve(light.system, light.purposes.at(0), 2));
+  const game::CooperativeResult coop = game::solve_cooperative(
+      light.system,
+      tsystem::TestPurpose::parse(light.system, "control: A<> IUT.L6"));
+  expect_prefixes_are_unions(*coop.solution);
+  const lang::LoadedModel safety =
+      lang::load_model(model_path("smart_light_safety.tg"));
+  expect_prefixes_are_unions(*solve(safety.system, safety.purposes.at(0), 2));
 }
 
 }  // namespace

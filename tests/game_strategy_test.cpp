@@ -145,9 +145,9 @@ TEST_F(StrategyTest, StrategyPrintingIsStable) {
 
 TEST_F(StrategyTest, DecideIsSafeForConcurrentCallers) {
   // One strategy, many parallel executions (the campaign-service
-  // shape): every thread starts on a COLD action-region cache and
-  // decides the same states; all must agree with a serial baseline.
-  // Run under TSan in CI (game_ filter) to catch cache races.
+  // shape): every thread starts on a COLD region cache and decides the
+  // same states; all must agree with a serial baseline.  Run under
+  // TSan in CI (game_ filter) to catch cache races.
   std::vector<semantics::ConcreteState> states;
   auto s = sem_.initial();
   states.push_back(s);
@@ -159,14 +159,12 @@ TEST_F(StrategyTest, DecideIsSafeForConcurrentCallers) {
   for (const auto& state : states) {
     baseline.push_back(strategy_.decide(state, kScale));
   }
+  EXPECT_GT(strategy_.cached_region_bytes(), 0u);
 
-  // A freshly solved game: cold action-region cache for the race
-  // window (the cache lives on the GameSolution and solution_ is
-  // already warm from the baseline above).
-  Strategy fresh(GameSolver(light_.system,
-                            TestPurpose::parse(light_.system,
-                                               "control: A<> IUT.Bright"))
-                     .solve());
+  // The cache lives on the Strategy, so a fresh one over the same,
+  // already walked solution is cold for the race window.
+  const Strategy fresh(solution_);
+  ASSERT_EQ(fresh.cached_region_bytes(), 0u);
   constexpr int kThreads = 8;
   std::vector<std::vector<Move>> results(kThreads);
   std::vector<std::thread> workers;

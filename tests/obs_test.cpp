@@ -10,6 +10,9 @@
 //   * the metric counters the solver publishes equal SolverStats
 //     EXACTLY — same integers, not approximations — at 1 and 8
 //     threads;
+//   * memory attribution: decision::compile publishes the bytes it
+//     left materialized on the solution, and run_model --stats-json
+//     reports the process peak RSS;
 //   * histogram bucket boundaries follow `v <= bound` semantics at the
 //     exact edges;
 //   * a test run — reach or cooperative alike — emits one balanced
@@ -21,7 +24,10 @@
 // dimensions.)
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -422,6 +428,47 @@ TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {
     EXPECT_LE(metrics().counter("solver.fixpoint.gained_zones").value(),
               st.winning_zones);
   }
+}
+
+TEST(ObsMetrics, CompilePublishesMaterializedBytes) {
+  const auto solution = solve_lep(2);
+  enable_metrics();
+  metrics().reset();
+  const decision::DecisionTable table = decision::compile(*solution);
+  disable_metrics();
+  ASSERT_GT(table.key_count(), 0u);
+  const double bytes =
+      metrics().gauge("decision.compile.materialized_bytes").value();
+  // Compile touches every key, so every winning key is materialized.
+  EXPECT_GT(bytes, 0.0);
+  EXPECT_EQ(bytes, static_cast<double>(solution->materialized_bytes()));
+}
+
+TEST(ObsMetrics, StatsJsonReportsPeakRss) {
+  const std::string cmd = std::string(TIGAT_RUN_MODEL_BIN) + " solve " +
+                          TIGAT_MODEL_DIR + "/smart_light.tg --stats-json";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+    output.append(buf, got);
+  }
+  const int rc = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << output;
+  const std::size_t start = output.find("{\"schema\"");
+  ASSERT_NE(start, std::string::npos) << output;
+  JsonValue doc;
+  ASSERT_TRUE(JsonParser(output.substr(start)).parse(doc)) << output;
+  const JsonValue* gauges = doc.get("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const JsonValue* rss = gauges->get("process.peak_rss_bytes");
+  ASSERT_NE(rss, nullptr) << output;
+  // A running process holds at least its binary's pages; a Smart Light
+  // solve stays far below a gigabyte.
+  EXPECT_GT(rss->number, 1024.0 * 1024.0);
+  EXPECT_LT(rss->number, 1024.0 * 1024.0 * 1024.0);
 }
 
 TEST(ObsMetrics, SnapshotIsValidVersionedJson) {
