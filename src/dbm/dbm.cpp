@@ -16,37 +16,42 @@ std::string bound_to_string(raw_t raw) {
 
 Dbm::Dbm(std::uint32_t dim) : dim_(dim) {
   TIGAT_ASSERT(dim >= 1, "a DBM needs at least the reference clock");
-  if (dim_ > kInlineDim) heap_ = new raw_t[cells()];
+  if (on_heap()) heap_ = new raw_t[cells()];
   meter_add();
 }
 
 Dbm::Dbm(const Dbm& other) : dim_(other.dim_), empty_(other.empty_) {
-  if (dim_ > kInlineDim) heap_ = new raw_t[cells()];
-  std::memcpy(data(), other.data(), cells() * sizeof(raw_t));
+  if (on_heap()) {
+    heap_ = new raw_t[cells()];
+    std::memcpy(heap_, other.heap_, cells() * sizeof(raw_t));
+  } else {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+  }
   meter_add();
 }
 
 Dbm::Dbm(Dbm&& other) noexcept : dim_(other.dim_), empty_(other.empty_) {
-  if (dim_ > kInlineDim) {
-    heap_ = other.heap_;
-    other.heap_ = nullptr;
-  } else {
-    std::memcpy(inline_, other.inline_, cells() * sizeof(raw_t));
-  }
+  std::memcpy(inline_, other.inline_, sizeof(inline_));
   other.dim_ = 0;
 }
 
 Dbm& Dbm::operator=(const Dbm& other) {
   if (this == &other) return *this;
-  meter_sub();
-  if ((dim_ > kInlineDim) != (other.dim_ > kInlineDim) ||
-      (dim_ > kInlineDim && cells() != other.cells())) {
-    delete[] heap_;
-    heap_ = other.dim_ > kInlineDim ? new raw_t[other.cells()] : nullptr;
+  if (!other.on_heap()) {
+    if (on_heap()) delete[] heap_;
+    meter_sub();
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+  } else {
+    if (!on_heap() || cells() != other.cells()) {
+      raw_t* fresh = new raw_t[other.cells()];
+      if (on_heap()) delete[] heap_;
+      heap_ = fresh;
+    }
+    meter_sub();
+    std::memcpy(heap_, other.heap_, other.cells() * sizeof(raw_t));
   }
   dim_ = other.dim_;
   empty_ = other.empty_;
-  std::memcpy(data(), other.data(), cells() * sizeof(raw_t));
   meter_add();
   return *this;
 }
@@ -54,23 +59,17 @@ Dbm& Dbm::operator=(const Dbm& other) {
 Dbm& Dbm::operator=(Dbm&& other) noexcept {
   if (this == &other) return *this;
   meter_sub();
-  delete[] heap_;
-  heap_ = nullptr;
+  if (on_heap()) delete[] heap_;
   dim_ = other.dim_;
   empty_ = other.empty_;
-  if (dim_ > kInlineDim) {
-    heap_ = other.heap_;
-    other.heap_ = nullptr;
-  } else {
-    std::memcpy(inline_, other.inline_, cells() * sizeof(raw_t));
-  }
+  std::memcpy(inline_, other.inline_, sizeof(inline_));
   other.dim_ = 0;
   return *this;
 }
 
 Dbm::~Dbm() {
   meter_sub();
-  delete[] heap_;
+  if (on_heap()) delete[] heap_;
 }
 
 void Dbm::meter_add() const noexcept {
@@ -262,12 +261,13 @@ void Dbm::extrapolate_max_bounds(std::span<const bound_t> max_constants) {
   TIGAT_ASSERT(!empty_, "extrapolate on empty DBM");
   // Classical Extra_M (Behrmann, Bouyer, Fleury, Larsen).  All rules
   // read the ORIGINAL matrix, so decisions are taken on `before`.
-  raw_t before_inline[kInlineDim * kInlineDim];
+  // The copy sits on the stack up to dimension 8 (256 bytes).
+  raw_t before_stack[8 * 8];
   std::vector<raw_t> before_heap;
   const raw_t* before;
-  if (dim_ <= kInlineDim) {
-    std::memcpy(before_inline, data(), cells() * sizeof(raw_t));
-    before = before_inline;
+  if (cells() <= std::size(before_stack)) {
+    std::memcpy(before_stack, data(), cells() * sizeof(raw_t));
+    before = before_stack;
   } else {
     before_heap.assign(data(), data() + cells());
     before = before_heap.data();

@@ -15,15 +15,18 @@
 // Zones carry no location/data information; that pairing happens in
 // `semantics::SymbolicState`.
 //
-// Storage: matrices of dimension ≤ kInlineDim (8 clocks incl. the
-// reference) live inline in the object — no heap allocation at all.
-// Every case-study model of the paper fits (Smart Light: 4, LEP n=7:
-// 8), which removes the malloc/free pair per temporary zone that would
-// otherwise serialize the parallel solver on the allocator.  Larger
-// dimensions fall back to a heap block.
+// Storage: matrices of dimension ≤ kInlineDim (3 clocks plus the
+// reference) live inline in the object — no heap allocation at all —
+// in a 64-byte buffer that shares its bytes with the heap pointer, so
+// sizeof(Dbm) is 72.  Every model the repo ships fits (LEP at any N: 3,
+// Smart Light: 4), which removes the malloc/free pair per temporary
+// zone that would otherwise serialize the parallel solver on the
+// allocator, and keeps Fed vectors and pooled-zone decodes free of
+// padding.  Larger dimensions fall back to one heap block per zone.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -87,7 +90,7 @@ struct DelayInterval {
 class Dbm {
  public:
   // Largest dimension stored inline (no heap); see the file comment.
-  static constexpr std::uint32_t kInlineDim = 8;
+  static constexpr std::uint32_t kInlineDim = 4;
 
   // An empty-dimension Dbm is only useful as a moved-from shell.
   Dbm() = default;
@@ -100,6 +103,18 @@ class Dbm {
   // non-empty Dbm (e.g. dictionary-compressed storage, dbm/zone_pool.h).
   // No closure runs: the caller vouches the cells are canonical.
   static Dbm from_raw(std::uint32_t dim, const raw_t* cells);
+  // Same contract, row by row: `row_fn(r)` yields a pointer to the dim
+  // cells of row r, which are copied straight into the new zone's own
+  // storage (dbm::PooledFed decodes its dictionary rows this way).
+  template <typename RowFn>
+  static Dbm from_rows(std::uint32_t dim, RowFn&& row_fn) {
+    Dbm d(dim);
+    raw_t* m = d.data();
+    for (std::uint32_t r = 0; r < dim; ++r) {
+      std::memcpy(m + std::size_t{r} * dim, row_fn(r), dim * sizeof(raw_t));
+    }
+    return d;
+  }
 
   Dbm(const Dbm&);
   Dbm(Dbm&&) noexcept;
@@ -218,11 +233,10 @@ class Dbm {
   [[nodiscard]] std::size_t cells() const noexcept {
     return std::size_t{dim_} * dim_;
   }
-  [[nodiscard]] raw_t* data() noexcept {
-    return dim_ <= kInlineDim ? inline_ : heap_;
-  }
+  [[nodiscard]] bool on_heap() const noexcept { return dim_ > kInlineDim; }
+  [[nodiscard]] raw_t* data() noexcept { return on_heap() ? heap_ : inline_; }
   [[nodiscard]] const raw_t* data() const noexcept {
-    return dim_ <= kInlineDim ? inline_ : heap_;
+    return on_heap() ? heap_ : inline_;
   }
 
   void meter_add() const noexcept;
@@ -230,8 +244,13 @@ class Dbm {
 
   std::uint32_t dim_ = 0;
   bool empty_ = false;
-  raw_t* heap_ = nullptr;  // owned iff dim_ > kInlineDim
-  raw_t inline_[kInlineDim * kInlineDim];
+  union {
+    raw_t inline_[kInlineDim * kInlineDim];
+    raw_t* heap_;  // owned iff on_heap()
+  };
+  // inline_ spans the whole union, so copying it moves either storage
+  // kind: the cells of an inline zone or the pointer of a heap one.
+  static_assert(sizeof(inline_) >= sizeof(heap_));
 };
 
 // Z1 \ Z2 as a list of pairwise-disjoint, closed, non-empty zones.

@@ -198,13 +198,9 @@ void PooledFed::clear() {
 }
 
 Dbm PooledFed::zone(std::size_t i, const ZonePool& pool) const {
-  raw_t cells[64 * 64];
-  TIGAT_ASSERT(dim_ <= 64, "pooled storage caps the clock count at 64");
-  for (std::uint32_t r = 0; r < dim_; ++r) {
-    std::memcpy(cells + std::size_t{r} * dim_, pool.row(ids_[i * dim_ + r]),
-                dim_ * sizeof(raw_t));
-  }
-  return Dbm::from_raw(dim_, cells);
+  const ZonePool::RowId* ids = ids_.data() + i * dim_;
+  return Dbm::from_rows(dim_,
+                        [&](std::uint32_t r) { return pool.row(ids[r]); });
 }
 
 void PooledFed::materialize(Fed& out, const ZonePool& pool) const {

@@ -6,15 +6,17 @@
 // one shared dictionary; a PooledFed stores each member zone as dim
 // RowIds instead of a dim×dim matrix.  Extrapolation clamps every
 // stored bound into a small per-clock vocabulary, so large zone graphs
-// share rows massively: a dim-3 LEP zone shrinks from a 256-byte
-// inline Dbm (plus vector slot) to 12 bytes of ids, and the dictionary
-// itself stays tiny.  This is what makes LEP n = 6 strategy tables fit
+// share rows massively: a dim-3 LEP zone shrinks from a 72-byte Dbm
+// (36 bytes of cells) to 12 bytes of ids, and the dictionary itself
+// stays tiny.  This is what makes LEP n = 6 strategy tables fit
 // in CI-class memory.  It is the solver's only bulk zone storage: the
 // reach sets and exploration frontier (semantics::SymbolicGraph), the
 // fixpoint's loss cache and the solution's per-round gains
 // (game::GameSolution, whose pool starts as a copy of its graph's) all
-// hold row ids.  Zones of up to 64 clocks (reference clock included)
-// can be pooled.
+// hold row ids.  Decoding (zone(), materialize) copies each dictionary
+// row straight into the new Dbm's own cells (Dbm::from_rows), inline
+// or heap-backed alike.  Zones of up to 64 clocks (reference clock
+// included) can be pooled.
 //
 // Concurrency contract (matches the solving pipeline's fork-join
 // structure): intern_row() and every PooledFed mutator are SERIAL-ONLY
@@ -116,7 +118,7 @@ class PooledFed {
 
   void clear();
 
-  // Decodes member `i`.
+  // Decodes member `i`, row by row into the returned zone's storage.
   [[nodiscard]] Dbm zone(std::size_t i, const ZonePool& pool) const;
 
   // Decodes the whole federation into `out` (cleared first).  The

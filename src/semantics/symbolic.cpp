@@ -1,7 +1,6 @@
 #include "semantics/symbolic.h"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 
 #include "obs/progress.h"
@@ -15,7 +14,6 @@ namespace tigat::semantics {
 
 using dbm::Dbm;
 using dbm::Fed;
-using dbm::raw_t;
 using tsystem::ClockConstraint;
 using tsystem::Edge;
 
@@ -273,12 +271,9 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   std::vector<std::vector<Successor>> expanded;
   // Decodes frontier zone i.
   const auto wave_zone_at = [&](std::size_t i) {
-    raw_t cells[64 * 64];
-    for (std::uint32_t r = 0; r < dim; ++r) {
-      std::memcpy(cells + std::size_t{r} * dim,
-                  pool_.row(wave_rows[i * dim + r]), dim * sizeof(raw_t));
-    }
-    return Dbm::from_raw(dim, cells);
+    return Dbm::from_rows(dim, [&](std::uint32_t r) {
+      return pool_.row(wave_rows[i * dim + r]);
+    });
   };
 
   const util::Stopwatch watch;

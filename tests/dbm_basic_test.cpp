@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/memory_meter.h"
 
 namespace tigat::dbm {
 namespace {
@@ -272,6 +275,171 @@ TEST(Dbm, HashDiscriminatesAndAgrees) {
   EXPECT_TRUE(a == b);
   EXPECT_NE(a.hash(), c.hash());
   EXPECT_FALSE(a == c);
+}
+
+
+// ── value semantics across the inline/heap boundary ─────────────────
+//
+// Zones up to Dbm::kInlineDim live in the object, larger ones in one
+// heap block that shares the object's bytes with the inline cells.
+// Every special member must handle each inline/heap pairing, keep the
+// zone meter balanced and leave a moved-from object that frees nothing
+// (the ASan+UBSan CI job runs this file).
+
+// The object holds dimension ≤ 4 inline; its size follows.
+static_assert(sizeof(Dbm) <= 72);
+static_assert(Dbm::kInlineDim == 4);
+
+// A closed zone over `dim` clocks whose cells depend on `seed`: x_k ≤
+// seed + k for every clock k.  Two samples of one dimension (above 1)
+// are equal iff their seeds are.
+Dbm sample(std::uint32_t dim, bound_t seed) {
+  Dbm z = Dbm::universal(dim);
+  for (std::uint32_t k = 1; k < dim; ++k) {
+    EXPECT_TRUE(z.constrain(k, 0, make_weak(seed + static_cast<bound_t>(k))));
+  }
+  return z;
+}
+
+// Zone bytes metered since `base`, as the calling thread sees them.
+std::int64_t metered_since(std::size_t base) {
+  return static_cast<std::int64_t>(util::zone_memory().current()) -
+         static_cast<std::int64_t>(base);
+}
+
+std::int64_t cell_bytes(std::uint32_t dim) {
+  return static_cast<std::int64_t>(dim) * dim * sizeof(raw_t);
+}
+
+constexpr std::uint32_t kBoundaryDims[] = {1, 3, 4, 5, 8, 9};
+
+TEST(DbmStorage, ConstructionCopiesAndMovesEveryDimension) {
+  const std::size_t base = util::zone_memory().current();
+  for (const std::uint32_t dim : kBoundaryDims) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    {
+      const Dbm ref = sample(dim, 3);
+      Dbm src = sample(dim, 3);
+      const Dbm copy(src);
+      EXPECT_TRUE(copy == ref);
+      EXPECT_TRUE(src == ref);
+      EXPECT_EQ(metered_since(base), 3 * cell_bytes(dim));
+
+      const Dbm moved(std::move(src));
+      EXPECT_TRUE(moved == ref);
+      EXPECT_EQ(src.dimension(), 0u);
+      EXPECT_EQ(src.memory_bytes(), 0u);
+      // The moved-from shell is no longer metered; the moved-to zone is.
+      EXPECT_EQ(metered_since(base), 3 * cell_bytes(dim));
+    }
+    EXPECT_EQ(metered_since(base), 0);
+  }
+  EXPECT_EQ(util::zone_memory().current(), base);
+}
+
+TEST(DbmStorage, AssignmentsInEveryPairing) {
+  const std::size_t base = util::zone_memory().current();
+  // Every (from, to) pair of boundary dimensions, among them 4→5, 5→4,
+  // 5→5, 5→9 and 9→5: inline→heap, heap→inline, heap→heap of equal
+  // and of different size.
+  for (const std::uint32_t from : kBoundaryDims) {
+    for (const std::uint32_t to : kBoundaryDims) {
+      SCOPED_TRACE("from=" + std::to_string(from) +
+                   " to=" + std::to_string(to));
+      {
+        const Dbm ref = sample(from, 7);
+        Dbm copied = sample(to, 2);
+        copied = ref;
+        EXPECT_TRUE(copied == ref);
+        EXPECT_EQ(copied.dimension(), from);
+        EXPECT_EQ(metered_since(base), 2 * cell_bytes(from));
+
+        Dbm src = sample(from, 7);
+        Dbm moved = sample(to, 2);
+        moved = std::move(src);
+        EXPECT_TRUE(moved == ref);
+        EXPECT_EQ(src.dimension(), 0u);
+        EXPECT_EQ(metered_since(base), 3 * cell_bytes(from));
+
+        // Copy-assigning a zone that is then overwritten leaves both
+        // independent: the storage is not shared.
+        Dbm other = sample(from, 9);
+        other = copied;
+        other.up();
+        EXPECT_TRUE(copied == ref);
+      }
+      EXPECT_EQ(metered_since(base), 0);
+    }
+  }
+  EXPECT_EQ(util::zone_memory().current(), base);
+}
+
+TEST(DbmStorage, SelfAssignmentKeepsTheZone) {
+  const std::size_t base = util::zone_memory().current();
+  for (const std::uint32_t dim : kBoundaryDims) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    {
+      const Dbm ref = sample(dim, 5);
+      Dbm z = sample(dim, 5);
+      Dbm& alias = z;  // hides the self-assignment from the compiler
+      z = alias;
+      EXPECT_TRUE(z == ref);
+      z = std::move(alias);
+      EXPECT_TRUE(z == ref);
+      EXPECT_EQ(metered_since(base), 2 * cell_bytes(dim));
+    }
+    EXPECT_EQ(metered_since(base), 0);
+  }
+  EXPECT_EQ(util::zone_memory().current(), base);
+}
+
+TEST(DbmStorage, MovedFromObjectsAcceptAssignment) {
+  const std::size_t base = util::zone_memory().current();
+  for (const std::uint32_t shell_dim : kBoundaryDims) {
+    for (const std::uint32_t dim : kBoundaryDims) {
+      SCOPED_TRACE("shell=" + std::to_string(shell_dim) +
+                   " dim=" + std::to_string(dim));
+      {
+        const Dbm ref = sample(dim, 4);
+        Dbm shell = sample(shell_dim, 1);
+        const Dbm keep(std::move(shell));
+        shell = ref;  // copy into the moved-from object
+        EXPECT_TRUE(shell == ref);
+
+        Dbm shell2 = sample(shell_dim, 1);
+        const Dbm keep2(std::move(shell2));
+        Dbm src = sample(dim, 4);
+        shell2 = std::move(src);  // move into the moved-from object
+        EXPECT_TRUE(shell2 == ref);
+
+        // A moved-from object also moves and copies as an empty shell.
+        Dbm empty_shell = std::move(src);
+        EXPECT_EQ(empty_shell.dimension(), 0u);
+        Dbm empty_copy(empty_shell);
+        EXPECT_EQ(empty_copy.dimension(), 0u);
+        EXPECT_EQ(metered_since(base),
+                  3 * cell_bytes(dim) + 2 * cell_bytes(shell_dim));
+      }
+      EXPECT_EQ(metered_since(base), 0);
+    }
+  }
+  EXPECT_EQ(util::zone_memory().current(), base);
+}
+
+TEST(DbmStorage, FromRowsMatchesFromRaw) {
+  for (const std::uint32_t dim : kBoundaryDims) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const Dbm ref = sample(dim, 6);
+    std::vector<raw_t> cells(std::size_t{dim} * dim);
+    for (std::uint32_t i = 0; i < dim; ++i) {
+      for (std::uint32_t j = 0; j < dim; ++j) cells[i * dim + j] = ref.at(i, j);
+    }
+    EXPECT_TRUE(Dbm::from_raw(dim, cells.data()) == ref);
+    const Dbm rows = Dbm::from_rows(dim, [&](std::uint32_t r) {
+      return cells.data() + std::size_t{r} * dim;
+    });
+    EXPECT_TRUE(rows == ref);
+  }
 }
 
 }  // namespace

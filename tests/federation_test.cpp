@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/grid_oracle.h"
 #include "util/rng.h"
 
@@ -118,6 +120,41 @@ TEST(Fed, UpDownOverUnions) {
   const Fed u = f.up();
   EXPECT_TRUE(u.contains_point({0, 100}));
   EXPECT_FALSE(u.contains_point({0, 1}));
+}
+
+// heap_bytes() counts the zone vector's slots (capacity × sizeof(Dbm))
+// plus the matrix of every zone too large to live inline, i.e. of
+// dimension 5 and above.
+TEST(Fed, HeapBytesCountSlotsAndHeapMatrices) {
+  for (std::uint32_t dim = 2; dim <= 9; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const std::size_t matrix =
+        dim > Dbm::kInlineDim ? std::size_t{dim} * dim * sizeof(raw_t) : 0;
+    EXPECT_EQ(Fed(dim).heap_bytes(), 0u);
+    EXPECT_EQ(Fed(Dbm::universal(dim)).heap_bytes(), sizeof(Dbm) + matrix);
+  }
+  // Equal vector histories give equal capacities, so the byte counts of
+  // same-size federations differ by exactly the heap matrices.
+  constexpr std::size_t kZones = 5;
+  const auto grown = [](std::uint32_t dim) {
+    Fed f(dim);
+    for (std::size_t z = 0; z < kZones; ++z) {
+      f.append_raw(interval(dim, 1, static_cast<bound_t>(3 * z),
+                            static_cast<bound_t>(3 * z + 1)));
+    }
+    return f;
+  };
+  const Fed base = grown(3);
+  EXPECT_EQ(base.heap_bytes() % sizeof(Dbm), 0u);
+  EXPECT_GE(base.heap_bytes(), kZones * sizeof(Dbm));
+  EXPECT_EQ(grown(4).heap_bytes(), base.heap_bytes());
+  EXPECT_EQ(grown(6).heap_bytes(),
+            base.heap_bytes() + kZones * 36 * sizeof(raw_t));
+  for (std::uint32_t dim = 5; dim <= 8; ++dim) {
+    EXPECT_EQ(grown(dim).heap_bytes(),
+              base.heap_bytes() + kZones * dim * dim * sizeof(raw_t))
+        << "dim=" << dim;
+  }
 }
 
 // Randomized: federation algebra against the grid oracle.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "dbm/zone_pool.h"
@@ -141,6 +142,39 @@ TEST(ZonePool, AssignRoundTripsArbitraryFeds) {
     ASSERT_EQ(back.size(), fed.size());
     for (std::size_t m = 0; m < fed.size(); ++m) {
       EXPECT_TRUE(back.zones()[m] == fed.zones()[m]) << "member " << m;
+    }
+  }
+}
+
+// Decoding writes pooled rows straight into the zone's own storage:
+// inline up to Dbm::kInlineDim (3, 4), one heap block above (5, 9).
+// zone(i) and materialize must both reproduce the reference Fed bit
+// for bit, member by member and in order, on either path.
+TEST(ZonePool, DecodeRoundTripsOnBothStoragePaths) {
+  for (const std::uint32_t dim : {3u, 4u, 5u, 9u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    util::Rng rng(17 + dim);
+    ZonePool pool(dim);
+    for (int trial = 0; trial < 10; ++trial) {
+      Fed fed(dim);
+      PooledFed pooled(dim);
+      for (int i = 0; i < 12; ++i) {
+        const Dbm z = random_zone(rng, dim);
+        fed.add(z);
+        pooled.add(z, pool);
+      }
+      ASSERT_EQ(pooled.size(), fed.size());
+      Fed materialized(dim);
+      pooled.materialize(materialized, pool);
+      ASSERT_EQ(materialized.size(), fed.size());
+      for (std::size_t m = 0; m < fed.size(); ++m) {
+        const Dbm decoded = pooled.zone(m, pool);
+        EXPECT_EQ(decoded.dimension(), dim);
+        EXPECT_TRUE(decoded == fed.zones()[m])
+            << "trial " << trial << " member " << m;
+        EXPECT_TRUE(materialized.zones()[m] == fed.zones()[m])
+            << "trial " << trial << " member " << m;
+      }
     }
   }
 }
