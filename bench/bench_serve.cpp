@@ -13,9 +13,16 @@
 //   * decide_p99_ns        — server-side decide latency p99 from the
 //                            decide.latency_ns histogram.
 //
+// Each throughput runs for at least 0.5 s, --reps times; the figure is
+// the median of the repetitions and `<name>_spread` their quartile
+// distance over that median.
+//
 //   bench_serve [--threads=N] [--states=K] [--batch=B] [--reps=R]
 //               [--socket=PATH]   # drive an external daemon instead
 //               [--json[=PATH]]   # gated by tools/bench_gate.py
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +45,7 @@
 namespace {
 
 constexpr std::int64_t kScale = 16;
+constexpr double kMinSeconds = 0.5;  // per repetition of a throughput
 
 using tigat::semantics::ConcreteState;
 
@@ -67,6 +75,65 @@ std::vector<ConcreteState> fuzz_states(const tigat::game::GameSolution& sol,
   return out;
 }
 
+// Runs `worker(stop)` on `threads` threads for at least kMinSeconds:
+// each worker loops until `stop` is set and returns the operations it
+// completed.  Returns operations per second over the whole run.
+template <class Worker>
+double timed_rate(unsigned threads, const Worker& worker) {
+  std::atomic<bool> stop{false};
+  std::vector<std::size_t> ops(threads, 0);
+  std::vector<std::thread> pool;
+  tigat::util::Stopwatch watch;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] { ops[t] = worker(stop); });
+  }
+  std::this_thread::sleep_for(std::chrono::duration<double>(kMinSeconds));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : pool) t.join();
+  const double secs = watch.seconds();
+  double total = 0.0;
+  for (const std::size_t n : ops) total += static_cast<double>(n);
+  return total / secs;
+}
+
+// The median of `rates` and their spread: the distance between the
+// quartiles over the median.
+struct Summary {
+  double median = 0.0;
+  double spread = 0.0;
+};
+
+Summary summarize(std::vector<double> rates) {
+  std::sort(rates.begin(), rates.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(rates.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, rates.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return rates[lo] + (rates[hi] - rates[lo]) * frac;
+  };
+  Summary s;
+  s.median = quantile(0.5);
+  if (s.median > 0) s.spread = (quantile(0.75) - quantile(0.25)) / s.median;
+  return s;
+}
+
+// Repeats `worker` reps times under timed_rate and records the median
+// rate as `name` and its spread as `name_spread`.
+template <class Worker>
+Summary measure(tigat::benchio::BenchReport& report,
+                const std::string& name, unsigned threads, std::size_t reps,
+                const Worker& worker) {
+  std::vector<double> rates;
+  for (std::size_t r = 0; r < reps; ++r) {
+    rates.push_back(timed_rate(threads, worker));
+  }
+  const Summary s = summarize(std::move(rates));
+  report.root().set(name, s.median);
+  report.root().set(name + "_spread", s.spread);
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,7 +143,7 @@ int main(int argc, char** argv) {
   unsigned threads = 8;
   std::size_t states_n = 512;
   std::size_t batch = 64;
-  std::size_t reps = 40;  // per-thread passes over the state vector
+  std::size_t reps = 5;  // repetitions of each throughput
   std::string external_socket;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
@@ -92,6 +159,7 @@ int main(int argc, char** argv) {
     }
   }
   if (threads == 0) threads = 1;
+  if (reps == 0) reps = 1;
 
   // ── solve + save the Smart Light table ──
   const auto light = models::make_smart_light();
@@ -124,28 +192,24 @@ int main(int argc, char** argv) {
 
   // ── direct N-thread decide throughput over the mapped table ──
   {
-    std::vector<std::thread> pool;
-    util::Stopwatch watch;
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        std::int64_t sink = 0;
-        for (std::size_t r = 0; r < reps; ++r) {
-          for (const ConcreteState& s : states) {
-            sink += static_cast<std::int64_t>(table.decide(s, kScale).kind);
+    const Summary direct = measure(
+        report, "decide_per_s", threads, reps,
+        [&](const std::atomic<bool>& stop) {
+          std::size_t done = 0;
+          std::int64_t sink = 0;
+          while (!stop.load(std::memory_order_relaxed)) {
+            for (const ConcreteState& s : states) {
+              sink += static_cast<std::int64_t>(table.decide(s, kScale).kind);
+            }
+            done += states.size();
           }
-        }
-        // Defeat dead-code elimination without atomics in the loop.
-        if (sink == -1) std::abort();
-      });
-    }
-    for (auto& t : pool) t.join();
-    const double secs = watch.seconds();
-    const double total = static_cast<double>(threads) *
-                         static_cast<double>(reps) *
-                         static_cast<double>(states.size());
-    report.root().set("decide_per_s", total / secs);
-    std::printf("direct decide: %.0f/s aggregate (%u threads, %.3f s)\n",
-                total / secs, threads, secs);
+          // Defeat dead-code elimination without atomics in the loop.
+          if (sink == -1) std::abort();
+          return done;
+        });
+    std::printf("direct decide: %.0f/s aggregate (%u threads, median of "
+                "%zu x %.1f s, spread %.3f)\n",
+                direct.median, threads, reps, kMinSeconds, direct.spread);
   }
 
   // ── socket throughput: pipelining clients against the daemon ──
@@ -159,44 +223,31 @@ int main(int argc, char** argv) {
     server->start();
   }
   {
-    std::vector<std::thread> pool;
-    util::Stopwatch watch;
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        serve::Client client = serve::Client::connect(socket_path);
-        std::size_t in_flight = 0, replies_at = 0;
-        const auto drain = [&](std::size_t upto) {
-          while (replies_at < upto) {
-            (void)client.read_move();
-            ++replies_at;
-          }
-        };
-        std::size_t sent = 0;
-        for (std::size_t r = 0; r < reps; ++r) {
-          for (const ConcreteState& s : states) {
-            client.send_decide(s, kScale);
-            ++sent;
-            if (++in_flight == batch) {
+    const Summary socket = measure(
+        report, "socket_decide_per_s", threads, reps,
+        [&](const std::atomic<bool>& stop) {
+          serve::Client client = serve::Client::connect(socket_path);
+          std::size_t done = 0;
+          while (!stop.load(std::memory_order_relaxed)) {
+            for (std::size_t at = 0; at < states.size(); at += batch) {
+              const std::size_t end = std::min(at + batch, states.size());
+              for (std::size_t i = at; i < end; ++i) {
+                client.send_decide(states[i], kScale);
+              }
               client.flush();
-              drain(sent);
-              in_flight = 0;
+              for (std::size_t i = at; i < end; ++i) {
+                (void)client.read_move();
+              }
             }
+            done += states.size();
           }
-        }
-        client.flush();
-        drain(sent);
-      });
-    }
-    for (auto& t : pool) t.join();
-    const double secs = watch.seconds();
-    const double total = static_cast<double>(threads) *
-                         static_cast<double>(reps) *
-                         static_cast<double>(states.size());
-    report.root().set("socket_decide_per_s", total / secs);
+          return done;
+        });
     report.root().set("batch", batch);
     std::printf("socket decide: %.0f/s aggregate (%u clients, batch %zu, "
-                "%.3f s)\n",
-                total / secs, threads, batch, secs);
+                "median of %zu x %.1f s, spread %.3f)\n",
+                socket.median, threads, batch, reps, kMinSeconds,
+                socket.spread);
   }
   const auto& latency =
       obs::metrics().histogram("decide.latency_ns", obs::latency_buckets_ns());

@@ -25,8 +25,7 @@ Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       hello_(other.hello_),
       send_buffer_(std::move(other.send_buffer_)),
-      recv_buffer_(std::move(other.recv_buffer_)),
-      recv_at_(std::exchange(other.recv_at_, 0)) {}
+      recv_(std::exchange(other.recv_, {})) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -34,8 +33,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     hello_ = other.hello_;
     send_buffer_ = std::move(other.send_buffer_);
-    recv_buffer_ = std::move(other.recv_buffer_);
-    recv_at_ = std::exchange(other.recv_at_, 0);
+    recv_ = std::exchange(other.recv_, {});
   }
   return *this;
 }
@@ -46,8 +44,7 @@ void Client::close() {
     fd_ = -1;
   }
   send_buffer_.clear();
-  recv_buffer_.clear();
-  recv_at_ = 0;
+  recv_.clear();
 }
 
 Client Client::connect(const std::string& socket_path) {
@@ -72,25 +69,16 @@ Client Client::connect(const std::string& socket_path) {
   return client;
 }
 
-std::vector<std::uint8_t> Client::read_frame() {
+std::span<const std::uint8_t> Client::read_frame() {
   for (;;) {
     try {
-      const auto frame =
-          next_frame(std::span<const std::uint8_t>(recv_buffer_), recv_at_);
-      if (frame) {
-        std::vector<std::uint8_t> payload(frame->begin(), frame->end());
-        if (recv_at_ == recv_buffer_.size()) {
-          recv_buffer_.clear();
-          recv_at_ = 0;
-        }
-        return payload;
-      }
+      if (const auto frame = recv_.next_frame()) return *frame;
     } catch (const ProtocolError&) {
       close();
       throw;
     }
-    std::uint8_t buffer[1 << 16];
-    const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+    const std::span<std::uint8_t> space = recv_.space();
+    const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       raise("recv");
@@ -99,13 +87,13 @@ std::vector<std::uint8_t> Client::read_frame() {
       close();
       throw ProtocolError("server closed the connection");
     }
-    recv_buffer_.insert(recv_buffer_.end(), buffer, buffer + n);
+    recv_.commit(static_cast<std::size_t>(n));
   }
 }
 
 void Client::send_decide(const semantics::ConcreteState& state,
                          std::int64_t scale) {
-  append_frame(send_buffer_, encode_decide_request(state, scale));
+  append_decide_request(send_buffer_, state, scale);
 }
 
 void Client::flush() {
@@ -130,15 +118,14 @@ game::Move Client::read_move() {
 game::Move Client::decide(const semantics::ConcreteState& state,
                           std::int64_t scale) {
   send_decide(state, scale);
-  flush();
-  return decode_move_reply(read_frame());
+  return read_move();
 }
 
 void Client::ping() {
   const std::uint8_t op = kOpPing;
   append_frame(send_buffer_, std::span<const std::uint8_t>(&op, 1));
   flush();
-  const std::vector<std::uint8_t> reply = read_frame();
+  const std::span<const std::uint8_t> reply = read_frame();
   if (reply.size() != 1 || reply[0] != kStatusOk) {
     throw ProtocolError("bad ping reply");
   }
@@ -148,12 +135,11 @@ Hello Client::info() {
   const std::uint8_t op = kOpInfo;
   append_frame(send_buffer_, std::span<const std::uint8_t>(&op, 1));
   flush();
-  const std::vector<std::uint8_t> reply = read_frame();
+  const std::span<const std::uint8_t> reply = read_frame();
   if (reply.empty() || reply[0] != kStatusOk) {
     throw ProtocolError("bad info reply");
   }
-  return decode_hello(
-      std::span<const std::uint8_t>(reply.data() + 1, reply.size() - 1));
+  return decode_hello(reply.subspan(1));
 }
 
 }  // namespace tigat::serve

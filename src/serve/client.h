@@ -6,11 +6,14 @@
 // the first request.  decide() is the simple call-response form;
 // send_decide()/read_move() split the two halves so callers can
 // pipeline a window of requests per syscall batch — the server
-// guarantees in-order replies.  One Client is one socket and is not
+// guarantees in-order replies.  Requests are written straight into the
+// send buffer and replies decoded where recv() left them, so a warm
+// round trip allocates nothing.  One Client is one socket and is not
 // thread-safe; spawn one per client thread.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,14 +59,21 @@ class Client {
 
   void close();
 
+  // Bytes held by the receive buffer; stays bounded on an endless
+  // pipelined stream.
+  [[nodiscard]] std::size_t receive_buffer_bytes() const {
+    return recv_.capacity();
+  }
+
  private:
-  [[nodiscard]] std::vector<std::uint8_t> read_frame();
+  // The next reply payload, read into and left in the receive buffer:
+  // valid until the next read.
+  [[nodiscard]] std::span<const std::uint8_t> read_frame();
 
   int fd_ = -1;
   Hello hello_;
   std::vector<std::uint8_t> send_buffer_;
-  std::vector<std::uint8_t> recv_buffer_;
-  std::size_t recv_at_ = 0;
+  RecvBuffer recv_;
 };
 
 }  // namespace tigat::serve

@@ -26,8 +26,16 @@
 // length + UTF-8 reason, after which the server closes the connection
 // — desync recovery inside one stream is not attempted.
 //
-// Everything here is transport-free encode/decode over byte vectors;
-// serve/server.h and serve/client.h own the sockets.
+// Everything here is transport-free and works in place.  The append_*
+// writers size a frame, grow the caller's send buffer once and write
+// the length prefix and payload straight into it; locs and clocks are
+// copied as whole arrays.  The decoders read words with memcpy from
+// the bytes where they lie, so a payload span into a RecvBuffer (the
+// receive side: sockets recv straight into it) is decoded without a
+// copy.  encode_* return one payload (no length prefix) in a fresh
+// vector, written by the same writer as the matching append_*.  Words
+// are little-endian on any host.  serve/server.h and serve/client.h own
+// the sockets.
 #pragma once
 
 #include <cstdint>
@@ -92,11 +100,48 @@ void append_frame(std::vector<std::uint8_t>& out,
 [[nodiscard]] std::optional<std::span<const std::uint8_t>> next_frame(
     std::span<const std::uint8_t> in, std::size_t& at);
 
-// ── payload codecs (no length prefix; compose with append_frame) ────
+// The receive side of one connection: a socket recv()s straight into
+// space(), and next_frame() hands out payloads where they lie.  A
+// payload stays valid until the next space() call.  Consumed bytes are
+// dropped by moving the unparsed tail to the front when the free space
+// runs short, so however long the stream runs the buffer stays at its
+// initial 16 KiB unless one frame needs more.
+class RecvBuffer {
+ public:
+  // At least kMinSpace free bytes past the received ones.
+  [[nodiscard]] std::span<std::uint8_t> space();
+  // Marks `n` bytes of space() as received.
+  void commit(std::size_t n) { end_ += n; }
+  // next_frame() over the received, unparsed bytes.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> next_frame() {
+    return serve::next_frame(
+        std::span<const std::uint8_t>(bytes_.data(), end_), at_);
+  }
+  void clear() { at_ = end_ = 0; }
+  // Bytes the buffer holds, received or free.
+  [[nodiscard]] std::size_t capacity() const { return bytes_.size(); }
+
+  static constexpr std::size_t kMinSpace = 4u << 10;
+  static constexpr std::size_t kInitialBytes = 16u << 10;
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t at_ = 0;   // parsed prefix
+  std::size_t end_ = 0;  // received prefix
+};
+
+// ── payload codecs ──────────────────────────────────────────────────
+//
+// append_* write one whole frame (length prefix + payload) at the end
+// of `out`, growing it once.  encode_* return the bare payload, for
+// append_frame or for tests and benchmarks.
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const Hello& hello);
 [[nodiscard]] Hello decode_hello(std::span<const std::uint8_t> payload);
 
+void append_decide_request(std::vector<std::uint8_t>& out,
+                           const semantics::ConcreteState& state,
+                           std::int64_t scale);
 [[nodiscard]] std::vector<std::uint8_t> encode_decide_request(
     const semantics::ConcreteState& state, std::int64_t scale);
 // Decodes a kDecide body (everything after the op byte) into `state`
@@ -105,6 +150,8 @@ void decode_decide_request(std::span<const std::uint8_t> body,
                            semantics::ConcreteState& state,
                            std::int64_t& scale);
 
+void append_move_reply(std::vector<std::uint8_t>& out,
+                       const game::Move& move);
 [[nodiscard]] std::vector<std::uint8_t> encode_move_reply(
     const game::Move& move);
 [[nodiscard]] game::Move decode_move_reply(

@@ -33,8 +33,7 @@ constexpr std::size_t kMaxOutputBacklog = 64u << 20;
 // One connection, owned by exactly one worker thread (no locking).
 struct Connection {
   int fd = -1;
-  std::vector<std::uint8_t> in;
-  std::size_t in_at = 0;  // parsed prefix of `in`
+  RecvBuffer in;  // recv() writes here; requests decode in place
   std::vector<std::uint8_t> out;
   std::size_t out_at = 0;  // flushed prefix of `out`
   bool want_write = false;
@@ -158,6 +157,8 @@ void Server::run_worker(Worker& worker) {
   obs::Counter* err_counter =
       metrics ? &obs::metrics().counter("serve.errors") : nullptr;
 
+  // The hello frame every connection starts with, and the info reply
+  // (the same body behind an ok status), encoded once.
   const std::vector<std::uint8_t> hello_payload = encode_hello({
       kProtoVersion,
       table_->fingerprint(),
@@ -166,6 +167,18 @@ void Server::run_worker(Worker& worker) {
       static_cast<std::uint32_t>(table_->view().slot_count()),
       table_->purpose_kind(),
   });
+  std::vector<std::uint8_t> hello_frame, info_frame;
+  append_frame(hello_frame, hello_payload);
+  {
+    std::vector<std::uint8_t> info_payload{kStatusOk};
+    info_payload.insert(info_payload.end(), hello_payload.begin(),
+                        hello_payload.end());
+    append_frame(info_frame, info_payload);
+  }
+  const auto append_bytes = [](std::vector<std::uint8_t>& out,
+                               const std::vector<std::uint8_t>& bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  };
 
   const auto drop = [&](int fd) {
     ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
@@ -209,15 +222,16 @@ void Server::run_worker(Worker& worker) {
     return conn.out.size() <= kMaxOutputBacklog;
   };
 
-  // Parses and answers every complete frame buffered on `conn`.
-  // False = protocol violation (connection must close after the error
-  // reply drains as far as one flush can take it).
+  // Parses and answers every complete frame buffered on `conn`,
+  // appending the replies to conn.out.  False = protocol violation
+  // (connection must close after the error reply drains as far as one
+  // flush can take it).
   const auto process = [&](Connection& conn) {
     bool ok = true;
     while (ok) {
       std::optional<std::span<const std::uint8_t>> frame;
       try {
-        frame = next_frame(conn.in, conn.in_at);
+        frame = conn.in.next_frame();
       } catch (const ProtocolError& e) {
         const auto reply = encode_error_reply(e.what());
         append_frame(conn.out, reply);
@@ -251,8 +265,7 @@ void Server::run_worker(Worker& worker) {
             ok = false;
             break;
           }
-          const game::Move move = table_->decide(conn.state, scale);
-          append_frame(conn.out, encode_move_reply(move));
+          append_move_reply(conn.out, table_->decide(conn.state, scale));
           break;
         }
         case kOpPing: {
@@ -260,35 +273,19 @@ void Server::run_worker(Worker& worker) {
           append_frame(conn.out, std::span<const std::uint8_t>(&okb, 1));
           break;
         }
-        case kOpInfo: {
-          std::vector<std::uint8_t> reply;
-          reply.reserve(1 + hello_payload.size());
-          reply.push_back(kStatusOk);
-          reply.insert(reply.end(), hello_payload.begin(),
-                       hello_payload.end());
-          append_frame(conn.out, reply);
+        case kOpInfo:
+          append_bytes(conn.out, info_frame);
           break;
-        }
         default:
           append_frame(conn.out, encode_error_reply("unknown op"));
           ok = false;
           break;
       }
     }
-    // Shed the parsed prefix of the input buffer.
-    if (conn.in_at == conn.in.size()) {
-      conn.in.clear();
-      conn.in_at = 0;
-    } else if (conn.in_at > (16u << 10)) {
-      conn.in.erase(conn.in.begin(),
-                    conn.in.begin() + static_cast<std::ptrdiff_t>(conn.in_at));
-      conn.in_at = 0;
-    }
     return ok;
   };
 
   epoll_event events[64];
-  std::uint8_t read_buffer[1 << 16];
   while (running_.load(std::memory_order_relaxed)) {
     const int ready =
         ::epoll_wait(worker.epoll_fd, events, 64, /*timeout ms=*/500);
@@ -306,7 +303,7 @@ void Server::run_worker(Worker& worker) {
           if (client < 0) break;  // EAGAIN: another worker won the race
           Connection conn;
           conn.fd = client;
-          append_frame(conn.out, hello_payload);
+          append_bytes(conn.out, hello_frame);
           epoll_event ev = {};
           ev.events = EPOLLIN;
           ev.data.fd = client;
@@ -328,34 +325,23 @@ void Server::run_worker(Worker& worker) {
       if (events[e].events & (EPOLLHUP | EPOLLERR)) {
         alive = false;
       }
-      if (alive && (events[e].events & EPOLLIN)) {
-        for (;;) {
-          const ssize_t n = ::recv(fd, read_buffer, sizeof(read_buffer), 0);
-          if (n > 0) {
-            conn.in.insert(conn.in.end(), read_buffer, read_buffer + n);
-            if (conn.in.size() - conn.in_at >
-                kMaxFrameBytes + std::size_t{64}) {
-              // A frame this incomplete can never finish legally.
-              alive = false;
-              break;
-            }
-            continue;
-          }
-          if (n == 0) {
-            alive = false;  // orderly shutdown from the client
-            break;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          alive = false;
+      // Each recv lands in the connection's buffer and is answered
+      // before the next one, so at most one partial frame stays
+      // buffered (next_frame rejects a length past kMaxFrameBytes).
+      while (alive && (events[e].events & EPOLLIN)) {
+        const std::span<std::uint8_t> space = conn.in.space();
+        const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (n <= 0) {
+          alive = false;  // orderly shutdown from the client, or an error
           break;
         }
-        if (alive) {
-          if (!process(conn)) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            if (err_counter) err_counter->add(1);
-            flush(conn);  // best-effort error reply
-            alive = false;
-          }
+        conn.in.commit(static_cast<std::size_t>(n));
+        if (!process(conn)) {
+          errors_.fetch_add(1, std::memory_order_relaxed);
+          if (err_counter) err_counter->add(1);
+          flush(conn);  // best-effort error reply
+          alive = false;
         }
       }
       if (alive && !flush(conn)) alive = false;

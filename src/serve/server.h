@@ -9,6 +9,13 @@
 // shared-nothing data path: the only cross-thread state is the
 // listening socket and the atomic stats below.
 //
+// The data path copies no payload: each recv() lands in the
+// connection's RecvBuffer, a decide request decodes from there into a
+// per-connection scratch state, and the reply is written straight into
+// the connection's output buffer, so a warm request allocates nothing.
+// Every recv is answered before the next, so at most one partial frame
+// stays buffered on the input side.
+//
 // Responses are written in request order per connection, and clients
 // may pipeline arbitrarily many requests; when a client stops reading,
 // the per-connection output buffer absorbs the burst and the worker

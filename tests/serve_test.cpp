@@ -2,7 +2,8 @@
 // decide() of the in-process DecisionTable — same Move, every state,
 // every client, under pipelining and under concurrency.  Plus the
 // protocol edges (hello identity, ping/info, malformed frames closing
-// the stream with kBadRequest) and the daemon binary end to end
+// the stream with kBadRequest, a client's receive buffer staying
+// bounded on a long chunked stream) and the daemon binary end to end
 // (serve/info subcommands, signal shutdown, exit taxonomy).
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -280,6 +282,78 @@ TEST(Serve, MalformedFramesGetBadRequestAndClose) {
     expect_rejected(std::move(wire), "oversized frame");
   }
   EXPECT_GT(served.server.errors_total(), 0u);
+}
+
+// A long pipelined stream whose recv boundaries fall mid-frame: a fake
+// server sends the hello and then thousands of replies, each send
+// ending 7 bytes into a reply, so no recv ever ends on a frame
+// boundary.  Every move decodes, and the client's receive buffer does
+// not grow with the bytes received.
+TEST(Serve, ClientReceiveBufferStaysBoundedOnChunkedStream) {
+  const std::string path = socket_path("chunks");
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  constexpr std::uint32_t kReplies = 20000;
+  const auto move_at = [](std::uint32_t i) {
+    game::Move m;
+    m.kind = static_cast<game::MoveKind>(i % 4);
+    if (i % 3 == 0) m.edge = i;
+    if (i % 5 != 0) m.rank = i / 2;
+    m.next_decision_ticks = std::int64_t{i} * 1000 - 7;
+    return m;
+  };
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> cuts;  // where each send ends
+  append_frame(stream, encode_hello({kProtoVersion, 42, 3, 2, 1, 0}));
+  for (std::uint32_t i = 0; i < kReplies; ++i) {
+    cuts.push_back(stream.size() + 7);
+    append_move_reply(stream, move_at(i));
+  }
+  cuts.push_back(stream.size());
+  std::thread fake_server([&] {
+    const int fd = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) return;
+    std::size_t at = 0;
+    for (const std::size_t cut : cuts) {
+      if (::send(fd, stream.data() + at, cut - at, MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(cut - at)) {
+        break;
+      }
+      at = cut;
+    }
+    ::close(fd);
+  });
+
+  Client client = Client::connect(path);
+  EXPECT_EQ(client.hello().fingerprint, 42u);
+  std::size_t peak = 0;
+  try {
+    for (std::uint32_t i = 0; i < kReplies; ++i) {
+      const game::Move move = client.read_move();
+      if (!(move == move_at(i))) {
+        ADD_FAILURE() << "reply " << i << " decoded wrong";
+        break;
+      }
+      peak = std::max(peak, client.receive_buffer_bytes());
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  client.close();  // a fake server still sending fails and returns
+  fake_server.join();
+  ::close(listener);
+  ::unlink(path.c_str());
+  EXPECT_GT(stream.size(), 4 * RecvBuffer::kInitialBytes);
+  EXPECT_LE(peak, RecvBuffer::kInitialBytes);
 }
 
 TEST(Serve, StopWhileClientsConnectedIsClean) {
