@@ -24,6 +24,14 @@ namespace {
 // buffered further (64 MiB: far above any sane pipelining window).
 constexpr std::size_t kMaxOutputBacklog = 64u << 20;
 
+// Unflushed replies past which the read loop flushes (and so checks
+// the backlog) before it reads on.
+constexpr std::size_t kFlushBytes = 64u << 10;
+
+// Bytes one readiness event reads from one connection before the
+// worker moves on to its other connections.
+constexpr std::size_t kMaxReadPerEvent = 1u << 20;
+
 [[noreturn]] void raise(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -157,8 +165,6 @@ void Server::run_worker(Worker& worker) {
   obs::Counter* err_counter =
       metrics ? &obs::metrics().counter("serve.errors") : nullptr;
 
-  // The hello frame every connection starts with, and the info reply
-  // (the same body behind an ok status), encoded once.
   const std::vector<std::uint8_t> hello_payload = encode_hello({
       kProtoVersion,
       table_->fingerprint(),
@@ -167,18 +173,6 @@ void Server::run_worker(Worker& worker) {
       static_cast<std::uint32_t>(table_->view().slot_count()),
       table_->purpose_kind(),
   });
-  std::vector<std::uint8_t> hello_frame, info_frame;
-  append_frame(hello_frame, hello_payload);
-  {
-    std::vector<std::uint8_t> info_payload{kStatusOk};
-    info_payload.insert(info_payload.end(), hello_payload.begin(),
-                        hello_payload.end());
-    append_frame(info_frame, info_payload);
-  }
-  const auto append_bytes = [](std::vector<std::uint8_t>& out,
-                               const std::vector<std::uint8_t>& bytes) {
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  };
 
   const auto drop = [&](int fd) {
     ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
@@ -273,9 +267,15 @@ void Server::run_worker(Worker& worker) {
           append_frame(conn.out, std::span<const std::uint8_t>(&okb, 1));
           break;
         }
-        case kOpInfo:
-          append_bytes(conn.out, info_frame);
+        case kOpInfo: {
+          std::vector<std::uint8_t> reply;
+          reply.reserve(1 + hello_payload.size());
+          reply.push_back(kStatusOk);
+          reply.insert(reply.end(), hello_payload.begin(),
+                       hello_payload.end());
+          append_frame(conn.out, reply);
           break;
+        }
         default:
           append_frame(conn.out, encode_error_reply("unknown op"));
           ok = false;
@@ -303,7 +303,7 @@ void Server::run_worker(Worker& worker) {
           if (client < 0) break;  // EAGAIN: another worker won the race
           Connection conn;
           conn.fd = client;
-          append_bytes(conn.out, hello_frame);
+          append_frame(conn.out, hello_payload);
           epoll_event ev = {};
           ev.events = EPOLLIN;
           ev.data.fd = client;
@@ -328,7 +328,15 @@ void Server::run_worker(Worker& worker) {
       // Each recv lands in the connection's buffer and is answered
       // before the next one, so at most one partial frame stays
       // buffered (next_frame rejects a length past kMaxFrameBytes).
-      while (alive && (events[e].events & EPOLLIN)) {
+      // The replies are flushed, and the backlog checked, whenever
+      // kFlushBytes of them pile up, and one event reads at most
+      // kMaxReadPerEvent: a client that writes faster than it is
+      // answered neither grows conn.out past kMaxOutputBacklog nor
+      // starves the worker's other connections (level-triggered epoll
+      // reports the rest of its input again).
+      std::size_t read_this_event = 0;
+      while (alive && (events[e].events & EPOLLIN) &&
+             read_this_event < kMaxReadPerEvent) {
         const std::span<std::uint8_t> space = conn.in.space();
         const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -337,11 +345,15 @@ void Server::run_worker(Worker& worker) {
           break;
         }
         conn.in.commit(static_cast<std::size_t>(n));
+        read_this_event += static_cast<std::size_t>(n);
         if (!process(conn)) {
           errors_.fetch_add(1, std::memory_order_relaxed);
           if (err_counter) err_counter->add(1);
           flush(conn);  // best-effort error reply
           alive = false;
+        } else if (conn.out.size() - conn.out_at > kFlushBytes &&
+                   !flush(conn)) {
+          alive = false;  // peer gone, or backlog past kMaxOutputBacklog
         }
       }
       if (alive && !flush(conn)) alive = false;

@@ -21,7 +21,10 @@
 // the per-connection output buffer absorbs the burst and the worker
 // falls back to EPOLLOUT-driven draining (backpressure, not memory
 // growth without bound: the connection is dropped past
-// kMaxOutputBacklog).
+// kMaxOutputBacklog).  The read loop flushes, and so checks that
+// backlog, every 64 KiB of replies, and reads at most 1 MiB per
+// readiness event, so a client that writes without reading cannot
+// outrun the check or starve the worker's other connections.
 //
 // Observability: request counts and decide latency land in the global
 // obs registry ("serve.requests", "serve.connections", "serve.errors"

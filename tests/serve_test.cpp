@@ -3,8 +3,10 @@
 // every client, under pipelining and under concurrency.  Plus the
 // protocol edges (hello identity, ping/info, malformed frames closing
 // the stream with kBadRequest, a client's receive buffer staying
-// bounded on a long chunked stream) and the daemon binary end to end
-// (serve/info subcommands, signal shutdown, exit taxonomy).
+// bounded on a long chunked stream, multi-MiB pipelines served, a
+// client that never reads dropped past the output backlog) and the
+// daemon binary end to end (serve/info subcommands, signal shutdown,
+// exit taxonomy).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,6 +16,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -354,6 +358,101 @@ TEST(Serve, ClientReceiveBufferStaysBoundedOnChunkedStream) {
   ::unlink(path.c_str());
   EXPECT_GT(stream.size(), 4 * RecvBuffer::kInitialBytes);
   EXPECT_LE(peak, RecvBuffer::kInitialBytes);
+}
+
+// A client may pipeline far more than kMaxFrameBytes between two reads:
+// every request is still answered, in order.
+TEST(Serve, PipelineOfSeveralMiBBetweenReadsIsServed) {
+  const auto light = models::make_smart_light();
+  ServedTable served(light.system, "control: A<> IUT.Bright", "bigpipe", 1);
+  util::Rng rng(kSeed);
+  const auto states = fuzz_states(*served.solution, rng, 1000);
+  constexpr std::size_t kRequests = 60000;
+  std::size_t request_bytes = 0;
+  Client client = Client::connect(served.server.socket_path());
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const ConcreteState& s = states[i % states.size()];
+    request_bytes += 4 + encode_decide_request(s, kScale).size();
+    client.send_decide(s, kScale);
+  }
+  ASSERT_GT(request_bytes, 2 * std::size_t{kMaxFrameBytes});
+  client.flush();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const ConcreteState& s = states[i % states.size()];
+    const game::Move move = client.read_move();
+    if (!(move == served.table.decide(s, kScale))) {
+      ADD_FAILURE() << "reply " << i << " differs from in-process decide";
+      break;
+    }
+  }
+  client.ping();
+  EXPECT_EQ(served.server.errors_total(), 0u);
+}
+
+// A client that writes requests and never reads its replies is dropped
+// once its unsent replies pass the server's 64 MiB output backlog, while
+// another client on the same (single) worker keeps being answered.  The
+// flood uses info requests: a 5-byte request earns a 33-byte reply, so
+// about 10 MiB of writing reaches the backlog.  A flooder that has
+// written kWriteCap without being dropped fails the test.  Whether a
+// server that checks the backlog only between readiness events drops
+// the flooder in time depends on scheduling, so the flood runs three
+// times.
+TEST(Serve, ClientThatNeverReadsIsDroppedPastTheBacklog) {
+  const auto light = models::make_smart_light();
+  ServedTable served(light.system, "control: A<> IUT.Bright", "flood", 1);
+  util::Rng rng(kSeed);
+  const auto states = fuzz_states(*served.solution, rng, 200);
+  Client other = Client::connect(served.server.socket_path());
+
+  constexpr std::size_t kWriteCap = 16u << 20;
+  std::vector<std::uint8_t> chunk;
+  const std::uint8_t info = kOpInfo;
+  while (chunk.size() < (64u << 10)) {
+    append_frame(chunk, std::span<const std::uint8_t>(&info, 1));
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<bool> flooding{true};
+    std::size_t written = 0;
+    int send_errno = 0;
+    std::thread flooder([&] {
+      const int fd = raw_connect(served.server.socket_path());
+      while (written < kWriteCap) {
+        const ssize_t n =
+            ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0) {
+          send_errno = errno;
+          break;
+        }
+        written += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+      flooding.store(false);
+    });
+
+    // Answered while the flood runs, and after it is dropped.
+    std::size_t answered = 0;
+    std::string failure;
+    try {
+      do {
+        const ConcreteState& s = states[answered % states.size()];
+        if (!(other.decide(s, kScale) == served.table.decide(s, kScale))) {
+          failure = "served move differs from in-process decide";
+          break;
+        }
+        ++answered;
+      } while (flooding.load() || answered < states.size());
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+    flooder.join();
+    EXPECT_EQ(failure, "") << "round " << round;
+    EXPECT_TRUE(send_errno == EPIPE || send_errno == ECONNRESET)
+        << "round " << round << ": flooder wrote " << written
+        << " bytes and was not dropped";
+  }
+  EXPECT_EQ(served.server.errors_total(), 0u);
 }
 
 TEST(Serve, StopWhileClientsConnectedIsClean) {
