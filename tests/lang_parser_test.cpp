@@ -4,12 +4,16 @@
 // that one parse reports several independent errors (recovery).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lang/lang.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "tsystem/property.h"
 
 namespace tigat::lang {
 namespace {
@@ -819,6 +823,110 @@ TEST(LangDiagnostics, ForRangeExplosionIsCapped) {
   EXPECT_FALSE(model.has_value());
   EXPECT_NE(first_error(diags).message.find("stamps more than"),
             std::string::npos);
+}
+
+// ── formula goldens ───────────────────────────────────────────────────
+// StateFormula::to_string for every distinct `control:` formula the
+// repository's models, examples, benches and tests use, reached through
+// both entry points: TestPurpose::parse on a loaded model, and a
+// `control:` line appended to the model's source.  The printed form
+// spells out the whole formula tree (connectives, quantifier ranges,
+// data expressions), so a front-end change that builds a different tree
+// fails here.
+
+#ifndef TIGAT_MODEL_DIR
+#error "TIGAT_MODEL_DIR must point at examples/models"
+#endif
+
+struct FormulaGolden {
+  const char* model;    // file under examples/models
+  const char* formula;  // the text after `control: `
+  tsystem::PurposeKind kind;
+  const char* printed;  // StateFormula::to_string
+};
+
+constexpr tsystem::PurposeKind kReach = tsystem::PurposeKind::kReach;
+constexpr tsystem::PurposeKind kSafety = tsystem::PurposeKind::kSafety;
+
+constexpr FormulaGolden kFormulaGoldens[] = {
+    {"smart_light.tg", "A<> IUT.Bright", kReach, "IUT.Bright"},
+    {"smart_light.tg", "A[] !IUT.Bright", kSafety, "!IUT.Bright"},
+    {"smart_light.tg", "A<> !IUT.Bright", kReach, "!IUT.Bright"},
+    {"smart_light.tg", "A<> IUT.Dim", kReach, "IUT.Dim"},
+    {"smart_light.tg", "A<> IUT.L5", kReach, "IUT.L5"},
+    {"smart_light.tg", "A<> IUT.L6", kReach, "IUT.L6"},
+    {"smart_light.tg", "A<> IUT.Off", kReach, "IUT.Off"},
+    {"smart_light.tg", "A[] IUT.Off", kSafety, "IUT.Off"},
+    {"smart_light.tg", "A[] IUT.Bright", kSafety, "IUT.Bright"},
+    {"smart_light_safety.tg", "A[] IUT.On", kSafety, "IUT.On"},
+    {"lep.tg", "A<> (IUT.betterInfo == 1) and IUT.forward", kReach,
+     "((betterInfo==1) && IUT.forward)"},
+    {"lep.tg", "A<> (IUT.betterInfo == 1) && IUT.forward", kReach,
+     "((betterInfo==1) && IUT.forward)"},
+    {"lep.tg", "A<> forall (i : inUse) inUse[i] == 1", kReach,
+     "forall (i0 : 0..2) (inUse[i4294967295]==1)"},
+    {"lep.tg", "A<> (forall (i : inUse) inUse[i] == 1) and IUT.idle", kReach,
+     "(forall (i0 : 0..2) (inUse[i4294967295]==1) && IUT.idle)"},
+    {"lep.tg", "A<> (forall (i : inUse) inUse[i] == 1) && IUT.idle", kReach,
+     "(forall (i0 : 0..2) (inUse[i4294967295]==1) && IUT.idle)"},
+    {"lep.tg", "A<> (forall (i : 0..2) inUse[i] == 1) && IUT.idle", kReach,
+     "(forall (i0 : 0..2) (inUse[i4294967295]==1) && IUT.idle)"},
+    {"lep.tg", "A<> (IUT.betterInfo == 1) and IUT.leader", kReach,
+     "((betterInfo==1) && IUT.leader)"},
+    {"lep.tg", "A<> IUT.forward", kReach, "IUT.forward"},
+    {"lep.tg", "A[] IUT.idle", kSafety, "IUT.idle"},
+    {"lep.tg", "A<> !(exists (i : inUse) inUse[i] == 1)", kReach,
+     "!exists (i0 : 0..2) (inUse[i4294967295]==1)"},
+    {"lep.tg", "A<> IUT.betterInfo == 1", kReach, "(betterInfo==1)"},
+    {"lep.tg", "A<> betterInfo", kReach, "betterInfo"},
+    {"lep.tg", "A<> IUT.forward || IUT.idle && betterInfo == 1", kReach,
+     "(IUT.forward || (IUT.idle && (betterInfo==1)))"},
+    {"lep.tg", "A<> inUse[0] + inUse[1] + inUse[2] >= 2", kReach,
+     "(((inUse[0]+inUse[1])+inUse[2])>=2)"},
+    {"lep.tg", "A<> (inUse[0] + 1) * 2 == 2", kReach, "(((inUse[0]+1)*2)==2)"},
+};
+
+std::string read_model(const std::string& file) {
+  std::ifstream in(std::string(TIGAT_MODEL_DIR) + "/" + file, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(LangFormulaGoldens, TestPurposeParsePrintsTheGolden) {
+  std::map<std::string, LoadedModel> models;
+  for (const FormulaGolden& g : kFormulaGoldens) {
+    SCOPED_TRACE(g.formula);
+    auto it = models.find(g.model);
+    if (it == models.end()) {
+      it = models
+               .emplace(g.model, load_model(std::string(TIGAT_MODEL_DIR) +
+                                            "/" + g.model))
+               .first;
+    }
+    const tsystem::System& system = it->second.system;
+    const std::string text = std::string("control: ") + g.formula;
+    const auto purpose = tsystem::TestPurpose::parse(system, text);
+    EXPECT_EQ(purpose.kind, g.kind);
+    EXPECT_EQ(purpose.source, text);
+    EXPECT_EQ(purpose.formula.to_string(system), g.printed);
+  }
+}
+
+TEST(LangFormulaGoldens, ControlDeclarationsPrintTheGolden) {
+  for (const FormulaGolden& g : kFormulaGoldens) {
+    SCOPED_TRACE(g.formula);
+    const std::string text = std::string("control: ") + g.formula;
+    std::vector<Diagnostic> diags;
+    const auto model = compile_model(read_model(g.model) + text + ";\n",
+                                     g.model, diags);
+    ASSERT_TRUE(model.has_value())
+        << (diags.empty() ? std::string() : diags.front().message);
+    const tsystem::TestPurpose& purpose = model->purposes.back();
+    EXPECT_EQ(purpose.kind, g.kind);
+    EXPECT_EQ(purpose.source, text);
+    EXPECT_EQ(purpose.formula.to_string(model->system), g.printed);
+  }
 }
 
 TEST(LangLoad, MissingFileThrowsLangError) {
