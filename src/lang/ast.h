@@ -4,8 +4,9 @@
 // resolved yet.  Identifiers stay strings, integer expressions stay
 // trees, and every node keeps the Pos of its defining token so the
 // elaborator can report resolution errors (unknown clock, duplicate
-// location, ...) at the exact source position.  Grammar reference:
-// README.md, "The .tg model language".
+// location, ...) at the exact source position.  One expression family
+// serves guards, updates, declarations and `control:` formulas alike.
+// Grammar reference: README.md, "The .tg model language".
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "lang/diag.h"
+#include "tsystem/property.h"
 #include "tsystem/system.h"
 
 namespace tigat::lang {
@@ -51,6 +53,8 @@ struct ExprAst {
 
   std::int64_t number = 0;            // kNumber
   std::string name;                   // kName, kIndex base, binder name
+  std::string process;                // kName, kIndex: `Proc.` qualifier,
+                                      // legal only in control: formulas
   BinOp bin_op = BinOp::kAdd;         // kBinary
   UnOp un_op = UnOp::kNeg;            // kUnary
   ExprPtr lhs;                        // kUnary operand, kBinary lhs,
@@ -200,12 +204,16 @@ struct InstantiationAst {
   Pos pos;  // the `system` keyword
 };
 
-// `control: <raw text to ';'>` — the predicate is kept as raw source
-// and handed to tsystem::TestPurpose::parse against the elaborated
-// system, so the property sub-language has one implementation.
+// `control: A<> φ ;` or `control: A[] φ ;` — a test purpose.  φ is an
+// ordinary expression; the elaborator lowers it onto a
+// tsystem::StateFormula (`&&`, `||`, `!` and quantifiers become formula
+// connectives, a qualified `Proc.Loc` a location atom).
 struct ControlDeclAst {
-  std::string text;  // e.g. "A<> IUT.Bright"
-  Pos pos;           // position of the first predicate character
+  tsystem::PurposeKind kind = tsystem::PurposeKind::kReach;
+  ExprPtr formula;
+  Pos pos;             // the `A` of `A<>` / `A[]`
+  std::string source;  // "control: " + the source text from `A` to the
+                       // last token of φ, for reports and .tgs labels
 };
 
 struct ModelAst {

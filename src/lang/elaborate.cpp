@@ -10,15 +10,15 @@ namespace tigat::lang {
 namespace {
 
 using tsystem::ChannelId;
-using tsystem::Clock;
 using tsystem::ClockConstraint;
 using tsystem::Controllability;
 using tsystem::Expr;
 using tsystem::LocId;
 using tsystem::ModelError;
 using tsystem::Process;
+using tsystem::StateFormula;
 using tsystem::System;
-using tsystem::VarId;
+using tsystem::TestPurpose;
 
 enum class NameKind {
   kClock, kChannel, kChannelArray, kConstant, kVariable, kProcess,
@@ -36,18 +36,334 @@ const char* to_string(NameKind k) {
   return "a name";
 }
 
-class Elaborator {
+// Name resolution and lowering of expressions and `control:` formulas
+// onto a System: the half of elaboration that TestPurpose::parse shares
+// with the model compiler.  On its own it lowers against a finalized
+// System with no model source behind it, so no constant or template
+// parameter is in scope; the Elaborator derives from it and adds them.
+class Lowering {
+ public:
+  Lowering(const System* system, DiagnosticSink& sink)
+      : system_(system), sink_(sink) {}
+
+  // The purpose a `control:` declaration states, or nullopt after an
+  // error was reported.
+  std::optional<TestPurpose> lower_control(const ControlDeclAst& decl) {
+    formula_ = true;
+    StateFormula formula = lower_formula(*decl.formula);
+    formula_ = false;
+    if (formula.is_null()) return std::nullopt;
+    return decl.kind == tsystem::PurposeKind::kReach
+               ? TestPurpose::reach(std::move(formula), decl.source)
+               : TestPurpose::safety(std::move(formula), decl.source);
+  }
+
+ protected:
+  // Every elaboration error goes through here so the current
+  // instantiation/iteration trace rides along as notes.
+  void error(Pos pos, std::string message) {
+    sink_.error(pos, std::move(message), trace_);
+  }
+
+  // ── formulas ────────────────────────────────────────────────────────
+  // `&&`, `||`, `!` and quantifiers become formula connectives and a
+  // qualified `Proc.Loc` a location atom; any other expression is a
+  // data atom, true where it evaluates non-zero.
+  StateFormula lower_formula(const ExprAst& e) {
+    if (e.kind == ExprAst::Kind::kBinary &&
+        (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr)) {
+      StateFormula lhs = lower_formula(*e.lhs);
+      StateFormula rhs = lower_formula(*e.rhs);
+      if (lhs.is_null() || rhs.is_null()) return {};
+      return e.bin_op == BinOp::kAnd
+                 ? StateFormula::conj(std::move(lhs), std::move(rhs))
+                 : StateFormula::disj(std::move(lhs), std::move(rhs));
+    }
+    if (e.kind == ExprAst::Kind::kUnary && e.un_op == UnOp::kNot) {
+      StateFormula operand = lower_formula(*e.lhs);
+      if (operand.is_null()) return {};
+      return StateFormula::neg(std::move(operand));
+    }
+    if (e.kind == ExprAst::Kind::kQuantifier) {
+      const auto range = quantifier_range(e);
+      if (!range) return {};
+      binders_.push_back(e.name);
+      StateFormula body = lower_formula(*e.lhs);
+      binders_.pop_back();
+      if (body.is_null()) return {};
+      return e.is_forall
+                 ? StateFormula::forall(range->first, range->second,
+                                        std::move(body))
+                 : StateFormula::exists(range->first, range->second,
+                                        std::move(body));
+    }
+    if (e.kind == ExprAst::Kind::kName && !e.process.empty()) {
+      if (const auto proc = system_->find_process(e.process)) {
+        if (const auto loc =
+                system_->processes()[*proc].find_location(e.name)) {
+          return StateFormula::location(*proc, *loc);
+        }
+      }
+    }
+    const Expr data = lower_expr(e);
+    if (data.is_null()) return {};
+    return StateFormula::data(data);
+  }
+
+  // `Proc.Name` outside a location atom names the variable `Name` (data
+  // is global); only formulas have qualified names at all.
+  bool check_qualifier(const ExprAst& e) {
+    if (!formula_) {
+      error(e.pos, util::format("qualified name '%s.%s' is only allowed in a "
+                                "control: formula",
+                                e.process.c_str(), e.name.c_str()));
+      return false;
+    }
+    if (system_->find_process(e.process)) return true;
+    error(e.pos, util::format("unknown process '%s'", e.process.c_str()));
+    return false;
+  }
+
+  // `lo..hi`, folded, or a declared array `arr` meaning 0..size(arr)-1.
+  std::optional<std::pair<std::int64_t, std::int64_t>> quantifier_range(
+      const ExprAst& e) {
+    if (e.range_array.empty()) {
+      const auto lo = fold_const(e.range_lo, "quantifier range");
+      const auto hi = fold_const(e.range_hi, "quantifier range");
+      if (!lo || !hi) return std::nullopt;
+      return std::pair{*lo, *hi};
+    }
+    const auto var = system_->data().find(e.range_array);
+    if (!var || !system_->data().decl(*var).is_array()) {
+      error(e.pos, util::format("quantifier range '%s' is not an array",
+                                e.range_array.c_str()));
+      return std::nullopt;
+    }
+    return std::pair<std::int64_t, std::int64_t>{
+        0, static_cast<std::int64_t>(system_->data().decl(*var).size) - 1};
+  }
+
+  // ── data expressions ────────────────────────────────────────────────
+  // Lowers to tsystem::Expr; reports and returns a null Expr on errors.
+  Expr lower_expr(const ExprAst& e) {
+    if (!e.process.empty() && !check_qualifier(e)) return {};
+    switch (e.kind) {
+      case ExprAst::Kind::kNumber:
+        return Expr::constant(e.number);
+      case ExprAst::Kind::kName: {
+        for (std::size_t k = 0; k < binders_.size(); ++k) {
+          if (binders_[binders_.size() - 1 - k] == e.name) {
+            return Expr::bound_var(static_cast<std::uint32_t>(k));
+          }
+        }
+        if (const std::int64_t* scoped = find_scoped(e.name)) {
+          return Expr::constant(*scoped);
+        }
+        if (const auto c = consts_.find(e.name); c != consts_.end()) {
+          return Expr::constant(c->second);
+        }
+        if (const auto var = system_->data().find(e.name)) {
+          if (system_->data().decl(*var).is_array()) {
+            error(e.pos,
+                        util::format("array '%s' needs an index here",
+                                     e.name.c_str()));
+            return {};
+          }
+          return Expr::var(*var);
+        }
+        if (e.name == "true") return Expr::constant(1);
+        if (e.name == "false") return Expr::constant(0);
+        if (system_->find_clock(e.name)) {
+          error(e.pos,
+                formula_
+                    ? util::format("clock '%s' cannot appear in a control: "
+                                   "formula, which ranges over locations "
+                                   "and data variables only",
+                                   e.name.c_str())
+                    : util::format("clock '%s' may only appear in simple "
+                                   "comparisons like '%s <= 3'",
+                                   e.name.c_str(), e.name.c_str()));
+          return {};
+        }
+        error(e.pos,
+                    util::format("unknown identifier '%s'", e.name.c_str()));
+        return {};
+      }
+      case ExprAst::Kind::kIndex: {
+        const auto var = system_->data().find(e.name);
+        if (!var) {
+          error(e.pos,
+                      util::format("unknown variable '%s'", e.name.c_str()));
+          return {};
+        }
+        if (!system_->data().decl(*var).is_array()) {
+          error(e.pos,
+                      util::format("'%s' is not an array", e.name.c_str()));
+          return {};
+        }
+        const Expr index = lower_expr(*e.lhs);
+        if (index.is_null()) return {};
+        return Expr::var(*var, index);
+      }
+      case ExprAst::Kind::kUnary: {
+        const Expr operand = lower_expr(*e.lhs);
+        if (operand.is_null()) return {};
+        return e.un_op == UnOp::kNeg ? -operand : !operand;
+      }
+      case ExprAst::Kind::kBinary: {
+        const Expr lhs = lower_expr(*e.lhs);
+        const Expr rhs = lower_expr(*e.rhs);
+        if (lhs.is_null() || rhs.is_null()) return {};
+        return Expr::binary(to_expr_kind(e.bin_op), lhs, rhs);
+      }
+      case ExprAst::Kind::kQuantifier: {
+        const auto range = quantifier_range(e);
+        if (!range) return {};
+        binders_.push_back(e.name);
+        const Expr body = lower_expr(*e.lhs);
+        binders_.pop_back();
+        if (body.is_null()) return {};
+        return e.is_forall ? Expr::forall(range->first, range->second, body)
+                           : Expr::exists(range->first, range->second, body);
+      }
+    }
+    return {};
+  }
+
+  static Expr::Kind to_expr_kind(BinOp op) {
+    switch (op) {
+      case BinOp::kAdd: return Expr::Kind::kAdd;
+      case BinOp::kSub: return Expr::Kind::kSub;
+      case BinOp::kMul: return Expr::Kind::kMul;
+      case BinOp::kDiv: return Expr::Kind::kDiv;
+      case BinOp::kMod: return Expr::Kind::kMod;
+      case BinOp::kEq: return Expr::Kind::kEq;
+      case BinOp::kNe: return Expr::Kind::kNe;
+      case BinOp::kLt: return Expr::Kind::kLt;
+      case BinOp::kLe: return Expr::Kind::kLe;
+      case BinOp::kGt: return Expr::Kind::kGt;
+      case BinOp::kGe: return Expr::Kind::kGe;
+      case BinOp::kAnd: return Expr::Kind::kAnd;
+      case BinOp::kOr: return Expr::Kind::kOr;
+    }
+    return Expr::Kind::kAdd;
+  }
+
+  // ── constant folding ────────────────────────────────────────────────
+  // Integer-folds an expression that may not mention clocks, variables
+  // or quantifiers (declaration bounds, reset values, clock bounds).
+  [[nodiscard]] std::optional<std::int64_t> fold_const_expr(
+      const ExprAst& e) const {
+    switch (e.kind) {
+      case ExprAst::Kind::kNumber:
+        return e.number;
+      case ExprAst::Kind::kName: {
+        if (!e.process.empty()) return std::nullopt;
+        if (e.name == "true") return 1;
+        if (e.name == "false") return 0;
+        if (const std::int64_t* scoped = find_scoped(e.name)) return *scoped;
+        const auto it = consts_.find(e.name);
+        if (it != consts_.end()) return it->second;
+        return std::nullopt;
+      }
+      case ExprAst::Kind::kUnary: {
+        const auto v = fold_const_expr(*e.lhs);
+        if (!v) return std::nullopt;
+        if (e.un_op == UnOp::kNot) return *v == 0 ? 1 : 0;
+        if (*v == std::numeric_limits<std::int64_t>::min()) {
+          return std::nullopt;
+        }
+        return -*v;
+      }
+      case ExprAst::Kind::kBinary: {
+        const auto a = fold_const_expr(*e.lhs);
+        const auto b = fold_const_expr(*e.rhs);
+        if (!a || !b) return std::nullopt;
+        // Overflow makes the expression non-constant rather than UB.
+        std::int64_t r = 0;
+        switch (e.bin_op) {
+          case BinOp::kAdd:
+            if (__builtin_add_overflow(*a, *b, &r)) return std::nullopt;
+            return r;
+          case BinOp::kSub:
+            if (__builtin_sub_overflow(*a, *b, &r)) return std::nullopt;
+            return r;
+          case BinOp::kMul:
+            if (__builtin_mul_overflow(*a, *b, &r)) return std::nullopt;
+            return r;
+          case BinOp::kDiv:
+            if (*b == 0 ||
+                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
+              return std::nullopt;
+            }
+            return *a / *b;
+          case BinOp::kMod:
+            if (*b == 0 ||
+                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
+              return std::nullopt;
+            }
+            return *a % *b;
+          case BinOp::kEq: return *a == *b ? 1 : 0;
+          case BinOp::kNe: return *a != *b ? 1 : 0;
+          case BinOp::kLt: return *a < *b ? 1 : 0;
+          case BinOp::kLe: return *a <= *b ? 1 : 0;
+          case BinOp::kGt: return *a > *b ? 1 : 0;
+          case BinOp::kGe: return *a >= *b ? 1 : 0;
+          case BinOp::kAnd: return (*a != 0 && *b != 0) ? 1 : 0;
+          case BinOp::kOr: return (*a != 0 || *b != 0) ? 1 : 0;
+        }
+        return std::nullopt;
+      }
+      default:
+        return std::nullopt;
+    }
+  }
+
+  // As fold_const_expr, but reports a positioned error on failure.
+  std::optional<std::int64_t> fold_const(const ExprPtr& e, const char* what) {
+    if (!e) return std::nullopt;
+    const auto v = fold_const_expr(*e);
+    if (!v) {
+      error(e->pos,
+                  util::format("%s must be a constant integer expression",
+                               what));
+    }
+    return v;
+  }
+
+  // Innermost template parameter / `for` variable binding, or null.
+  [[nodiscard]] const std::int64_t* find_scoped(
+      const std::string& name) const {
+    for (auto it = scoped_.rbegin(); it != scoped_.rend(); ++it) {
+      if (it->first == name) return &it->second;
+    }
+    return nullptr;
+  }
+
+  const System* system_;
+  DiagnosticSink& sink_;
+  std::unordered_map<std::string, std::int64_t> consts_;
+  std::vector<std::string> binders_;
+  // Template parameters and `for` variables in scope, outermost first.
+  std::vector<std::pair<std::string, std::int64_t>> scoped_;
+  // Instantiation/iteration context for diagnostics, outermost first.
+  std::vector<Note> trace_;
+  bool formula_ = false;  // lowering a `control:` formula
+};
+
+class Elaborator : private Lowering {
  public:
   Elaborator(const ModelAst& ast, const std::string& fallback_name,
              DiagnosticSink& sink, const CompileOptions& options)
-      : ast_(ast),
+      : Lowering(nullptr, sink),
+        ast_(ast),
         fallback_name_(fallback_name),
-        sink_(sink),
         options_(options) {}
 
   std::optional<ElaboratedModel> run() {
     sys_.emplace(ast_.system_name.empty() ? fallback_name_
                                           : ast_.system_name);
+    system_ = &*sys_;  // Lowering resolves names in the system being built
     check_param_overrides();
     declare_clocks();
     declare_constants();  // before channels/variables: sizes fold constants
@@ -74,21 +390,17 @@ class Elaborator {
       return std::nullopt;
     }
 
-    ElaboratedModel out{std::move(*sys_), {}};
+    std::vector<TestPurpose> purposes;
     for (const ControlDeclAst& control : ast_.controls) {
-      elaborate_control(out.system, control, out.purposes);
+      if (auto purpose = lower_control(control)) {
+        purposes.push_back(std::move(*purpose));
+      }
     }
     if (sink_.has_errors()) return std::nullopt;
-    return out;
+    return ElaboratedModel{std::move(*sys_), std::move(purposes)};
   }
 
  private:
-  // Every elaboration error goes through here so the current
-  // instantiation/iteration trace rides along as notes.
-  void error(Pos pos, std::string message) {
-    sink_.error(pos, std::move(message), trace_);
-  }
-
   [[nodiscard]] static bool fits_i32(std::int64_t v) {
     return v >= std::numeric_limits<std::int32_t>::min() &&
            v <= std::numeric_limits<std::int32_t>::max();
@@ -143,7 +455,7 @@ class Elaborator {
   void declare_clocks() {
     for (const ClockDeclAst& decl : ast_.clocks) {
       if (!declare_name(decl.name, NameKind::kClock, decl.pos)) continue;
-      clocks_.emplace(decl.name, sys_->add_clock(decl.name));
+      sys_->add_clock(decl.name);
     }
   }
 
@@ -228,18 +540,14 @@ class Elaborator {
                                      static_cast<long long>(*size)));
             continue;
           }
-          vars_.emplace(decl.name,
-                        sys_->data().add_array(
-                            decl.name, static_cast<std::uint32_t>(*size),
-                            static_cast<std::int32_t>(*lo),
-                            static_cast<std::int32_t>(*hi),
-                            static_cast<std::int32_t>(init)));
+          sys_->data().add_array(decl.name, static_cast<std::uint32_t>(*size),
+                                 static_cast<std::int32_t>(*lo),
+                                 static_cast<std::int32_t>(*hi),
+                                 static_cast<std::int32_t>(init));
         } else {
-          vars_.emplace(decl.name,
-                        sys_->data().add_scalar(
-                            decl.name, static_cast<std::int32_t>(*lo),
-                            static_cast<std::int32_t>(*hi),
-                            static_cast<std::int32_t>(init)));
+          sys_->data().add_scalar(decl.name, static_cast<std::int32_t>(*lo),
+                                  static_cast<std::int32_t>(*hi),
+                                  static_cast<std::int32_t>(init));
         }
       } catch (const ModelError& e) {
         error(decl.pos, e.what());
@@ -636,8 +944,7 @@ class Elaborator {
   // update is still checked for its own errors.
   void elaborate_update(tsystem::EdgeBuilder* builder,
                         const UpdateAst& update) {
-    if (const auto clock = clocks_.find(update.target);
-        clock != clocks_.end()) {
+    if (const auto clock = sys_->find_clock(update.target)) {
       if (update.index || update.whole_array) {
         error(update.pos, util::format("clock '%s' cannot be indexed",
                                        update.target.c_str()));
@@ -653,14 +960,14 @@ class Elaborator {
         return;
       }
       if (builder) {
-        builder->reset(clock->second,
+        builder->reset(*clock,
                        static_cast<tigat::dbm::bound_t>(*value));
       }
       return;
     }
 
-    const auto var = vars_.find(update.target);
-    if (var == vars_.end()) {
+    const auto var = sys_->data().find(update.target);
+    if (!var) {
       for (const auto& [scoped_name, value] : scoped_) {
         if (scoped_name == update.target) {
           error(update.pos,
@@ -680,7 +987,7 @@ class Elaborator {
                                to_string(known->second)));
       return;
     }
-    const bool is_array = sys_->data().decl(var->second).is_array();
+    const bool is_array = sys_->data().decl(*var).is_array();
     if (update.whole_array && !is_array) {
       error(update.pos,
             util::format("whole-array assignment '%s[] := ...' needs an "
@@ -706,9 +1013,9 @@ class Elaborator {
       // `A[] := e` expands to one per-cell assignment, in index order;
       // `e` is evaluated per cell (it may not reference the index).
       if (builder) {
-        const std::uint32_t size = sys_->data().decl(var->second).size;
+        const std::uint32_t size = sys_->data().decl(*var).size;
         for (std::uint32_t k = 0; k < size; ++k) {
-          builder->assign_elem(var->second, Expr::constant(k), rhs);
+          builder->assign_elem(*var, Expr::constant(k), rhs);
         }
       }
       return;
@@ -716,9 +1023,9 @@ class Elaborator {
     if (update.index) {
       const Expr index = lower_expr(*update.index);
       if (index.is_null()) return;
-      if (builder) builder->assign_elem(var->second, index, rhs);
+      if (builder) builder->assign_elem(*var, index, rhs);
     } else if (builder) {
-      builder->assign(var->second, rhs);
+      builder->assign(*var, rhs);
     }
   }
 
@@ -745,21 +1052,21 @@ class Elaborator {
   };
   [[nodiscard]] std::optional<ClockOperand> as_clock_operand(
       const ExprAst& e) const {
-    if (e.kind == ExprAst::Kind::kName) {
-      const auto it = clocks_.find(e.name);
-      if (it != clocks_.end()) return ClockOperand{it->second.id, 0};
-      return std::nullopt;
-    }
-    if (e.kind == ExprAst::Kind::kBinary && e.bin_op == BinOp::kSub &&
-        e.lhs->kind == ExprAst::Kind::kName &&
-        e.rhs->kind == ExprAst::Kind::kName) {
-      const auto a = clocks_.find(e.lhs->name);
-      const auto b = clocks_.find(e.rhs->name);
-      if (a != clocks_.end() && b != clocks_.end()) {
-        return ClockOperand{a->second.id, b->second.id};
-      }
+    if (const auto c = clock_named(e)) return ClockOperand{c->id, 0};
+    if (e.kind == ExprAst::Kind::kBinary && e.bin_op == BinOp::kSub) {
+      const auto a = clock_named(*e.lhs);
+      const auto b = clock_named(*e.rhs);
+      if (a && b) return ClockOperand{a->id, b->id};
     }
     return std::nullopt;
+  }
+  // A qualified `P.x` is never a clock: it fails in lower_expr instead.
+  [[nodiscard]] std::optional<tsystem::Clock> clock_named(
+      const ExprAst& e) const {
+    if (e.kind != ExprAst::Kind::kName || !e.process.empty()) {
+      return std::nullopt;
+    }
+    return sys_->find_clock(e.name);
   }
 
   // Lowers `atom` into `out` when it is a clock constraint; returns
@@ -830,259 +1137,28 @@ class Elaborator {
     return true;
   }
 
-  // ── data expressions ────────────────────────────────────────────────
-  // Lowers to tsystem::Expr; reports and returns a null Expr on errors.
-  Expr lower_expr(const ExprAst& e) {
-    switch (e.kind) {
-      case ExprAst::Kind::kNumber:
-        return Expr::constant(e.number);
-      case ExprAst::Kind::kName: {
-        for (std::size_t k = 0; k < binders_.size(); ++k) {
-          if (binders_[binders_.size() - 1 - k] == e.name) {
-            return Expr::bound_var(static_cast<std::uint32_t>(k));
-          }
-        }
-        if (const std::int64_t* scoped = find_scoped(e.name)) {
-          return Expr::constant(*scoped);
-        }
-        if (const auto c = consts_.find(e.name); c != consts_.end()) {
-          return Expr::constant(c->second);
-        }
-        if (const auto var = vars_.find(e.name); var != vars_.end()) {
-          if (sys_->data().decl(var->second).is_array()) {
-            error(e.pos,
-                        util::format("array '%s' needs an index here",
-                                     e.name.c_str()));
-            return {};
-          }
-          return Expr::var(var->second);
-        }
-        if (e.name == "true") return Expr::constant(1);
-        if (e.name == "false") return Expr::constant(0);
-        if (clocks_.contains(e.name)) {
-          error(e.pos,
-                      util::format("clock '%s' may only appear in simple "
-                                   "comparisons like '%s <= 3'",
-                                   e.name.c_str(), e.name.c_str()));
-          return {};
-        }
-        error(e.pos,
-                    util::format("unknown identifier '%s'", e.name.c_str()));
-        return {};
-      }
-      case ExprAst::Kind::kIndex: {
-        const auto var = vars_.find(e.name);
-        if (var == vars_.end()) {
-          error(e.pos,
-                      util::format("unknown variable '%s'", e.name.c_str()));
-          return {};
-        }
-        if (!sys_->data().decl(var->second).is_array()) {
-          error(e.pos,
-                      util::format("'%s' is not an array", e.name.c_str()));
-          return {};
-        }
-        const Expr index = lower_expr(*e.lhs);
-        if (index.is_null()) return {};
-        return Expr::var(var->second, index);
-      }
-      case ExprAst::Kind::kUnary: {
-        const Expr operand = lower_expr(*e.lhs);
-        if (operand.is_null()) return {};
-        return e.un_op == UnOp::kNeg ? -operand : !operand;
-      }
-      case ExprAst::Kind::kBinary: {
-        const Expr lhs = lower_expr(*e.lhs);
-        const Expr rhs = lower_expr(*e.rhs);
-        if (lhs.is_null() || rhs.is_null()) return {};
-        return Expr::binary(to_expr_kind(e.bin_op), lhs, rhs);
-      }
-      case ExprAst::Kind::kQuantifier: {
-        std::int64_t lo = 0, hi = -1;
-        if (!e.range_array.empty()) {
-          const auto var = vars_.find(e.range_array);
-          if (var == vars_.end() ||
-              !sys_->data().decl(var->second).is_array()) {
-            error(e.pos,
-                        util::format("quantifier range '%s' is not a "
-                                     "declared array",
-                                     e.range_array.c_str()));
-            return {};
-          }
-          hi = static_cast<std::int64_t>(
-                   sys_->data().decl(var->second).size) -
-               1;
-        } else {
-          const auto lo_v = fold_const(e.range_lo, "quantifier range");
-          const auto hi_v = fold_const(e.range_hi, "quantifier range");
-          if (!lo_v || !hi_v) return {};
-          lo = *lo_v;
-          hi = *hi_v;
-        }
-        binders_.push_back(e.name);
-        const Expr body = lower_expr(*e.lhs);
-        binders_.pop_back();
-        if (body.is_null()) return {};
-        return e.is_forall ? Expr::forall(lo, hi, body)
-                           : Expr::exists(lo, hi, body);
-      }
-    }
-    return {};
-  }
-
-  static Expr::Kind to_expr_kind(BinOp op) {
-    switch (op) {
-      case BinOp::kAdd: return Expr::Kind::kAdd;
-      case BinOp::kSub: return Expr::Kind::kSub;
-      case BinOp::kMul: return Expr::Kind::kMul;
-      case BinOp::kDiv: return Expr::Kind::kDiv;
-      case BinOp::kMod: return Expr::Kind::kMod;
-      case BinOp::kEq: return Expr::Kind::kEq;
-      case BinOp::kNe: return Expr::Kind::kNe;
-      case BinOp::kLt: return Expr::Kind::kLt;
-      case BinOp::kLe: return Expr::Kind::kLe;
-      case BinOp::kGt: return Expr::Kind::kGt;
-      case BinOp::kGe: return Expr::Kind::kGe;
-      case BinOp::kAnd: return Expr::Kind::kAnd;
-      case BinOp::kOr: return Expr::Kind::kOr;
-    }
-    return Expr::Kind::kAdd;
-  }
-
-  // ── constant folding ────────────────────────────────────────────────
-  // Integer-folds an expression that may not mention clocks, variables
-  // or quantifiers (declaration bounds, reset values, clock bounds).
-  [[nodiscard]] std::optional<std::int64_t> fold_const_expr(
-      const ExprAst& e) const {
-    switch (e.kind) {
-      case ExprAst::Kind::kNumber:
-        return e.number;
-      case ExprAst::Kind::kName: {
-        if (e.name == "true") return 1;
-        if (e.name == "false") return 0;
-        if (const std::int64_t* scoped = find_scoped(e.name)) return *scoped;
-        const auto it = consts_.find(e.name);
-        if (it != consts_.end()) return it->second;
-        return std::nullopt;
-      }
-      case ExprAst::Kind::kUnary: {
-        const auto v = fold_const_expr(*e.lhs);
-        if (!v) return std::nullopt;
-        if (e.un_op == UnOp::kNot) return *v == 0 ? 1 : 0;
-        if (*v == std::numeric_limits<std::int64_t>::min()) {
-          return std::nullopt;
-        }
-        return -*v;
-      }
-      case ExprAst::Kind::kBinary: {
-        const auto a = fold_const_expr(*e.lhs);
-        const auto b = fold_const_expr(*e.rhs);
-        if (!a || !b) return std::nullopt;
-        // Overflow makes the expression non-constant rather than UB.
-        std::int64_t r = 0;
-        switch (e.bin_op) {
-          case BinOp::kAdd:
-            if (__builtin_add_overflow(*a, *b, &r)) return std::nullopt;
-            return r;
-          case BinOp::kSub:
-            if (__builtin_sub_overflow(*a, *b, &r)) return std::nullopt;
-            return r;
-          case BinOp::kMul:
-            if (__builtin_mul_overflow(*a, *b, &r)) return std::nullopt;
-            return r;
-          case BinOp::kDiv:
-            if (*b == 0 ||
-                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
-              return std::nullopt;
-            }
-            return *a / *b;
-          case BinOp::kMod:
-            if (*b == 0 ||
-                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
-              return std::nullopt;
-            }
-            return *a % *b;
-          case BinOp::kEq: return *a == *b ? 1 : 0;
-          case BinOp::kNe: return *a != *b ? 1 : 0;
-          case BinOp::kLt: return *a < *b ? 1 : 0;
-          case BinOp::kLe: return *a <= *b ? 1 : 0;
-          case BinOp::kGt: return *a > *b ? 1 : 0;
-          case BinOp::kGe: return *a >= *b ? 1 : 0;
-          case BinOp::kAnd: return (*a != 0 && *b != 0) ? 1 : 0;
-          case BinOp::kOr: return (*a != 0 || *b != 0) ? 1 : 0;
-        }
-        return std::nullopt;
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-
-  // As fold_const_expr, but reports a positioned error on failure.
-  std::optional<std::int64_t> fold_const(const ExprPtr& e, const char* what) {
-    if (!e) return std::nullopt;
-    const auto v = fold_const_expr(*e);
-    if (!v) {
-      error(e->pos,
-                  util::format("%s must be a constant integer expression",
-                               what));
-    }
-    return v;
-  }
-
-  // ── control properties ──────────────────────────────────────────────
-  void elaborate_control(const System& system, const ControlDeclAst& decl,
-                         std::vector<tsystem::TestPurpose>& purposes) {
-    static constexpr std::string_view kPrefix = "control: ";
-    const std::string text = std::string(kPrefix) + decl.text;
-    try {
-      purposes.push_back(tsystem::TestPurpose::parse(system, text));
-    } catch (const tsystem::PurposeParseError& e) {
-      const std::size_t rel =
-          e.offset >= kPrefix.size() ? e.offset - kPrefix.size() : 0;
-      // `detail` has no "offset N" prefix — the diagnostic carries the
-      // file position itself.
-      error({static_cast<std::uint32_t>(decl.pos.offset + rel)},
-                  e.detail);
-    } catch (const ModelError& e) {
-      error(decl.pos, e.what());
-    }
-  }
-
-  // Innermost template parameter / `for` variable binding, or null.
-  [[nodiscard]] const std::int64_t* find_scoped(
-      const std::string& name) const {
-    for (auto it = scoped_.rbegin(); it != scoped_.rend(); ++it) {
-      if (it->first == name) return &it->second;
-    }
-    return nullptr;
-  }
-
   static constexpr int kMaxChannelArray = 1024;
   static constexpr int kMaxInstances = 1024;
   static constexpr int kMaxEdgesPerProcess = 65536;
 
   const ModelAst& ast_;
   const std::string& fallback_name_;
-  DiagnosticSink& sink_;
   const CompileOptions& options_;
   std::optional<System> sys_;
   std::unordered_map<std::string, NameKind> names_;
-  std::unordered_map<std::string, Clock> clocks_;
   std::unordered_map<std::string, ChannelId> channels_;
   std::unordered_map<std::string, std::int64_t> chan_arrays_;
-  std::unordered_map<std::string, std::int64_t> consts_;
-  std::unordered_map<std::string, VarId> vars_;
   std::unordered_map<std::string, TemplateInfo> templates_;
-  std::vector<std::string> binders_;
-  // Template parameters and `for` variables in scope, outermost first.
-  std::vector<std::pair<std::string, std::int64_t>> scoped_;
-  // Instantiation/iteration context for diagnostics, outermost first.
-  std::vector<Note> trace_;
   int stamped_count_ = 0;
 };
 
 }  // namespace
+
+std::optional<TestPurpose> lower_purpose(const ControlDeclAst& decl,
+                                         const System& system,
+                                         DiagnosticSink& sink) {
+  return Lowering(&system, sink).lower_control(decl);
+}
 
 std::optional<ElaboratedModel> elaborate(const ModelAst& ast,
                                          const std::string& fallback_name,

@@ -12,9 +12,11 @@
 //     a data guard Expr;
 //   * `do` items lower to clock resets (constant right-hand sides) or
 //     data assignments, preserving source order;
-//   * `control:` declarations are handed to tsystem::TestPurpose::parse
-//     against the finalized system, and parse errors are mapped back to
-//     exact file positions via PurposeParseError::offset.
+//   * `control:` formulas lower onto tsystem::StateFormula against the
+//     finalized system: `&&`, `||`, `!` and quantifiers become formula
+//     connectives, a qualified `Proc.Loc` a location atom, and every
+//     other expression a data atom, with constants in scope as in any
+//     guard.  Qualified names are rejected everywhere else.
 //
 // All problems are reported through the DiagnosticSink; elaboration
 // continues past per-edge errors so one pass surfaces as many
@@ -47,6 +49,13 @@ struct CompileOptions {
   // matches no `const` declaration is an error.
   std::vector<std::pair<std::string, std::int64_t>> params;
 };
+
+// Lowers one parsed `control:` formula against a finalized system with
+// no model source behind it (so no constant is in scope): the back end
+// of tsystem::TestPurpose::parse.  Returns nullopt after reporting.
+[[nodiscard]] std::optional<tsystem::TestPurpose> lower_purpose(
+    const ControlDeclAst& decl, const tsystem::System& system,
+    DiagnosticSink& sink);
 
 // Lowers `ast`; returns nullopt when any diagnostic of error severity
 // was emitted (the sink then holds the full report).  `fallback_name`

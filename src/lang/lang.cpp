@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "lang/parser.h"
+#include "util/assert.h"
 #include "util/text.h"
 
 namespace tigat::lang {
@@ -67,3 +68,28 @@ LoadedModel load_model_from_string(std::string_view source,
 }
 
 }  // namespace tigat::lang
+
+namespace tigat::tsystem {
+
+// Declared in tsystem/property.h; purposes given as text run through
+// the same lexer, expression parser and lowering as a model's
+// `control:` lines.
+TestPurpose TestPurpose::parse(const System& system, std::string_view text) {
+  TIGAT_ASSERT(system.finalized(), "parse requires a finalized system");
+  const lang::Source source("test purpose", std::string(text));
+  lang::DiagnosticSink sink(source);
+  const auto decl = lang::parse_purpose(source, sink);
+  std::optional<TestPurpose> purpose;
+  if (decl && !sink.has_errors()) {
+    purpose = lang::lower_purpose(*decl, system, sink);
+  }
+  if (!purpose) {
+    const lang::Diagnostic& first = sink.diagnostics().front();
+    throw ModelError(util::format("test purpose:%u:%u: %s", first.line,
+                                  first.column, first.message.c_str()));
+  }
+  purpose->source = std::string(util::trim(text));
+  return std::move(*purpose);
+}
+
+}  // namespace tigat::tsystem

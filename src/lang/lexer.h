@@ -29,7 +29,7 @@ enum class TokKind : std::uint8_t {
   kEquals,     // =
   kBang,       // !   (send marker / logical not)
   kQuestion,   // ?
-  kDot,        // .   (only inside control properties: `IUT.Bright`)
+  kDot,        // .   (qualified names `IUT.Bright`; formulas only)
   kDotDot,     // ..
   kPlus, kMinus, kStar, kSlash, kPercent,
   kEqEq, kNotEq, kLt, kLe, kGt, kGe,

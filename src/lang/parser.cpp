@@ -1,7 +1,5 @@
 #include "lang/parser.h"
 
-#include <cctype>
-
 #include "util/text.h"
 
 namespace tigat::lang {
@@ -60,6 +58,16 @@ class Parser {
       }
     }
     return model;
+  }
+
+  std::optional<ControlDeclAst> run_purpose() {
+    try {
+      ControlDeclAst decl = parse_property();
+      if (!peek().is(TokKind::kEof)) fail("the end of the property");
+      return decl;
+    } catch (SyntaxError&) {
+      return std::nullopt;
+    }
   }
 
  private:
@@ -521,57 +529,38 @@ class Parser {
     return edge;
   }
 
-  // control: <raw text up to ';'> ;
+  // control: A<> φ ;   |   control: A[] φ ;
   void parse_control(ModelAst& model) {
     try {
-      next();  // control
-      expect(TokKind::kColon, "':' after 'control'");
-      const Pos begin = peek().pos;
-      if (peek().is(TokKind::kSemi) || peek().is(TokKind::kEof)) {
-        fail("a property ('A<> ...' or 'A[] ...')");
-      }
-      Pos end = begin;
-      while (!peek().is(TokKind::kSemi)) {
-        if (peek().is(TokKind::kEof)) {
-          error(begin, "unterminated control property (missing ';')");
-          return;
-        }
-        const Token& t = next();
-        end = {static_cast<std::uint32_t>(t.pos.offset + t.text.size())};
-        // String tokens lose their quotes in `text`; none are legal in
-        // a property, so the raw slice below stays exact.
-      }
-      next();  // ;
-      std::string raw(std::string_view(source_.text())
-                          .substr(begin.offset, end.offset - begin.offset));
-      // The slice re-includes comment bytes the lexer skipped; blank
-      // them (spaces keep every offset stable for error mapping) since
-      // the property sub-parser knows nothing about comments.
-      for (std::size_t i = 0; i + 1 < raw.size(); ++i) {
-        if (raw[i] != '/') continue;
-        std::size_t stop;
-        if (raw[i + 1] == '/') {
-          stop = raw.find('\n', i);
-        } else if (raw[i + 1] == '*') {
-          stop = raw.find("*/", i + 2);
-          if (stop != std::string::npos) stop += 2;
-        } else {
-          continue;
-        }
-        if (stop == std::string::npos) stop = raw.size();
-        for (std::size_t k = i; k < stop; ++k) {
-          if (raw[k] != '\n') raw[k] = ' ';
-        }
-        i = stop > 0 ? stop - 1 : 0;
-      }
-      while (!raw.empty() && std::isspace(static_cast<unsigned char>(
-                                 raw.back()))) {
-        raw.pop_back();
-      }
-      model.controls.push_back({std::move(raw), begin});
+      model.controls.push_back(parse_property());
+      expect(TokKind::kSemi, "';' after the property");
     } catch (SyntaxError&) {
       sync_top();
     }
+  }
+
+  // `control: A<> φ` or `control: A[] φ`, up to the last token of φ.
+  ControlDeclAst parse_property() {
+    if (!accept_kw("control")) fail("'control:'");
+    expect(TokKind::kColon, "':' after 'control'");
+    ControlDeclAst decl;
+    decl.pos = peek().pos;
+    if (!accept_kw("A")) fail("'A<>' or 'A[]'");
+    if (accept(TokKind::kLt)) {
+      expect(TokKind::kGt, "'>' of 'A<>'");
+      decl.kind = tsystem::PurposeKind::kReach;
+    } else if (accept(TokKind::kLBracket)) {
+      expect(TokKind::kRBracket, "']' of 'A[]'");
+      decl.kind = tsystem::PurposeKind::kSafety;
+    } else {
+      fail("'<>' or '[]' after 'A'");
+    }
+    decl.formula = parse_expr();
+    const Token& last = toks_[at_ - 1];
+    const std::size_t end = last.pos.offset + last.text.size();
+    decl.source = "control: " + source_.text().substr(decl.pos.offset,
+                                                      end - decl.pos.offset);
+    return decl;
   }
 
   // ── expressions ─────────────────────────────────────────────────────
@@ -705,6 +694,11 @@ class Parser {
     if (t.is(TokKind::kIdent)) {
       auto e = make_expr(ExprAst::Kind::kName, t.pos);
       e->name = std::string(next().text);
+      if (accept(TokKind::kDot)) {  // `Proc.Name`, positioned at `Name`
+        e->process = std::move(e->name);
+        e->pos = peek().pos;
+        e->name = expect_ident("a location or variable name after '.'");
+      }
       if (accept(TokKind::kLBracket)) {
         e->kind = ExprAst::Kind::kIndex;
         e->lhs = parse_expr();
@@ -751,6 +745,11 @@ class Parser {
 
 ModelAst parse(const Source& source, DiagnosticSink& sink) {
   return Parser(source, sink).run();
+}
+
+std::optional<ControlDeclAst> parse_purpose(const Source& source,
+                                            DiagnosticSink& sink) {
+  return Parser(source, sink).run_purpose();
 }
 
 }  // namespace tigat::lang

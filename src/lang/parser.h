@@ -7,6 +7,8 @@
 // callers must check `sink.has_errors()` before elaborating.
 #pragma once
 
+#include <optional>
+
 #include "lang/ast.h"
 #include "lang/diag.h"
 #include "lang/lexer.h"
@@ -14,5 +16,12 @@
 namespace tigat::lang {
 
 [[nodiscard]] ModelAst parse(const Source& source, DiagnosticSink& sink);
+
+// Parses `source` as exactly one test purpose, `control: A<> φ` or
+// `control: A[] φ` with no trailing `;` — the front end of
+// tsystem::TestPurpose::parse.  Returns nullopt after a syntax error;
+// callers must also check `sink.has_errors()` for lexical errors.
+[[nodiscard]] std::optional<ControlDeclAst> parse_purpose(
+    const Source& source, DiagnosticSink& sink);
 
 }  // namespace tigat::lang

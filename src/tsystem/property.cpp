@@ -1,8 +1,6 @@
 #include "tsystem/property.h"
 
-#include <cctype>
 #include <utility>
-#include <vector>
 
 #include "util/assert.h"
 #include "util/text.h"
@@ -162,365 +160,6 @@ bool StateFormula::eval(std::span<const LocId> locations,
 std::string StateFormula::to_string(const System& system) const {
   if (is_null()) return "true";
   return print_node(node_.get(), system, 0);
-}
-
-// ── parser ────────────────────────────────────────────────────────────
-
-namespace {
-
-struct Token {
-  enum class Kind : std::uint8_t {
-    kIdent, kNumber, kSymbol, kEnd,
-  };
-  Kind kind = Kind::kEnd;
-  std::string text;
-  std::int64_t number = 0;
-  std::size_t pos = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) { advance(); }
-
-  const Token& peek() const { return tok_; }
-  Token take() {
-    Token t = tok_;
-    prev_pos_ = tok_.pos;
-    advance();
-    return t;
-  }
-
-  // Positioned at the lookahead token; use fail_prev when the
-  // offending token has already been taken.
-  [[noreturn]] void fail(const std::string& message) const {
-    throw PurposeParseError(message, tok_.pos);
-  }
-  [[noreturn]] void fail_prev(const std::string& message) const {
-    throw PurposeParseError(message, prev_pos_);
-  }
-
- private:
-  void advance() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    tok_ = Token{};
-    tok_.pos = pos_;
-    if (pos_ >= text_.size()) return;
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t end = pos_;
-      while (end < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[end])) ||
-              text_[end] == '_')) {
-        ++end;
-      }
-      tok_.kind = Token::Kind::kIdent;
-      tok_.text = std::string(text_.substr(pos_, end - pos_));
-      pos_ = end;
-      return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t end = pos_;
-      std::int64_t v = 0;
-      while (end < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[end]))) {
-        v = v * 10 + (text_[end] - '0');
-        ++end;
-      }
-      tok_.kind = Token::Kind::kNumber;
-      tok_.number = v;
-      tok_.text = std::string(text_.substr(pos_, end - pos_));
-      pos_ = end;
-      return;
-    }
-    // Multi-char symbols first.
-    static constexpr std::string_view kTwo[] = {"&&", "||", "==", "!=",
-                                                "<=", ">=", ".."};
-    for (const auto& s : kTwo) {
-      if (text_.substr(pos_, 2) == s) {
-        tok_.kind = Token::Kind::kSymbol;
-        tok_.text = std::string(s);
-        pos_ += 2;
-        return;
-      }
-    }
-    tok_.kind = Token::Kind::kSymbol;
-    tok_.text = std::string(1, c);
-    ++pos_;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t prev_pos_ = 0;
-  Token tok_;
-};
-
-// Recursive-descent parser producing a StateFormula.  Data
-// sub-expressions reuse the Expr machinery; quantifier-bound names are
-// tracked in a scope stack and become de Bruijn indices.
-class FormulaParser {
- public:
-  FormulaParser(const System& system, std::string_view text)
-      : sys_(system), lex_(text) {}
-
-  StateFormula parse_full() {
-    StateFormula f = parse_or();
-    if (lex_.peek().kind != Token::Kind::kEnd) {
-      lex_.fail("trailing input after formula");
-    }
-    return f;
-  }
-
- private:
-  bool is_symbol(const char* s) const {
-    return lex_.peek().kind == Token::Kind::kSymbol && lex_.peek().text == s;
-  }
-  bool is_ident(const char* s) const {
-    return lex_.peek().kind == Token::Kind::kIdent && lex_.peek().text == s;
-  }
-  void expect_symbol(const char* s) {
-    if (!is_symbol(s)) lex_.fail(util::format("expected '%s'", s));
-    lex_.take();
-  }
-
-  StateFormula parse_or() {
-    StateFormula f = parse_and();
-    while (is_symbol("||") || is_ident("or")) {
-      lex_.take();
-      f = StateFormula::disj(std::move(f), parse_and());
-    }
-    return f;
-  }
-
-  StateFormula parse_and() {
-    StateFormula f = parse_unary();
-    while (is_symbol("&&") || is_ident("and")) {
-      lex_.take();
-      f = StateFormula::conj(std::move(f), parse_unary());
-    }
-    return f;
-  }
-
-  StateFormula parse_unary() {
-    if (is_symbol("!") || is_ident("not")) {
-      lex_.take();
-      return StateFormula::neg(parse_unary());
-    }
-    if (is_ident("forall") || is_ident("exists")) {
-      const bool universal = lex_.take().text == "forall";
-      expect_symbol("(");
-      if (lex_.peek().kind != Token::Kind::kIdent) lex_.fail("expected binder name");
-      const std::string binder = lex_.take().text;
-      expect_symbol(":");
-      const auto [lo, hi] = parse_range();
-      expect_symbol(")");
-      binders_.push_back(binder);
-      StateFormula body = parse_unary();
-      binders_.pop_back();
-      return universal ? StateFormula::forall(lo, hi, std::move(body))
-                       : StateFormula::exists(lo, hi, std::move(body));
-    }
-    if (is_symbol("(")) {
-      // Could be a parenthesised formula or a parenthesised arithmetic
-      // expression followed by a comparison.  Formula connectives never
-      // appear inside arithmetic, so: parse as formula; if the next
-      // token is a comparison/arithmetic operator, re-parse as data.
-      const Lexer saved = lex_;
-      lex_.take();
-      StateFormula f = parse_or();
-      expect_symbol(")");
-      if (lex_.peek().kind == Token::Kind::kSymbol &&
-          (lex_.peek().text == "==" || lex_.peek().text == "!=" ||
-           lex_.peek().text == "<" || lex_.peek().text == "<=" ||
-           lex_.peek().text == ">" || lex_.peek().text == ">=" ||
-           lex_.peek().text == "+" || lex_.peek().text == "-" ||
-           lex_.peek().text == "*" || lex_.peek().text == "/" ||
-           lex_.peek().text == "%")) {
-        lex_ = saved;  // it was arithmetic after all
-        return parse_comparison();
-      }
-      return f;
-    }
-    return parse_comparison();
-  }
-
-  std::pair<std::int64_t, std::int64_t> parse_range() {
-    if (lex_.peek().kind == Token::Kind::kNumber) {
-      const std::int64_t lo = lex_.take().number;
-      expect_symbol("..");
-      if (lex_.peek().kind != Token::Kind::kNumber) lex_.fail("expected range end");
-      return {lo, lex_.take().number};
-    }
-    if (lex_.peek().kind == Token::Kind::kIdent) {
-      // `forall (i : arr)` ranges over the array's index set.
-      const std::string name = lex_.take().text;
-      if (const auto var = sys_.data().find(name)) {
-        const auto& d = sys_.data().decl(*var);
-        if (!d.is_array()) {
-          lex_.fail_prev("quantifier range '" + name + "' is not an array");
-        }
-        return {0, static_cast<std::int64_t>(d.size) - 1};
-      }
-      lex_.fail_prev("unknown range '" + name + "'");
-    }
-    lex_.fail("expected quantifier range");
-  }
-
-  StateFormula parse_comparison() {
-    // Try `Proc.Location` first.
-    if (lex_.peek().kind == Token::Kind::kIdent) {
-      const Lexer saved = lex_;
-      const std::string first = lex_.take().text;
-      if (is_symbol(".")) {
-        if (const auto proc = sys_.find_process(first)) {
-          lex_.take();
-          if (lex_.peek().kind != Token::Kind::kIdent) {
-            lex_.fail("expected location or variable after '.'");
-          }
-          const std::string second = lex_.peek().text;
-          if (const auto loc =
-                  sys_.processes()[*proc].find_location(second)) {
-            lex_.take();
-            return StateFormula::location(*proc, *loc);
-          }
-          // Fall through: `Proc.var` is variable access.
-        }
-      }
-      lex_ = saved;
-    }
-    Expr lhs = parse_sum();
-    if (lex_.peek().kind == Token::Kind::kSymbol) {
-      const std::string op = lex_.peek().text;
-      Expr::Kind kind;
-      if (op == "==") kind = Expr::Kind::kEq;
-      else if (op == "!=") kind = Expr::Kind::kNe;
-      else if (op == "<") kind = Expr::Kind::kLt;
-      else if (op == "<=") kind = Expr::Kind::kLe;
-      else if (op == ">") kind = Expr::Kind::kGt;
-      else if (op == ">=") kind = Expr::Kind::kGe;
-      else return StateFormula::data(std::move(lhs));
-      lex_.take();
-      Expr rhs = parse_sum();
-      return StateFormula::data(
-          Expr::binary(kind, std::move(lhs), std::move(rhs)));
-    }
-    return StateFormula::data(std::move(lhs));
-  }
-
-  Expr parse_sum() {
-    Expr e = parse_term();
-    while (is_symbol("+") || is_symbol("-")) {
-      const bool add = lex_.take().text == "+";
-      Expr r = parse_term();
-      e = Expr::binary(add ? Expr::Kind::kAdd : Expr::Kind::kSub, std::move(e),
-                       std::move(r));
-    }
-    return e;
-  }
-
-  Expr parse_term() {
-    Expr e = parse_factor();
-    while (is_symbol("*") || is_symbol("/") || is_symbol("%")) {
-      const std::string op = lex_.take().text;
-      Expr r = parse_factor();
-      const Expr::Kind k = op == "*"   ? Expr::Kind::kMul
-                           : op == "/" ? Expr::Kind::kDiv
-                                       : Expr::Kind::kMod;
-      e = Expr::binary(k, std::move(e), std::move(r));
-    }
-    return e;
-  }
-
-  Expr parse_factor() {
-    if (is_symbol("-")) {
-      lex_.take();
-      return Expr::unary(Expr::Kind::kNeg, parse_factor());
-    }
-    if (is_symbol("(")) {
-      lex_.take();
-      Expr e = parse_sum();
-      expect_symbol(")");
-      return e;
-    }
-    if (lex_.peek().kind == Token::Kind::kNumber) {
-      return Expr::constant(lex_.take().number);
-    }
-    if (lex_.peek().kind == Token::Kind::kIdent) {
-      std::string name = lex_.take().text;
-      // `Proc.var` — the qualifier is decorative (data is global).
-      if (is_symbol(".") && sys_.find_process(name)) {
-        lex_.take();
-        if (lex_.peek().kind != Token::Kind::kIdent) {
-          lex_.fail("expected variable after '.'");
-        }
-        name = lex_.take().text;
-      }
-      // Quantifier-bound variable?
-      for (std::size_t k = 0; k < binders_.size(); ++k) {
-        if (binders_[binders_.size() - 1 - k] == name) {
-          return Expr::bound_var(static_cast<std::uint32_t>(k));
-        }
-      }
-      const auto var = sys_.data().find(name);
-      if (!var) lex_.fail_prev("unknown identifier '" + name + "'");
-      if (is_symbol("[")) {
-        lex_.take();
-        Expr index = parse_sum();
-        expect_symbol("]");
-        return Expr::var(*var, std::move(index));
-      }
-      return Expr::var(*var);
-    }
-    lex_.fail("expected expression");
-  }
-
-  const System& sys_;
-  Lexer lex_;
-  std::vector<std::string> binders_;
-};
-
-}  // namespace
-
-TestPurpose TestPurpose::parse(const System& system, std::string_view text) {
-  TIGAT_ASSERT(system.finalized(), "parse requires a finalized system");
-  TestPurpose purpose;
-  purpose.source = std::string(util::trim(text));
-  std::string_view rest = util::trim(text);
-  // Offset of the tail under scrutiny within `text` (trim/substr keep
-  // views into the same buffer), so every error can carry an absolute
-  // position.
-  const auto offset_of = [&text](std::string_view tail) {
-    return static_cast<std::size_t>(tail.data() - text.data());
-  };
-  if (!util::starts_with(rest, "control:")) {
-    throw PurposeParseError("test purpose must start with 'control:'",
-                            offset_of(rest));
-  }
-  rest = util::trim(rest.substr(std::string_view("control:").size()));
-  if (util::starts_with(rest, "A<>")) {
-    purpose.kind = PurposeKind::kReach;
-    rest = rest.substr(3);
-  } else if (util::starts_with(rest, "A[]")) {
-    purpose.kind = PurposeKind::kSafety;
-    rest = rest.substr(3);
-  } else {
-    throw PurposeParseError("expected 'A<>' or 'A[]' after 'control:'",
-                            offset_of(rest));
-  }
-  FormulaParser parser(system, rest);
-  try {
-    purpose.formula = parser.parse_full();
-  } catch (const PurposeParseError& e) {
-    // Rebase the offset onto `text` and prefix the message with the
-    // (now absolute) position, keeping the bare message in `detail`.
-    const std::size_t offset = e.offset + offset_of(rest);
-    throw PurposeParseError(
-        util::format("test purpose, offset %zu: %s", offset, e.detail.c_str()),
-        offset, e.detail);
-  }
-  return purpose;
 }
 
 TestPurpose TestPurpose::reach(StateFormula formula, std::string label) {

@@ -11,12 +11,13 @@
 //   control: A<> forall (i : inUse) inUse[i] == 1
 //   control: A<> (forall (i : inUse) inUse[i] == 1) && IUT.idle
 //
-// `forall (i : a..b)` ranges over the integer interval; `forall (i :
-// arr)` abbreviates 0..size(arr)-1 for a declared array.  Both `&&/and`
-// `||/or` `!/not` spellings are accepted.  A bare data expression in
-// boolean position means `expr != 0`; a bare `Proc.Name` resolves to a
-// location atom if the process has such a location, otherwise to the
-// variable `Name`.
+// φ is written in the .tg expression language, with its precedence
+// (README.md, "Formulas").  `forall (i : a..b)` ranges over the integer
+// interval; `forall (i : arr)` abbreviates 0..size(arr)-1 for a declared
+// array.  Both `&&/and` `||/or` `!/not` spellings are accepted.  A bare
+// data expression in boolean position means `expr != 0`; a qualified
+// `Proc.Name` resolves to a location atom if the process has such a
+// location, otherwise to the variable `Name`.
 #pragma once
 
 #include <cstdint>
@@ -63,23 +64,6 @@ class StateFormula {
   std::shared_ptr<const FormulaNode> node_;
 };
 
-// Parse failure inside a test-purpose text.  Carries the byte offset
-// of the offending token relative to the text given to
-// TestPurpose::parse, so embedders (the .tg model language) can map it
-// onto a source file position.
-class PurposeParseError : public ModelError {
- public:
-  PurposeParseError(const std::string& message, std::size_t offset)
-      : ModelError(message), offset(offset), detail(message) {}
-  PurposeParseError(const std::string& message, std::size_t offset,
-                    std::string detail_text)
-      : ModelError(message), offset(offset), detail(std::move(detail_text)) {}
-  std::size_t offset = 0;
-  // The message without any "offset N" prefix, for embedders that
-  // render the position themselves.
-  std::string detail;
-};
-
 enum class PurposeKind : std::uint8_t {
   kReach,   // control: A<> φ
   kSafety,  // control: A[] φ
@@ -91,6 +75,8 @@ struct TestPurpose {
   StateFormula formula;
   std::string source;  // original text, for reports
 
+  // Parses `control: A<> φ` / `control: A[] φ` with the .tg front end
+  // (defined in src/lang/lang.cpp, so tsystem does not depend on lang).
   // Throws ModelError with a position-annotated message on bad input.
   static TestPurpose parse(const System& system, std::string_view text);
 

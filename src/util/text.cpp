@@ -35,10 +35,6 @@ std::string_view trim(std::string_view text) {
   return text;
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
-}
-
 std::string format(const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);

@@ -16,8 +16,6 @@ std::vector<std::string> split(std::string_view text, char sep);
 // Strips ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 
-bool starts_with(std::string_view text, std::string_view prefix);
-
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -162,7 +162,13 @@ TEST(LangParser, BuildsExpectedAst) {
   EXPECT_EQ(e.updates[1].target, "n");
 
   ASSERT_EQ(ast.controls.size(), 1u);
-  EXPECT_EQ(ast.controls[0].text, "A<> P.B");
+  const ControlDeclAst& control = ast.controls[0];
+  EXPECT_EQ(control.kind, tsystem::PurposeKind::kReach);
+  ASSERT_NE(control.formula, nullptr);
+  EXPECT_EQ(control.formula->kind, ExprAst::Kind::kName);
+  EXPECT_EQ(control.formula->process, "P");
+  EXPECT_EQ(control.formula->name, "B");
+  EXPECT_EQ(control.source, "control: A<> P.B");
 }
 
 TEST(LangParser, QuantifierAndOperatorPrecedence) {
@@ -927,6 +933,125 @@ TEST(LangFormulaGoldens, ControlDeclarationsPrintTheGolden) {
     EXPECT_EQ(purpose.source, text);
     EXPECT_EQ(purpose.formula.to_string(model->system), g.printed);
   }
+}
+
+// ── formulas through the .tg parser ───────────────────────────────────
+
+TEST(LangDiagnostics, DeeplyNestedControlFormulaIsAnErrorNotAStackOverflow) {
+  const std::string model = "int[0, 1] v;\n"
+                            "process P controlled { loc A; init A; }\n";
+  const std::string nest(100000, '(');
+  std::vector<Diagnostic> diags;
+  EXPECT_FALSE(
+      compile(model + "control: A<> " + nest + "v;\n", diags).has_value());
+  EXPECT_NE(first_error(diags).message.find("too deeply nested"),
+            std::string::npos);
+  EXPECT_EQ(first_error(diags).line, 3u);
+
+  const LoadedModel loaded = load_model_from_string(model, "m.tg");
+  EXPECT_THROW(
+      tsystem::TestPurpose::parse(loaded.system, "control: A<> " + nest + "v"),
+      tsystem::ModelError);
+}
+
+// lep.tg with extra `control:` lines appended (throws LangError with
+// the rendered report on any diagnostic).
+LoadedModel lep_with(const std::string& controls,
+                     const CompileOptions& options = {}) {
+  return load_model_from_string(read_model("lep.tg") + controls, "lep.tg",
+                                options);
+}
+
+TEST(LangFormulas, ConstantsAndParametersAreInScope) {
+  const LoadedModel m = lep_with("control: A<> inUse[MaxAddr] == 1;\n",
+                                 CompileOptions{{{"N", 4}}});
+  const tsystem::TestPurpose& scoped = m.purposes.back();
+  const auto literal =
+      tsystem::TestPurpose::parse(m.system, "control: A<> inUse[3] == 1");
+  EXPECT_EQ(scoped.formula.to_string(m.system),
+            literal.formula.to_string(m.system));
+
+  const auto in_use = m.system.data().find("inUse");
+  ASSERT_TRUE(in_use.has_value());
+  const std::vector<tsystem::LocId> locs(m.system.processes().size(), 0);
+  tsystem::DataState state = m.system.data().initial_state();
+  for (const std::int32_t value : {0, 1}) {
+    state.set(m.system.data().slot_of(*in_use, 3), value);
+    EXPECT_EQ(scoped.formula.eval(locs, state, m.system.data()), value == 1);
+    EXPECT_EQ(literal.formula.eval(locs, state, m.system.data()), value == 1);
+  }
+}
+
+TEST(LangFormulas, FoldedQuantifierRangeEqualsTheArrayRange) {
+  const LoadedModel m = lep_with(
+      "control: A<> forall (i : 0..N-1) inUse[i] == 1;\n"
+      "control: A<> forall (i : inUse) inUse[i] == 1;\n");
+  const auto& purposes = m.purposes;
+  ASSERT_GE(purposes.size(), 2u);
+  EXPECT_EQ(purposes[purposes.size() - 2].formula.to_string(m.system),
+            purposes.back().formula.to_string(m.system));
+}
+
+TEST(LangFormulas, TrueAndFalseAreFormulas) {
+  const LoadedModel m =
+      lep_with("control: A<> true;\ncontrol: A[] !false;\n");
+  const std::vector<tsystem::LocId> locs(m.system.processes().size(), 0);
+  const tsystem::DataState state = m.system.data().initial_state();
+  ASSERT_GE(m.purposes.size(), 2u);
+  for (std::size_t k = m.purposes.size() - 2; k < m.purposes.size(); ++k) {
+    EXPECT_TRUE(m.purposes[k].formula.eval(locs, state, m.system.data()));
+  }
+}
+
+TEST(LangDiagnostics, QualifiedNameInAGuardIsRejected) {
+  // A variable, a clock and a constant behind a qualifier: none of them
+  // may slip through as the unqualified name.
+  for (const char* guard : {"P.v == 1", "P.x >= 2", "v == P.N"}) {
+    SCOPED_TRACE(guard);
+    std::vector<Diagnostic> diags;
+    const auto model = compile(std::string("clock x;\n"
+                                           "const N = 1;\n"
+                                           "int[0, 1] v;\n"
+                                           "process P controlled {\n"
+                                           "  loc A; init A;\n"
+                                           "  edge A -> A when ") +
+                                   guard + ";\n}\n",
+                               diags);
+    EXPECT_FALSE(model.has_value());
+    const Diagnostic& d = first_error(diags);
+    EXPECT_EQ(d.line, 6u);
+    EXPECT_NE(d.message.find("only allowed in a control: formula"),
+              std::string::npos);
+  }
+  std::vector<Diagnostic> diags;
+  compile("int[0, 1] v;\n"
+          "process P controlled { loc A; init A;\n"
+          "  edge A -> A when P.v == 1;\n"
+          "}\n",
+          diags);
+  EXPECT_EQ(first_error(diags).column, 22u);  // at `v` of `P.v`
+}
+
+// The two readings the shared precedence changed (README, "Formulas").
+TEST(LangFormulas, PrecedenceFollowsTheExpressionGrammar) {
+  const LoadedModel m = lep_with("");
+  const auto printed = [&m](const char* formula) {
+    return tsystem::TestPurpose::parse(m.system, formula)
+        .formula.to_string(m.system);
+  };
+  EXPECT_EQ(printed("control: A<> !betterInfo == 1"),
+            printed("control: A<> (!betterInfo) == 1"));
+  EXPECT_NE(printed("control: A<> !betterInfo == 1"),
+            printed("control: A<> !(betterInfo == 1)"));
+
+  EXPECT_EQ(printed("control: A<> forall (i : inUse) inUse[i] == 1 && "
+                    "IUT.idle"),
+            printed("control: A<> forall (i : inUse) (inUse[i] == 1 && "
+                    "IUT.idle)"));
+  EXPECT_NE(printed("control: A<> forall (i : inUse) inUse[i] == 1 && "
+                    "IUT.idle"),
+            printed("control: A<> (forall (i : inUse) inUse[i] == 1) && "
+                    "IUT.idle"));
 }
 
 TEST(LangLoad, MissingFileThrowsLangError) {

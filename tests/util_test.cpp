@@ -31,12 +31,6 @@ TEST(Text, Trim) {
   EXPECT_EQ(trim("x"), "x");
 }
 
-TEST(Text, StartsWith) {
-  EXPECT_TRUE(starts_with("control: A<> p", "control:"));
-  EXPECT_FALSE(starts_with("ctl", "control:"));
-  EXPECT_TRUE(starts_with("abc", ""));
-}
-
 TEST(Text, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 1.234), "1.23");
