@@ -832,9 +832,10 @@ TEST(LangDiagnostics, ForRangeExplosionIsCapped) {
 }
 
 // ── formula goldens ───────────────────────────────────────────────────
-// StateFormula::to_string for every distinct `control:` formula the
-// repository's models, examples, benches and tests use, reached through
-// both entry points: TestPurpose::parse on a loaded model, and a
+// StateFormula::to_string for the `control:` formulas of the shipped
+// models and every distinct formula shape the examples, benches and
+// tests use (`P.L`, `!P.L`, TP1-TP3, ...), reached through both entry
+// points: TestPurpose::parse on a loaded model, and a
 // `control:` line appended to the model's source.  The printed form
 // spells out the whole formula tree (connectives, quantifier ranges,
 // data expressions), so a front-end change that builds a different tree
