@@ -27,11 +27,12 @@
 //
 //   run_model solve examples/models/lep.tg --param N=5
 //
-// Every `control:` declaration in the file is solved (plus any extra
-// purposes given on the command line); for each one the winnability
-// verdict, solver statistics and strategy size are reported.  Both
-// purpose kinds solve: `control: A<> φ` (reachability) and
-// `control: A[] φ` (safety).  Safety campaigns PASS by keeping φ true
+// Every `control:` declaration in the file is solved, then any extra
+// purposes given on the command line (in the model's scope: they see
+// its constants, --param overrides applied); for each one the
+// winnability verdict, solver statistics and strategy size are
+// reported.  Both purpose kinds solve: `control: A<> φ` (reachability)
+// and `control: A[] φ` (safety).  Safety campaigns PASS by keeping φ true
 // for --pass-ticks of model time (default: the step budget) and FAIL
 // the moment a run breaks φ.
 //
@@ -399,7 +400,7 @@ int run_main(int argc, char** argv) {
 
   lang::LoadedModel model = [&] {
     try {
-      return lang::load_model(path, compile_options);
+      return lang::load_model(path, compile_options, extra_purposes);
     } catch (const lang::LangError& e) {
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(kExitUsageOrModel);
@@ -414,14 +415,6 @@ int run_main(int argc, char** argv) {
   if (print_model) std::printf("\n%s\n", model.system.to_string().c_str());
 
   std::vector<tsystem::TestPurpose> purposes = std::move(model.purposes);
-  for (const std::string& text : extra_purposes) {
-    try {
-      purposes.push_back(tsystem::TestPurpose::parse(model.system, text));
-    } catch (const tsystem::ModelError& e) {
-      std::fprintf(stderr, "bad purpose '%s': %s\n", text.c_str(), e.what());
-      return kExitUsageOrModel;
-    }
-  }
 
   // Serving path: a compiled strategy replaces solving entirely.  The
   // purposes are parsed first so the fingerprint check can tell which

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/assert.h"
 #include "util/stopwatch.h"
@@ -272,7 +271,8 @@ class Compiler {
         g_(solution.graph()),
         safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
         dim_(g_.system().clock_count()),
-        reach_(dim_) {}
+        reach_(dim_),
+        win_(dim_) {}
 
   Fragment run(std::uint32_t begin, std::uint32_t end) {
     for (std::uint32_t k = begin; k < end; ++k) compile_key(k);
@@ -319,7 +319,7 @@ class Compiler {
     for (const Fed& region : regions) {
       for (const Dbm& z : region.zones()) refs.push_back(pools_.zone(z));
     }
-    for (const Dbm& z : sol_.winning_up_to(k, round - 1).zones()) {
+    for (const Dbm& z : sol_.winning_up_to(k, round - 1, win_).zones()) {
       refs.push_back(pools_.zone(z));
     }
     TableData::Leaf leaf;
@@ -336,12 +336,12 @@ class Compiler {
   // controllable edges in edges_out order — empty action regions are
   // skipped, which is decide-equivalent since an empty region never
   // contains the point.
-  target_t safety_leaf(std::uint32_t k, const Fed& reach) {
+  target_t safety_leaf(std::uint32_t k, const Fed& reach, const Fed& safe) {
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = 0;
     Words refs;
-    for (const Dbm& z : sol_.winning(k).zones()) {
+    for (const Dbm& z : safe.zones()) {
       refs.push_back(pools_.zone(z));
     }
     leaf.zones_first = intern_slice(refs);
@@ -372,24 +372,26 @@ class Compiler {
   void compile_key(std::uint32_t k) {
     const Fed& reach = g_.reach(k, reach_);
     if (safety_) {
-      const Fed& safe = sol_.winning(k);
+      const Fed& safe = sol_.winning(k, win_);
       TableData::Key key;
       key.locs = g_.key(k).locs;
       key.data = g_.key(k).data;
       if (safe.is_empty()) {
         key.root = unwinnable_leaf();
       } else {
-        std::vector<Entry> entries{{&safe, safety_leaf(k, reach)}};
+        std::vector<Entry> entries{{&safe, safety_leaf(k, reach, safe)}};
         cascade_entries_ += entries.size();
         key.root = build(Dbm::universal(dim_), entries);
       }
       pools_.data.keys.push_back(std::move(key));
       return;
     }
+    // The entries point into `deltas` and `owned`: both outlive build().
+    const std::vector<GameSolution::Delta> deltas = sol_.deltas(k);
     std::deque<Fed> owned;
     std::vector<Entry> entries;
     std::vector<Fed> regions;  // the current delta's action regions
-    for (const GameSolution::Delta& d : sol_.deltas(k)) {
+    for (const GameSolution::Delta& d : deltas) {
       if (d.round == 0) {
         TableData::Leaf goal;
         goal.kind = MoveKind::kGoalReached;
@@ -500,6 +502,7 @@ class Compiler {
   const bool safety_;
   const std::uint32_t dim_;
   Fed reach_;  // the current key's decoded reach set
+  Fed win_;    // scratch for the current key's decoded winning sets
   Pools pools_;
   std::optional<bool> first_slice_empty_;
   std::size_t cascade_entries_ = 0;
@@ -697,10 +700,6 @@ DecisionTable compile(const GameSolution& solution, CompileStats* stats) {
 
   TableData table = packer.finish(stats);
   if (stats != nullptr) stats->compile_seconds = watch.seconds();
-  if (obs::metrics_enabled()) {
-    obs::metrics().gauge("decision.compile.materialized_bytes")
-        .set(static_cast<double>(solution.materialized_bytes()));
-  }
   return DecisionTable(std::move(table));
 }
 

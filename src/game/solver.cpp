@@ -1,6 +1,7 @@
 #include "game/solver.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -12,7 +13,6 @@
 
 namespace tigat::game {
 
-using dbm::Dbm;
 using dbm::Fed;
 using semantics::SymbolicEdge;
 using semantics::SymbolicGraph;
@@ -21,75 +21,40 @@ GameSolution::GameSolution(std::shared_ptr<const SymbolicGraph> graph,
                            tsystem::TestPurpose purpose)
     : graph_(std::move(graph)),
       pool_(graph_->zone_pool()),
-      purpose_(std::move(purpose)),
-      empty_fed_(graph_->system().clock_count()),
-      mat_slots_(std::make_unique<MaterializedSlot[]>(graph_->key_count())) {}
+      purpose_(std::move(purpose)) {}
 
-const GameSolution::MaterializedKey& GameSolution::materialized(
-    std::uint32_t k) const {
-  std::atomic<MaterializedKey*>& slot = mat_slots_[k].key;
-  MaterializedKey* published = slot.load(std::memory_order_acquire);
-  if (published != nullptr) return *published;
-  // Decode (reads only the immutable pooled store) and publish with
-  // one CAS; a racing caller may duplicate the work, but only the
-  // first publication sticks and the loser's copy is discarded.  The
-  // winning federation is the concatenation of the delta federations
-  // — gains are pairwise disjoint, so Fed::add's filtering never fires
-  // and append keeps the round order of the members.
-  const std::uint32_t dim = graph_->system().clock_count();
-  MaterializedKey m{Fed(dim), {}, {}};
-  for (const PooledDelta& pd : deltas_[k]) {
-    Fed gained(dim);
-    pd.gained.materialize(gained, pool_);
-    for (const Dbm& z : gained.zones()) m.win.append_raw(z);
-    m.deltas.push_back({pd.round, std::move(gained)});
-  }
-  // The prefix unions are concatenations too, for the same reason.
-  if (m.deltas.size() >= 2) {
-    m.up_to.reserve(m.deltas.size() - 1);
-    Fed acc(dim);
-    for (std::size_t d = 0; d + 1 < m.deltas.size(); ++d) {
-      for (const Dbm& z : m.deltas[d].gained.zones()) acc.append_raw(z);
-      m.up_to.push_back(acc);
+const Fed& GameSolution::winning_up_to(std::uint32_t k, std::uint32_t round,
+                                       Fed& scratch) const {
+  scratch.clear();
+  for (const PooledDelta& pd : deltas_[k]) {  // deltas are in round order
+    if (pd.round > round) break;
+    const std::size_t zones = pd.gained.size();
+    for (std::size_t z = 0; z < zones; ++z) {
+      scratch.append_raw(pd.gained.zone(z, pool_));
     }
   }
-  auto fresh = std::make_unique<MaterializedKey>(std::move(m));
-  if (slot.compare_exchange_strong(published, fresh.get(),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return *fresh.release();
+  return scratch;
+}
+
+const Fed& GameSolution::winning(std::uint32_t k, Fed& scratch) const {
+  return winning_up_to(k, std::numeric_limits<std::uint32_t>::max(), scratch);
+}
+
+std::vector<GameSolution::Delta> GameSolution::deltas(std::uint32_t k) const {
+  std::vector<Delta> out;
+  out.reserve(deltas_[k].size());
+  for (const PooledDelta& pd : deltas_[k]) {
+    out.push_back({pd.round, Fed(graph_->system().clock_count())});
+    pd.gained.materialize(out.back().gained, pool_);
   }
-  return *published;
-}
-
-const Fed& GameSolution::winning(std::uint32_t k) const {
-  return materialized(k).win;
-}
-
-const std::vector<GameSolution::Delta>& GameSolution::deltas(
-    std::uint32_t k) const {
-  return materialized(k).deltas;
-}
-
-std::size_t GameSolution::materialized_bytes() const {
-  std::size_t total = 0;
-  for (std::uint32_t k = 0; k < graph_->key_count(); ++k) {
-    const MaterializedKey* m =
-        mat_slots_[k].key.load(std::memory_order_acquire);
-    if (m == nullptr) continue;
-    total += sizeof(MaterializedKey) + m->win.heap_bytes() +
-             m->deltas.capacity() * sizeof(Delta) +
-             m->up_to.capacity() * sizeof(Fed);
-    for (const Delta& d : m->deltas) total += d.gained.heap_bytes();
-    for (const Fed& u : m->up_to) total += u.heap_bytes();
-  }
-  return total;
+  return out;
 }
 
 Fed GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
                                 const Fed& reach_src) const {
   const SymbolicEdge& e = graph_->edges()[ei];
-  Fed region = graph_->pred_through(e, winning_up_to(e.dst, round));
+  Fed scratch(graph_->system().clock_count());
+  Fed region = graph_->pred_through(e, winning_up_to(e.dst, round, scratch));
   region &= reach_src;
   return region;
 }
@@ -97,11 +62,12 @@ Fed GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
 Fed GameSolution::danger_region(std::uint32_t k, const Fed& reach_k) const {
   const std::uint32_t dim = graph_->system().clock_count();
   Fed danger(dim);
-  Fed scratch(dim);
+  Fed reach(dim);
+  Fed win(dim);
   for (const std::uint32_t ei : graph_->edges_out(k)) {
     const SymbolicEdge& e = graph_->edges()[ei];
     if (e.inst.controllable) continue;
-    Fed bad = graph_->reach(e.dst, scratch).minus(winning(e.dst));
+    Fed bad = graph_->reach(e.dst, reach).minus(winning(e.dst, win));
     if (bad.is_empty()) continue;
     danger |= graph_->pred_through(e, bad);
   }
@@ -109,38 +75,18 @@ Fed GameSolution::danger_region(std::uint32_t k, const Fed& reach_k) const {
   return danger;
 }
 
-const Fed& GameSolution::winning_up_to(std::uint32_t k,
-                                       std::uint32_t round) const {
-  const MaterializedKey& m = materialized(k);
-  const std::vector<Delta>& ds = m.deltas;
-  // deltas are in round order; find how many apply.
-  std::size_t idx = ds.size();
-  while (idx > 0 && ds[idx - 1].round > round) --idx;
-  if (idx == 0) return empty_fed_;
-  // The full prefix is the complete winning set; intermediate prefixes
-  // come from the cumulative cache (which omits the last level to
-  // avoid duplicating the full federation).
-  if (idx == ds.size()) return m.win;
-  return m.up_to[idx - 1];
-}
-
 std::optional<std::uint32_t> GameSolution::rank(
     std::uint32_t k, std::span<const std::int64_t> clocks,
     std::int64_t scale) const {
-  for (const Delta& d : deltas(k)) {  // deltas are in round order
-    if (d.gained.contains_point(clocks, scale)) return d.round;
+  for (const PooledDelta& pd : deltas_[k]) {  // deltas are in round order
+    if (pd.gained.contains_point(clocks, pool_, scale)) return pd.round;
   }
   return std::nullopt;
 }
 
 bool GameSolution::winning_from_initial() const {
   const std::vector<std::int64_t> zero(graph_->system().clock_count(), 0);
-  // Pooled membership test — no materialization for the one question
-  // every Table 1 cell asks.
-  for (const PooledDelta& pd : deltas_[graph_->initial_key()]) {
-    if (pd.gained.contains_point(zero, pool_, 1)) return true;
-  }
-  return false;
+  return rank(graph_->initial_key(), zero, 1).has_value();
 }
 
 GameSolver::GameSolver(const tsystem::System& system,
@@ -188,18 +134,6 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const SymbolicGraph& g = *solution->graph_;
   dbm::ZonePool& zpool = solution->pool_;
   auto& deltas = solution->deltas_;
-
-  // Decodes a key's winning federation (the concatenation of its delta
-  // federations; see GameSolution::materialized) into `out`.
-  const auto win_fed = [&](std::uint32_t k, Fed& out) {
-    out.clear();
-    for (const auto& pd : deltas[k]) {
-      const std::size_t zones = pd.gained.size();
-      for (std::size_t z = 0; z < zones; ++z) {
-        out.append_raw(pd.gained.zone(z, zpool));
-      }
-    }
-  };
 
   // Round 0: attractor seed keys win everywhere they are reachable
   // (reach: the φ goal keys; safety: the ¬φ keys the environment
@@ -344,14 +278,14 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
       return [&, base](std::size_t begin, std::size_t end) {
       Fed scratch(dim);
       Fed other(dim);  // decoded win/loss of a neighbour
-      Fed wk(dim);     // decoded win of k
+      Fed win_k(dim);  // decoded win of k
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t k = work[base + i];
 
         // B: already-winning here, an attacker edge into winning, or a
         // deadline where the defender is forced to move (G filters out
         // forced states with a non-winning escape).
-        win_fed(k, wk);
+        const Fed& wk = solution->winning(k, win_k);
         Fed b = wk;
         if (!forced[k].is_empty()) b |= forced[k];
         // G: a defender edge can escape to a non-winning state.
@@ -360,8 +294,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
           const SymbolicEdge& e = g.edges()[ei];
           if (e.inst.controllable == attacker_ctrl) {
             if (!deltas[e.dst].empty()) {
-              win_fed(e.dst, other);
-              b |= g.pred_through(e, other);
+              b |= g.pred_through(e, solution->winning(e.dst, other));
             }
           } else if (!loss[e.dst].is_empty()) {
             loss[e.dst].materialize(other, zpool);
@@ -423,8 +356,8 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         Fed win_k(dim);
         for (std::size_t i = begin; i < end; ++i) {
           const std::uint32_t k = changed[base + i];
-          win_fed(k, win_k);
-          loss_staged[i] = g.reach(k, scratch).minus(win_k);
+          loss_staged[i] =
+              g.reach(k, scratch).minus(solution->winning(k, win_k));
         }
       }, "fixpoint.refresh_loss");
       // Loss sets are only read by the NEXT round's body, so batch

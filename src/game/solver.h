@@ -86,26 +86,15 @@
 // CI-class memory.  The graph's dictionary is never written after
 // exploration: each solution owns a copy of it, so reach row ids stay
 // valid in the solution's dictionary, and the fixpoint interns the
-// loss and gain rows there.  The executor-facing accessors (winning, deltas,
-// winning_up_to, rank) decode a key's federations on first touch into
-// that key's materialization slot, sized from key_count() when the
-// solution is built.  A slot is published once by a CAS; afterwards a
-// hit is one atomic load — no lock, no hashing — so strategy walks and
-// compile workers never contend on it.  Test execution visits a
-// handful of keys per run, so serving stays cheap while bulk storage
-// stays compressed.
-//
-// The solution keeps no other derived state.  action_region and
-// danger_region are computed afresh on every call: Strategy keeps its
-// own cache of them for the walk, and decision::compile computes each
-// one once per key and drops it before the next.  Caveat: consumers
-// that touch EVERY key (Strategy::to_string, decision::compile) still
-// fill every materialization slot, re-inflating each key's winning
-// federations to matrices for the solution's lifetime
-// (materialized_bytes() reports how much).
+// loss and gain rows there.  A solution is read-only once solve()
+// returns: every accessor decodes from the pool when called (rank tests
+// the pooled rows directly) and nothing is cached, so concurrent
+// readers need no synchronisation and a consumer that visits every key
+// (decision::compile, Strategy::to_string) holds one key's decoded
+// federations at a time.  Strategy keeps its own cache of the action
+// and danger regions for the walk.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -168,15 +157,15 @@ class GameSolution {
 
   [[nodiscard]] bool goal_key(std::uint32_t k) const { return goal_key_[k]; }
 
-  // Full winning federation of a key (materialized on first touch).
-  [[nodiscard]] const dbm::Fed& winning(std::uint32_t k) const;
-  // Winning states of rank ≤ round.  Served from the key's cumulative
-  // per-round unions, built when the key is materialized (the executor
-  // asks on every decision; rebuilding the union federation per call
-  // dominated the per-decision hot path).
+  // Key k's winning states (of rank ≤ round), decoded into `scratch`
+  // (cleared first) like SymbolicGraph::reach: the gains in round order.
+  [[nodiscard]] const dbm::Fed& winning(std::uint32_t k,
+                                        dbm::Fed& scratch) const;
   [[nodiscard]] const dbm::Fed& winning_up_to(std::uint32_t k,
-                                              std::uint32_t round) const;
-  [[nodiscard]] const std::vector<Delta>& deltas(std::uint32_t k) const;
+                                              std::uint32_t round,
+                                              dbm::Fed& scratch) const;
+  // Key k's per-round gains, decoded, in round order.
+  [[nodiscard]] std::vector<Delta> deltas(std::uint32_t k) const;
 
   // Rank of a concrete valuation (ticks at `scale`), if winning.
   [[nodiscard]] std::optional<std::uint32_t> rank(
@@ -205,11 +194,7 @@ class GameSolution {
   [[nodiscard]] dbm::Fed danger_region(std::uint32_t k,
                                        const dbm::Fed& reach_k) const;
 
-  // Heap bytes held by the keys materialized so far (their winning,
-  // delta and prefix-union federations).  Safe for concurrent callers;
-  // a key materialized meanwhile may or may not be counted.
-  [[nodiscard]] std::size_t materialized_bytes() const;
-
+  // Whether the initial state (every clock 0) is winning.
   [[nodiscard]] bool winning_from_initial() const;
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
@@ -227,21 +212,6 @@ class GameSolution {
     std::uint32_t round;
     dbm::PooledFed gained;
   };
-  // A key's executor-facing federations, decoded from the pooled store
-  // on first access.
-  struct MaterializedKey {
-    dbm::Fed win;
-    std::vector<Delta> deltas;
-    std::vector<dbm::Fed> up_to;  // delta-prefix unions minus the last
-  };
-  // Null until key k is first materialized; set once, never changed.
-  struct MaterializedSlot {
-    std::atomic<MaterializedKey*> key{nullptr};
-    ~MaterializedSlot() { delete key.load(std::memory_order_relaxed); }
-  };
-
-  // Materializes key k (idempotent, thread-safe) and returns it.
-  const MaterializedKey& materialized(std::uint32_t k) const;
 
   std::shared_ptr<const semantics::SymbolicGraph> graph_;
   // The graph's dictionary plus the fixpoint's rows; decodes deltas_.
@@ -252,9 +222,6 @@ class GameSolution {
   // set is the concatenation of its gains — they are disjoint, so no
   // filtering applies.
   std::vector<std::vector<PooledDelta>> deltas_;
-  dbm::Fed empty_fed_;  // returned for rounds before the first delta
-  // Behind a pointer to keep the class movable.
-  std::unique_ptr<MaterializedSlot[]> mat_slots_;  // one per key
   SolverStats stats_;
   unsigned worker_count_ = 1;
 };

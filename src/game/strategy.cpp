@@ -85,13 +85,14 @@ Move Strategy::decide(const semantics::ConcreteState& state,
   const auto rank = solution_->rank(*k, state.clocks, scale);
   if (!rank) return move;
   move.rank = rank;
+  Fed scratch(g.system().clock_count());  // decoded winning states
 
   if (solution_->purpose().kind == tsystem::PurposeKind::kSafety) {
     // Safety: every winning state has rank 0 (Safe is one round-0
     // delta).  The prescription is time-driven, not rank-driven:
     // delay while delaying is harmless, act before the play reaches a
     // state where an enabled SUT move exits Safe.
-    const Fed& safe = solution_->winning(*k);
+    const Fed& safe = solution_->winning(*k, scratch);
     const Fed& danger = danger_region(*k);
     // Latest harmless wait: stay inside Safe and stop one tick short
     // of Danger — arriving at the boundary with the escape already
@@ -157,7 +158,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
       next = std::min(next, *d);
     }
   }
-  const Fed& lower = solution_->winning_up_to(*k, *rank - 1);
+  const Fed& lower = solution_->winning_up_to(*k, *rank - 1, scratch);
   if (const auto d = lower.earliest_entry_delay(state.clocks, scale)) {
     next = std::min(next, *d);
   }
@@ -166,9 +167,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
 }
 
 std::size_t Strategy::size() const {
-  // = sum over keys of the delta-federation zone counts, which the
-  // solver already tallied — counting via deltas(k) would materialize
-  // every key out of the pooled store.
+  // The solver's tally of delta-federation zones over all keys.
   return solution_->stats().winning_zones;
 }
 
@@ -181,8 +180,9 @@ std::string Strategy::to_string() const {
   std::string out;
   out += "strategy for: " + solution_->purpose().source + "\n";
 
+  Fed scratch(sys.clock_count());
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const auto& deltas = solution_->deltas(k);
+    const std::vector<GameSolution::Delta> deltas = solution_->deltas(k);
     if (deltas.empty()) continue;
 
     // Discrete state header.
@@ -203,7 +203,7 @@ std::string Strategy::to_string() const {
       // One Safe row per key plus the prescriptions that keep the play
       // inside it: the region whose entry forces an action, and the
       // escape actions available (in edge order, like decide()).
-      out += "  while " + solution_->winning(k).to_string(names) +
+      out += "  while " + solution_->winning(k, scratch).to_string(names) +
              " -> stay safe\n";
       const Fed& danger = danger_region(k);
       if (!danger.is_empty()) {
@@ -231,7 +231,8 @@ std::string Strategy::to_string() const {
       for (const std::uint32_t ei : g.edges_out(k)) {
         const SymbolicEdge& e = g.edges()[ei];
         if (!e.inst.controllable) continue;
-        Fed region = g.pred_through(e, solution_->winning_up_to(e.dst, d.round - 1));
+        Fed region = g.pred_through(
+            e, solution_->winning_up_to(e.dst, d.round - 1, scratch));
         region = region.intersection(rest);
         if (region.is_empty()) continue;
         out += "  while " + region.to_string(names) + " -> take " +

@@ -50,14 +50,24 @@ std::optional<LoadedModel> compile_model(std::string_view source_text,
   return model;
 }
 
-LoadedModel load_model(const std::string& path,
-                       const CompileOptions& options) {
+LoadedModel load_model(const std::string& path, const CompileOptions& options,
+                       const std::vector<std::string>& purposes) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     throw LangError(util::format("%s: cannot open model file", path.c_str()));
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
+  // Each purpose must parse alone, so appended text declares nothing;
+  // a `;` on its own line survives a trailing `//` comment.
+  for (const std::string& text : purposes) {
+    const Source source("test purpose", text);
+    DiagnosticSink sink(source);
+    if (!parse_purpose(source, sink) || sink.has_errors()) {
+      throw LangError(sink.render_all());
+    }
+    buffer << '\n' << text << "\n;";
+  }
   return compile_or_throw(buffer.str(), path, options);
 }
 

@@ -48,8 +48,13 @@ class LangError : public tsystem::ModelError {
     std::vector<Diagnostic>& diagnostics, const CompileOptions& options = {});
 
 // Reads and compiles a .tg file; throws LangError on any failure.
-[[nodiscard]] LoadedModel load_model(const std::string& path,
-                                     const CompileOptions& options = {});
+// `purposes` (texts of the form `control: A<> φ`, as on the run_model
+// command line) are compiled after the file's own `control:` lines, in
+// the model's scope: they see its constants, overrides applied.  Each
+// must parse on its own as exactly one purpose first.
+[[nodiscard]] LoadedModel load_model(
+    const std::string& path, const CompileOptions& options = {},
+    const std::vector<std::string>& purposes = {});
 
 // As load_model, for in-memory text (`name` labels diagnostics).
 [[nodiscard]] LoadedModel load_model_from_string(

@@ -399,15 +399,11 @@ class Parser {
 
   // for (i : lo..hi) { <edges / nested for blocks> }
   ForBlockAst parse_for_block() {
+    const DepthGuard guard{for_depth_, for_depth_};
     if (++for_depth_ > kMaxForDepth) {
       error(peek().pos, "'for' blocks are nested too deeply");
-      --for_depth_;
       throw SyntaxError{};
     }
-    const struct DepthGuard {
-      int& depth;
-      ~DepthGuard() { --depth; }
-    } guard{for_depth_};
 
     ForBlockAst fb;
     fb.pos = peek().pos;
@@ -573,9 +569,22 @@ class Parser {
 
   ExprPtr parse_expr() { return parse_or(); }
 
+  // Charges one nesting level: every recursion passes parse_unary, and
+  // every further operand of a chain charges too — the loops build
+  // left-deep trees that later passes walk recursively.  Hostile input
+  // gets a diagnostic, not a stack overflow.
+  void enter_expr() {
+    if (++expr_depth_ > kMaxExprDepth) {
+      error(peek().pos, "expression is too deeply nested");
+      throw SyntaxError{};
+    }
+  }
+
   ExprPtr parse_or() {
+    const DepthGuard chain{expr_depth_, expr_depth_};
     ExprPtr lhs = parse_and();
     while (peek().is(TokKind::kOrOr) || peek().is_keyword("or")) {
+      enter_expr();
       const Pos pos = next().pos;
       auto e = make_expr(ExprAst::Kind::kBinary, pos);
       e->bin_op = BinOp::kOr;
@@ -587,8 +596,10 @@ class Parser {
   }
 
   ExprPtr parse_and() {
+    const DepthGuard chain{expr_depth_, expr_depth_};
     ExprPtr lhs = parse_cmp();
     while (peek().is(TokKind::kAndAnd) || peek().is_keyword("and")) {
+      enter_expr();
       const Pos pos = next().pos;
       auto e = make_expr(ExprAst::Kind::kBinary, pos);
       e->bin_op = BinOp::kAnd;
@@ -620,8 +631,10 @@ class Parser {
   }
 
   ExprPtr parse_add() {
+    const DepthGuard chain{expr_depth_, expr_depth_};
     ExprPtr lhs = parse_mul();
     while (peek().is(TokKind::kPlus) || peek().is(TokKind::kMinus)) {
+      enter_expr();
       const BinOp op = peek().is(TokKind::kPlus) ? BinOp::kAdd : BinOp::kSub;
       const Pos pos = next().pos;
       auto e = make_expr(ExprAst::Kind::kBinary, pos);
@@ -634,9 +647,11 @@ class Parser {
   }
 
   ExprPtr parse_mul() {
+    const DepthGuard chain{expr_depth_, expr_depth_};
     ExprPtr lhs = parse_unary();
     while (peek().is(TokKind::kStar) || peek().is(TokKind::kSlash) ||
            peek().is(TokKind::kPercent)) {
+      enter_expr();
       const BinOp op = peek().is(TokKind::kStar)    ? BinOp::kMul
                        : peek().is(TokKind::kSlash) ? BinOp::kDiv
                                                     : BinOp::kMod;
@@ -651,18 +666,8 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
-    // Every recursive expression path ('(' nesting, unary chains,
-    // quantifier bodies) passes through here: cap the depth so hostile
-    // input gets a diagnostic, not a stack overflow.
-    if (++expr_depth_ > kMaxExprDepth) {
-      error(peek().pos, "expression is too deeply nested");
-      --expr_depth_;
-      throw SyntaxError{};
-    }
-    const struct DepthGuard {
-      int& depth;
-      ~DepthGuard() { --depth; }
-    } guard{expr_depth_};
+    const DepthGuard guard{expr_depth_, expr_depth_};
+    enter_expr();
     if (peek().is(TokKind::kMinus) || peek().is(TokKind::kBang) ||
         peek().is_keyword("not")) {
       const UnOp op = peek().is(TokKind::kMinus) ? UnOp::kNeg : UnOp::kNot;
@@ -729,6 +734,12 @@ class Parser {
     e->lhs = parse_expr();  // max-munch body; parenthesise to restrict
     return e;
   }
+
+  struct DepthGuard {  // restores a nesting counter on scope exit
+    int& depth;
+    int saved;
+    ~DepthGuard() { depth = saved; }
+  };
 
   static constexpr int kMaxExprDepth = 500;
   static constexpr int kMaxForDepth = 64;

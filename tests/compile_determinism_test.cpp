@@ -16,7 +16,7 @@
 // Compile reads the solution and must leave nothing behind that a
 // later compile or strategy walk could observe; one test compiles
 // twice, compiles after a walk, and walks before and after compiling.
-// PrefixUnions pins the materialized per-round prefix unions that both
+// PrefixUnions pins the decoded per-round prefix unions that both
 // consumers read.
 #include <gtest/gtest.h>
 
@@ -230,8 +230,8 @@ TEST(CompileDeterminism, CompileLeavesTheSolutionUnchanged) {
   EXPECT_TRUE(compile_at(*cold_solution).bytes == cold)
       << "a second compile of one solution differs";
 
-  // Same System: the second solve shares the graph but has its own
-  // materialization slots, untouched by the compiles above.
+  // Same System: the second solve shares the graph but is a solution
+  // of its own, untouched by the compiles above.
   const auto solution = solve(lep.system, lep.purposes.at(0), 2);
   const game::Strategy walk(solution);
   const auto states = winnable_states(walk, 64, kScale);
@@ -246,8 +246,8 @@ TEST(CompileDeterminism, CompileLeavesTheSolutionUnchanged) {
       << "a strategy started after the compile decides differently";
 }
 
-// The materialized prefix unions are concatenations of the key's
-// deltas in round order; that must be exactly the federation the
+// The decoded prefix unions are concatenations of the key's deltas in
+// round order; that must be exactly the federation the
 // inclusion-filtering union builds, zone for zone, since the compiler
 // writes the member zones of winning_up_to into the table.  Returns
 // how many keys have an intermediate prefix joining two or more deltas.
@@ -255,8 +255,9 @@ std::size_t expect_prefixes_are_unions(const game::GameSolution& solution) {
   const semantics::SymbolicGraph& g = solution.graph();
   std::size_t joined = 0;
   const auto last_round = static_cast<std::uint32_t>(solution.stats().rounds);
+  dbm::Fed scratch(g.system().clock_count());
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const auto& deltas = solution.deltas(k);
+    const auto deltas = solution.deltas(k);
     if (deltas.size() >= 3) ++joined;
     for (std::uint32_t r = 0; r <= last_round; ++r) {
       dbm::Fed expected(g.system().clock_count());
@@ -269,7 +270,8 @@ std::size_t expect_prefixes_are_unions(const game::GameSolution& solution) {
           expected |= d.gained;
         }
       }
-      EXPECT_TRUE(solution.winning_up_to(k, r).zones() == expected.zones())
+      EXPECT_TRUE(solution.winning_up_to(k, r, scratch).zones() ==
+                  expected.zones())
           << "key " << k << " round " << r;
     }
   }

@@ -54,18 +54,22 @@ TEST_F(StrategyTest, RanksArePerRoundDeltas) {
       ASSERT_FALSE(solution_->deltas(k).empty());
       EXPECT_EQ(solution_->deltas(k).front().round, 0u);
       dbm::Fed scratch(g.system().clock_count());
-      EXPECT_TRUE(g.reach(k, scratch).is_subset_of(solution_->winning(k)));
+      dbm::Fed win(g.system().clock_count());
+      EXPECT_TRUE(
+          g.reach(k, scratch).is_subset_of(solution_->winning(k, win)));
     }
   }
 }
 
 TEST_F(StrategyTest, WinningUpToIsMonotone) {
   const auto& g = solution_->graph();
+  const std::uint32_t dim = g.system().clock_count();
+  dbm::Fed lo_scratch(dim), hi_scratch(dim), win(dim);
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const auto lo = solution_->winning_up_to(k, 1);
-    const auto hi = solution_->winning_up_to(k, 1000);
+    const auto& lo = solution_->winning_up_to(k, 1, lo_scratch);
+    const auto& hi = solution_->winning_up_to(k, 1000, hi_scratch);
     EXPECT_TRUE(lo.is_subset_of(hi));
-    EXPECT_TRUE(hi.same_set_as(solution_->winning(k)));
+    EXPECT_TRUE(hi.same_set_as(solution_->winning(k, win)));
   }
 }
 

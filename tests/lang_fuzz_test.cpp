@@ -3,7 +3,8 @@
 // compile to a model or yield diagnostics: no crash, no exception, no
 // silent failure.  Mutations work on token boundaries (truncation at
 // every boundary, duplicating or deleting a token, splicing a run of
-// tokens from another file, nesting parentheses 100 000 deep), so most
+// tokens from another file, nesting parentheses 100 000 deep, chaining
+// 100 000 operands of one binary operator), so most
 // mutants get past the lexer and reach the parser and the elaborator,
 // `control:` formulas included.  A second pass feeds mutated purposes
 // to TestPurpose::parse, which must return or throw ModelError.
@@ -41,7 +42,21 @@ namespace {
 constexpr std::uint64_t kSeed = 0x7467'2d66'757a'7aULL;
 constexpr int kRandomMutants = 3000;
 constexpr int kNestingMutants = 12;
+constexpr int kChainMutants = 8;
 constexpr std::size_t kNestingDepth = 100000;
+
+// `1 op 1 op … 1 op ` with kNestingDepth operands: inserted before a
+// token that starts an operand, it extends that operand's expression
+// into one left-deep chain.
+std::string operator_chain(const char* op) {
+  std::string chain;
+  for (std::size_t i = 0; i < kNestingDepth; ++i) {
+    chain += "1 ";
+    chain += op;
+    chain += ' ';
+  }
+  return chain;
+}
 
 // One seed file: its text, and the byte offset where each token starts
 // and its kind (the last entry is the end of the text).  A "token"
@@ -247,6 +262,21 @@ TEST(LangFuzz, EveryTgMutantCompilesOrReportsDiagnostics) {
     }
   }
   EXPECT_GE(too_deep, kNestingMutants / 2);
+  // Operator chains loop in the parser rather than recurse; they are
+  // charged to the same nesting budget.
+  constexpr std::array<const char*, 4> kChainOps = {"&&", "||", "+", "*"};
+  int too_long = 0;
+  for (int m = 0; m < kChainMutants; ++m) {
+    const auto& sites = m % 2 == 0 ? formulas : openers;
+    const auto [seed_ptr, k] = sites[pick(sites.size())];
+    const SeedFile& seed = *seed_ptr;
+    std::string text = seed.text;
+    text.insert(seed.starts[k], operator_chain(kChainOps[m % kChainOps.size()]));
+    for (const Diagnostic& d : check_mutant(index++, "chain", seed, text)) {
+      too_long += d.message.find("too deeply nested") != std::string::npos;
+    }
+  }
+  EXPECT_GE(too_long, kChainMutants / 2);
   std::printf("lang_fuzz: %d mutants\n", index);
   set_current("lang_fuzz: no mutant under test");
 }
@@ -274,6 +304,8 @@ TEST(LangFuzz, EveryPurposeMutantParsesOrThrowsModelError) {
       }
       mutants.emplace_back(
           "nesting", "control: A<> " + std::string(kNestingDepth, '(') + "1");
+      mutants.emplace_back("chain",
+                           "control: A<> " + operator_chain("&&") + "1");
       for (const auto& [kind, text] : mutants) {
         const std::string description = describe(index++, kind, purpose.source);
         set_current(description);

@@ -955,6 +955,54 @@ TEST(LangDiagnostics, DeeplyNestedControlFormulaIsAnErrorNotAStackOverflow) {
       tsystem::ModelError);
 }
 
+// Operator chains loop in the parser but build left-deep trees that
+// every later pass walks recursively, so each operand is charged to
+// the nesting budget: a 100 000-operand chain is the same positioned
+// diagnostic as 100 000 '(' — in a guard, on a `control:` line and
+// through TestPurpose::parse.
+TEST(LangDiagnostics, LongOperatorChainIsAnErrorNotAStackOverflow) {
+  const auto chain = [](std::size_t operands, const std::string& op) {
+    std::string text = "v";
+    for (std::size_t i = 1; i < operands; ++i) text += " " + op + " v";
+    return text;
+  };
+  const std::string model = "int[0, 1] v;\n"
+                            "process P controlled { loc A; init A;\n";
+  std::vector<Diagnostic> diags;
+  EXPECT_FALSE(compile(model + "  edge A -> A when " + chain(100000, "+") +
+                           " > 0;\n}\n",
+                       diags)
+                   .has_value());
+  EXPECT_NE(first_error(diags).message.find("too deeply nested"),
+            std::string::npos);
+  EXPECT_EQ(first_error(diags).line, 3u);
+
+  diags.clear();
+  EXPECT_FALSE(compile(model + "}\ncontrol: A<> " + chain(100000, "&&") +
+                           ";\n",
+                       diags)
+                   .has_value());
+  EXPECT_NE(first_error(diags).message.find("too deeply nested"),
+            std::string::npos);
+  EXPECT_EQ(first_error(diags).line, 4u);
+
+  const LoadedModel loaded = load_model_from_string(model + "}\n", "m.tg");
+  for (const std::string op : {"||", "*"}) {
+    try {
+      (void)tsystem::TestPurpose::parse(
+          loaded.system, "control: A<> " + chain(100000, op) + " == 0");
+      ADD_FAILURE() << op << " chain parsed";
+    } catch (const tsystem::ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find("too deeply nested"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A chain within the budget still parses.
+  EXPECT_NO_THROW((void)tsystem::TestPurpose::parse(
+      loaded.system, "control: A<> " + chain(100, "||")));
+}
+
 // lep.tg with extra `control:` lines appended (throws LangError with
 // the rendered report on any diagnostic).
 LoadedModel lep_with(const std::string& controls,

@@ -10,9 +10,9 @@
 //   * the metric counters the solver publishes equal SolverStats
 //     EXACTLY — same integers, not approximations — at 1 and 8
 //     threads;
-//   * memory attribution: decision::compile publishes the bytes it
-//     left materialized on the solution, and run_model --stats-json
-//     reports the process peak RSS;
+//   * memory attribution: decision::compile leaves the metered zone
+//     bytes as it found them (the solution caches nothing), and
+//     run_model --stats-json reports the process peak RSS;
 //   * histogram bucket boundaries follow `v <= bound` semantics at the
 //     exact edges;
 //   * a test run — reach or cooperative alike — emits one balanced
@@ -45,6 +45,7 @@
 #include "obs/trace.h"
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
+#include "util/memory_meter.h"
 
 namespace tigat::obs {
 namespace {
@@ -430,18 +431,16 @@ TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {
   }
 }
 
-TEST(ObsMetrics, CompilePublishesMaterializedBytes) {
-  const auto solution = solve_lep(2);
-  enable_metrics();
-  metrics().reset();
+// The solution is read-only: compile decodes each key's federations
+// into its own scratch and frees them before the next key, so the zone
+// bytes held after a compile are those held before it.  One thread
+// keeps the meter exact (no other thread's unpublished slack).
+TEST(ObsMetrics, CompileLeavesZoneMemoryUnchanged) {
+  const auto solution = solve_lep(1);
+  const std::size_t before = util::zone_memory().current();
   const decision::DecisionTable table = decision::compile(*solution);
-  disable_metrics();
   ASSERT_GT(table.key_count(), 0u);
-  const double bytes =
-      metrics().gauge("decision.compile.materialized_bytes").value();
-  // Compile touches every key, so every winning key is materialized.
-  EXPECT_GT(bytes, 0.0);
-  EXPECT_EQ(bytes, static_cast<double>(solution->materialized_bytes()));
+  EXPECT_EQ(util::zone_memory().current(), before);
 }
 
 TEST(ObsMetrics, StatsJsonReportsPeakRss) {

@@ -69,6 +69,27 @@ TEST(RunModelCli, MalformedPurposeIsModelError) {
             1);
 }
 
+// Command-line purposes compile in the model's scope after the file's
+// own: they see its constants with --param applied (`MaxAddr` is N-1,
+// so the purpose is winnable at N=4 and unwinnable at the file's N=3).
+// One that is not exactly one purpose is still a model error.
+TEST(RunModelCli, CommandLinePurposeSeesModelConstants) {
+  const std::string lep = std::string(TIGAT_MODEL_DIR) + "/lep.tg";
+  const std::string purpose =
+      " \"control: A<> inUse[MaxAddr] == 1 && MaxAddr == 3\"";
+  std::string output;
+  EXPECT_EQ(run_cli_output("solve " + lep + " --param N=4" + purpose, output),
+            0)
+      << output;
+  EXPECT_NE(output.find("inUse[MaxAddr] == 1 && MaxAddr == 3"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(run_cli("solve " + lep + purpose), 1);
+  EXPECT_EQ(run_cli("solve " + lep + " \"control: A<> IUT.idle; clock z\""),
+            1);
+  EXPECT_EQ(run_cli("solve " + lep + " \"control: A<> Nope == 1\""), 1);
+}
+
 TEST(RunModelCli, WinnableSafetyPurposeSolves) {
   EXPECT_EQ(run_cli("solve " + kSafetyModel), 0);
 }

@@ -68,16 +68,17 @@ void expect_same_solution(const GameSolution& a, const GameSolution& b,
     EXPECT_TRUE(a.graph().reach(k, scratch_a)
                     .same_set_as(b.graph().reach(k, scratch_b)))
         << "reach of key " << k;
-    EXPECT_TRUE(a.winning(k).same_set_as(b.winning(k))) << "key " << k;
-    const auto& da = a.deltas(k);
-    const auto& db = b.deltas(k);
+    EXPECT_TRUE(a.winning(k, scratch_a).same_set_as(b.winning(k, scratch_b)))
+        << "key " << k;
+    const auto da = a.deltas(k);
+    const auto db = b.deltas(k);
     ASSERT_EQ(da.size(), db.size()) << "key " << k;
     for (std::size_t i = 0; i < da.size(); ++i) {
       EXPECT_EQ(da[i].round, db[i].round) << "key " << k << " delta " << i;
       EXPECT_TRUE(da[i].gained.same_set_as(db[i].gained))
           << "key " << k << " delta " << i;
-      EXPECT_TRUE(a.winning_up_to(k, da[i].round)
-                      .same_set_as(b.winning_up_to(k, db[i].round)))
+      EXPECT_TRUE(a.winning_up_to(k, da[i].round, scratch_a)
+                      .same_set_as(b.winning_up_to(k, db[i].round, scratch_b)))
           << "key " << k << " round " << da[i].round;
     }
   }
