@@ -5,14 +5,15 @@
 // earlier approaches): region graphs blow up with the magnitude of the
 // clock constants, zones don't.
 //
-// The Smart Light's idle constant Tidle is swept; region counts grow
-// with it while the zone solver's state count stays flat.
+// The Smart Light's idle constant Tidle is swept (an override of the
+// `Tidle` constant of examples/models/smart_light.tg); region counts
+// grow with it while the zone solver's state count stays flat.
 #include <cstdio>
 
 #include "bench_json.h"
 #include "game/region_solver.h"
 #include "game/solver.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/text.h"
@@ -30,9 +31,8 @@ int main(int argc, char** argv) {
                             "region nodes", "region time (s)", "agree"});
 
   for (const dbm::bound_t t_idle : {5, 10, 20, 40, 80}) {
-    models::SmartLightParams params;
-    params.t_idle = t_idle;
-    models::SmartLight light = models::make_smart_light(params);
+    const lang::LoadedModel light =
+        test_support::load_smart_light({{"Tidle", t_idle}});
     const auto purpose =
         tsystem::TestPurpose::parse(light.system, "control: A<> IUT.Bright");
 

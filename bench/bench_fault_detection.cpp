@@ -1,6 +1,7 @@
 // Extension A4 (DESIGN.md; paper future-work item 3): fault-detection
 // capability of strategy-based testing, measured by a mutation
-// campaign on the Smart Light.
+// campaign on the Smart Light (examples/models/smart_light.tg; the
+// mutants are taken of its process "IUT" alone).
 //
 // For every mutant of the plant and every IMP timing policy, a single
 // strategy-driven test run is executed; the table reports kill rates
@@ -13,7 +14,7 @@
 #include "bench_json.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
@@ -25,8 +26,8 @@ int main(int argc, char** argv) {
   constexpr std::int64_t kScale = 16;
   benchio::BenchReport report("fault_detection", argc, argv);
 
-  models::SmartLight spec = models::make_smart_light();
-  models::SmartLight plant = models::make_smart_light_plant_only();
+  const lang::LoadedModel spec = test_support::load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
 
   const std::vector<std::string> purposes = {
       "control: A<> IUT.Bright",
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
     strategies.emplace_back(solver.solve());
   }
 
-  const auto mutants = testing::enumerate_mutants(plant.system);
+  const auto mutants = testing::enumerate_mutants(plant);
   std::printf("Mutation campaign on the Smart Light: %zu mutants, %zu "
               "purposes, 4 timing policies each\n\n",
               mutants.size(), purposes.size());
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   std::map<testing::MutationKind, std::pair<int, int>> per_kind;  // kill/total
   int killed_total = 0;
   for (const auto& m : mutants) {
-    const tsystem::System mutated = testing::apply_mutant(plant.system, m);
+    const tsystem::System mutated = testing::apply_mutant(plant, m);
     bool killed = false;
     for (const auto& strategy : strategies) {
       // 3·kScale exceeds the SPEC's 2-unit window: against the true

@@ -11,23 +11,54 @@
 // A second set of `safety_*` JSON keys benches the dual fixpoint on
 // the same model (`control: A[] !IUT.Bright`): solve + compile shape,
 // .tgs size and per-decision walk/table latency for a safety game.
+//
+// The model is examples/models/smart_light.tg.  Each per-decision
+// latency is the median of 5 repetitions of at least 0.5 s each; the
+// four backends (reach walk/table, safety walk/table) take turns
+// within every repetition, so a noisy slice of the run hits all of
+// them alike instead of skewing one ratio.
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench_json.h"
 #include "decision/compiler.h"
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
+#include "support/models.h"
 #include "util/stopwatch.h"
+
+namespace {
+
+constexpr int kReps = 5;             // repetitions per backend
+constexpr double kMinSeconds = 0.5;  // per repetition
+constexpr int kBatch = 10000;        // decides between clock reads
+
+// Nanoseconds per call of `decide` (which returns a game::Move) over
+// at least kMinSeconds.
+template <typename Decide>
+double ns_per_decide(const Decide& decide) {
+  tigat::util::Stopwatch watch;
+  long long calls = 0;
+  do {
+    for (int r = 0; r < kBatch; ++r) {
+      const auto kind = decide().kind;
+      asm volatile("" : : "g"(kind) : "memory");  // keep every call
+    }
+    calls += kBatch;
+  } while (watch.seconds() < kMinSeconds);
+  return watch.seconds() * 1e9 / static_cast<double>(calls);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tigat;
   benchio::BenchReport report("fig5_strategy", argc, argv);
 
-  models::SmartLight light = models::make_smart_light();
+  const lang::LoadedModel light = test_support::load_smart_light();
 
   if (argc > 1 && std::strcmp(argv[1], "--print-models") == 0) {
     std::printf("Fig. 2 — TIOGA of the light (plus Fig. 3, the user):\n\n%s\n",
@@ -66,34 +97,6 @@ int main(int argc, char** argv) {
   semantics::ConcreteSemantics sem(light.system, kScale);
   auto state = sem.initial();
   sem.delay(state, kScale);
-  constexpr int kReps = 200000;
-  std::int64_t sink = 0;  // defeats dead-code elimination of the loops
-  util::Stopwatch walk_watch;
-  for (int r = 0; r < kReps; ++r) {
-    sink += static_cast<std::int64_t>(strategy.decide(state, kScale).kind);
-  }
-  const double walk_ns = walk_watch.seconds() * 1e9 / kReps;
-  util::Stopwatch table_watch;
-  for (int r = 0; r < kReps; ++r) {
-    sink -= static_cast<std::int64_t>(table.decide(state, kScale).kind);
-  }
-  const double table_ns = table_watch.seconds() * 1e9 / kReps;
-  if (sink != 0) std::printf("backends disagreed at the probe state!\n");
-  std::printf("compiled: %zu nodes, %zu arcs, %zu leaves, %zu zones "
-              "(%.3f s compile, %zu bytes .tgs)\n",
-              table.node_count(), table.arc_count(), table.leaf_count(),
-              table.zone_count(), cstats.compile_seconds, tgs_bytes);
-  std::printf("per-decision: walk %.0f ns, compiled %.0f ns (%.1fx)\n",
-              walk_ns, table_ns, walk_ns / table_ns);
-  report.root().set("compile_s", cstats.compile_seconds);
-  report.root().set("table_nodes", table.node_count());
-  report.root().set("table_arcs", table.arc_count());
-  report.root().set("table_leaves", table.leaf_count());
-  report.root().set("table_zones", table.zone_count());
-  report.root().set("tgs_bytes", tgs_bytes);
-  report.root().set("walk_ns_per_decide", walk_ns);
-  report.root().set("table_ns_per_decide", table_ns);
-  report.root().set("speedup_vs_walk", walk_ns / table_ns);
 
   // The safety-game row: the dual fixpoint on the same model, with the
   // compiled table's fat delay leaves (Safe zones + danger region +
@@ -110,20 +113,50 @@ int main(int argc, char** argv) {
       decision::compile(*safety_solution, &safety_cstats);
   const std::size_t safety_tgs_bytes =
       decision::to_bytes(safety_table).size();
-  util::Stopwatch safety_walk_watch;
-  for (int r = 0; r < kReps; ++r) {
-    sink +=
-        static_cast<std::int64_t>(safety_strategy.decide(state, kScale).kind);
+
+  if (!(strategy.decide(state, kScale) == table.decide(state, kScale))) {
+    std::printf("backends disagreed at the probe state!\n");
   }
-  const double safety_walk_ns = safety_walk_watch.seconds() * 1e9 / kReps;
-  util::Stopwatch safety_table_watch;
-  for (int r = 0; r < kReps; ++r) {
-    sink -= static_cast<std::int64_t>(safety_table.decide(state, kScale).kind);
-  }
-  const double safety_table_ns = safety_table_watch.seconds() * 1e9 / kReps;
-  if (sink != 0) {
+  if (!(safety_strategy.decide(state, kScale) ==
+        safety_table.decide(state, kScale))) {
     std::printf("safety backends disagreed at the probe state!\n");
   }
+
+  // Per-decision latency: kReps rounds, each timing the four backends
+  // in turn; the reported figure per backend is its median.
+  std::vector<double> walk, compiled, safety_walk, safety_compiled;
+  for (int rep = 0; rep < kReps; ++rep) {
+    walk.push_back(
+        ns_per_decide([&] { return strategy.decide(state, kScale); }));
+    compiled.push_back(
+        ns_per_decide([&] { return table.decide(state, kScale); }));
+    safety_walk.push_back(ns_per_decide(
+        [&] { return safety_strategy.decide(state, kScale); }));
+    safety_compiled.push_back(ns_per_decide(
+        [&] { return safety_table.decide(state, kScale); }));
+  }
+  const double walk_ns = benchio::summarize(walk).median;
+  const double table_ns = benchio::summarize(compiled).median;
+  const double safety_walk_ns = benchio::summarize(safety_walk).median;
+  const double safety_table_ns = benchio::summarize(safety_compiled).median;
+
+  std::printf("compiled: %zu nodes, %zu arcs, %zu leaves, %zu zones "
+              "(%.3f s compile, %zu bytes .tgs)\n",
+              table.node_count(), table.arc_count(), table.leaf_count(),
+              table.zone_count(), cstats.compile_seconds, tgs_bytes);
+  std::printf("per-decision (median of %d x %.1f s): walk %.0f ns, "
+              "compiled %.0f ns (%.1fx)\n",
+              kReps, kMinSeconds, walk_ns, table_ns, walk_ns / table_ns);
+  report.root().set("compile_s", cstats.compile_seconds);
+  report.root().set("table_nodes", table.node_count());
+  report.root().set("table_arcs", table.arc_count());
+  report.root().set("table_leaves", table.leaf_count());
+  report.root().set("table_zones", table.zone_count());
+  report.root().set("tgs_bytes", tgs_bytes);
+  report.root().set("walk_ns_per_decide", walk_ns);
+  report.root().set("table_ns_per_decide", table_ns);
+  report.root().set("speedup_vs_walk", walk_ns / table_ns);
+
   std::printf("\nsafety (A[] !IUT.Bright): winning %s, %zu states, %zu rows, "
               "%zu bytes .tgs\n",
               safety_solution->winning_from_initial() ? "yes" : "NO (bug!)",

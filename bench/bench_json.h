@@ -13,6 +13,7 @@
 // trajectory to ingest.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -185,6 +186,29 @@ class BenchReport {
   JsonObject root_;
   std::vector<JsonObject> rows_;
 };
+
+// The median of repeated measurements and their spread: the distance
+// between the quartiles over the median.  Benches that time a loop
+// several times report the median, so one noisy slice cannot skew it.
+struct Summary {
+  double median = 0.0;
+  double spread = 0.0;
+};
+
+inline Summary summarize(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return samples[lo] + (samples[hi] - samples[lo]) * frac;
+  };
+  Summary s;
+  s.median = quantile(0.5);
+  if (s.median > 0) s.spread = (quantile(0.75) - quantile(0.25)) / s.median;
+  return s;
+}
 
 // Shared main for Google-Benchmark benches (visible only after
 // <benchmark/benchmark.h> was included): resolves --json /

@@ -34,11 +34,11 @@
 #include "decision/compiler.h"
 #include "decision/serialize.h"
 #include "game/solver.h"
-#include "models/smart_light.h"
 #include "obs/metrics.h"
 #include "semantics/concrete.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "support/models.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -96,39 +96,17 @@ double timed_rate(unsigned threads, const Worker& worker) {
   return total / secs;
 }
 
-// The median of `rates` and their spread: the distance between the
-// quartiles over the median.
-struct Summary {
-  double median = 0.0;
-  double spread = 0.0;
-};
-
-Summary summarize(std::vector<double> rates) {
-  std::sort(rates.begin(), rates.end());
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(rates.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, rates.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return rates[lo] + (rates[hi] - rates[lo]) * frac;
-  };
-  Summary s;
-  s.median = quantile(0.5);
-  if (s.median > 0) s.spread = (quantile(0.75) - quantile(0.25)) / s.median;
-  return s;
-}
-
 // Repeats `worker` reps times under timed_rate and records the median
 // rate as `name` and its spread as `name_spread`.
 template <class Worker>
-Summary measure(tigat::benchio::BenchReport& report,
-                const std::string& name, unsigned threads, std::size_t reps,
-                const Worker& worker) {
+tigat::benchio::Summary measure(tigat::benchio::BenchReport& report,
+                                const std::string& name, unsigned threads,
+                                std::size_t reps, const Worker& worker) {
   std::vector<double> rates;
   for (std::size_t r = 0; r < reps; ++r) {
     rates.push_back(timed_rate(threads, worker));
   }
-  const Summary s = summarize(std::move(rates));
+  const auto s = tigat::benchio::summarize(std::move(rates));
   report.root().set(name, s.median);
   report.root().set(name + "_spread", s.spread);
   return s;
@@ -162,7 +140,7 @@ int main(int argc, char** argv) {
   if (reps == 0) reps = 1;
 
   // ── solve + save the Smart Light table ──
-  const auto light = models::make_smart_light();
+  const auto light = test_support::load_smart_light();
   const auto purpose =
       tsystem::TestPurpose::parse(light.system, "control: A<> IUT.Bright");
   game::GameSolver solver(light.system, purpose);
@@ -192,7 +170,7 @@ int main(int argc, char** argv) {
 
   // ── direct N-thread decide throughput over the mapped table ──
   {
-    const Summary direct = measure(
+    const benchio::Summary direct = measure(
         report, "decide_per_s", threads, reps,
         [&](const std::atomic<bool>& stop) {
           std::size_t done = 0;
@@ -223,7 +201,7 @@ int main(int argc, char** argv) {
     server->start();
   }
   {
-    const Summary socket = measure(
+    const benchio::Summary socket = measure(
         report, "socket_decide_per_s", threads, reps,
         [&](const std::atomic<bool>& stop) {
           serve::Client client = serve::Client::connect(socket_path);

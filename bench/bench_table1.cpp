@@ -6,8 +6,8 @@
 //
 // Every cell is elaborated from the ONE shipped template
 // (examples/models/lep.tg with `N` overridden per column) — the same
-// path `run_model --param N=n` takes — not from a C++ builder;
-// tests/lang_template_test.cpp proves the two coincide exactly.
+// path `run_model --param N=n` takes; its three `control:` lines are
+// TP1–TP3.  tests/lang_template_test.cpp pins every instance's shape.
 //
 // Each column elaborates ONE System and solves TP1–TP3 on it.  The
 // zone graph does not depend on the purpose, so TP1 explores it and
@@ -41,16 +41,12 @@
 #include "bench_json.h"
 #include "game/solver.h"
 #include "lang/lang.h"
-#include "models/lep.h"
+#include "support/models.h"
 #include "util/memory_meter.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/text.h"
 #include "util/thread_pool.h"
-
-#ifndef TIGAT_MODEL_DIR
-#error "TIGAT_MODEL_DIR must point at examples/models"
-#endif
 
 namespace {
 
@@ -65,16 +61,9 @@ struct Cell {
   game::SolverStats stats;
 };
 
-// One templated model file serves every column: `--param N=n`.
-tsystem::System elaborate_lep(std::uint32_t nodes) {
-  lang::CompileOptions options;
-  options.params = {{"N", static_cast<std::int64_t>(nodes)}};
-  return lang::load_model(std::string(TIGAT_MODEL_DIR) + "/lep.tg", options)
-      .system;
-}
-
-Cell run_cell(const tsystem::System& lep_system, std::uint32_t nodes,
-              const std::string& purpose, double budget,
+// Solves purpose `purpose` (0-2: TP1-TP3) of one LEP column.
+Cell run_cell(const lang::LoadedModel& lep, std::uint32_t nodes,
+              std::size_t purpose, double budget,
               std::size_t mem_budget_bytes, unsigned threads) {
   Cell cell;
   cell.ran = true;
@@ -84,8 +73,7 @@ Cell run_cell(const tsystem::System& lep_system, std::uint32_t nodes,
     options.exploration.max_zone_bytes = mem_budget_bytes;
     options.threads = threads;
     util::Stopwatch watch;
-    game::GameSolver solver(
-        lep_system, tsystem::TestPurpose::parse(lep_system, purpose), options);
+    game::GameSolver solver(lep.system, lep.purposes.at(purpose), options);
     const auto solution = solver.solve();
     cell.completed = true;
     cell.seconds = watch.seconds();
@@ -94,7 +82,7 @@ Cell run_cell(const tsystem::System& lep_system, std::uint32_t nodes,
     cell.winning = solution->winning_from_initial();
     if (!cell.winning) {
       std::fprintf(stderr, "warning: %s not controllable at n=%u\n",
-                   purpose.c_str(), nodes);
+                   lep.purposes[purpose].source.c_str(), nodes);
     }
   } catch (const semantics::ExplorationLimit&) {
     cell.completed = false;
@@ -130,11 +118,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(threads == 0 ? util::ThreadPool::hardware_threads()
                                           : threads));
 
-  const std::vector<std::pair<std::string, std::string>> purposes = {
-      {"TP1", models::lep_tp1()},
-      {"TP2", models::lep_tp2()},
-      {"TP3", models::lep_tp3()},
-  };
+  // lep.tg's `control:` lines, in order.
+  const std::vector<std::string> purposes = {"TP1", "TP2", "TP3"};
 
   std::printf("Table 1: strategy generation for the LEP protocol\n");
   std::printf("(cells elaborated from the lep.tg template, N overridden "
@@ -155,9 +140,9 @@ int main(int argc, char** argv) {
   std::vector<bool> dead(purposes.size(), false);
   for (int n = 3; n <= max_n; ++n) {
     const auto nodes = static_cast<std::uint32_t>(n);
-    std::optional<tsystem::System> lep_system;
+    std::optional<lang::LoadedModel> lep;
     try {
-      lep_system.emplace(elaborate_lep(nodes));
+      lep.emplace(test_support::load_lep(n));
     } catch (const tsystem::ModelError& e) {
       // E.g. n outside the template's declared parameter range: report
       // the column as infeasible instead of killing the whole table.
@@ -167,12 +152,11 @@ int main(int argc, char** argv) {
       Cell cell;
       if (!dead[p]) {
         cell.ran = true;
-        if (lep_system) {
-          cell = run_cell(*lep_system, nodes, purposes[p].second, budget,
-                          mem_budget, threads);
+        if (lep) {
+          cell = run_cell(*lep, nodes, p, budget, mem_budget, threads);
         }
         dead[p] = !cell.completed;  // larger n cannot fit either
-        std::fprintf(stderr, "  %s n=%d done\n", purposes[p].first.c_str(), n);
+        std::fprintf(stderr, "  %s n=%d done\n", purposes[p].c_str(), n);
       }
       cells[p].push_back(cell);
     }
@@ -180,10 +164,10 @@ int main(int argc, char** argv) {
 
   // Largest cell that completed, for the speedup figure below.
   int best_n = 0;
-  std::string best_label, best_purpose;
+  std::size_t best_p = 0;
 
   for (std::size_t p = 0; p < purposes.size(); ++p) {
-    const auto& [label, purpose] = purposes[p];
+    const std::string& label = purposes[p];
     std::vector<std::string> time_row = {label};
     std::vector<std::string> mem_row = {label};
     for (int n = 3; n <= max_n; ++n) {
@@ -214,8 +198,7 @@ int main(int argc, char** argv) {
       mem_row.push_back(util::format("%.1f", cell.mebibytes));
       if (n > best_n) {
         best_n = n;
-        best_label = label;
-        best_purpose = purpose;
+        best_p = p;
       }
     }
     time_table.add_row(std::move(time_row));
@@ -235,10 +218,10 @@ int main(int argc, char** argv) {
     const unsigned many =
         threads > 1 ? threads : util::ThreadPool::hardware_threads();
     const auto nodes = static_cast<std::uint32_t>(best_n);
-    const Cell serial = run_cell(elaborate_lep(nodes), nodes, best_purpose,
-                                 budget, mem_budget, 1);
-    const Cell pooled = run_cell(elaborate_lep(nodes), nodes, best_purpose,
-                                 budget, mem_budget, many);
+    const Cell serial = run_cell(test_support::load_lep(best_n), nodes,
+                                 best_p, budget, mem_budget, 1);
+    const Cell pooled = run_cell(test_support::load_lep(best_n), nodes,
+                                 best_p, budget, mem_budget, many);
     if (serial.completed && pooled.completed) {
       const double speedup =
           pooled.seconds > 0.0 ? serial.seconds / pooled.seconds : 0.0;
@@ -254,12 +237,12 @@ int main(int argc, char** argv) {
       std::printf(
           "\nspeedup (%s, n=%d): 1 thread %.2fs vs %u threads %.2fs "
           "→ %.2fx  (explore merge phase %.2fs vs %.2fs → %.2fx)%s\n",
-          best_label.c_str(), best_n, serial.seconds, many, pooled.seconds,
-          speedup, serial.stats.explore_merge_seconds,
+          purposes[best_p].c_str(), best_n, serial.seconds, many,
+          pooled.seconds, speedup, serial.stats.explore_merge_seconds,
           pooled.stats.explore_merge_seconds, merge_speedup,
           serial.winning == pooled.winning ? "" : "  VERDICT MISMATCH!");
       std::string blob = "{\"purpose\": \"";
-      blob += best_label;
+      blob += purposes[best_p];
       blob += "\", \"n\": " + std::to_string(best_n);
       blob += ", \"serial_s\": " + util::format("%.4f", serial.seconds);
       blob += ", \"pooled_s\": " + util::format("%.4f", pooled.seconds);

@@ -7,7 +7,8 @@
 // BM_TableDecide* benchmarks carry `speedup_vs_walk` counters — the
 // same state decided by both backends — so one JSON artifact holds the
 // measured per-decision speedup.  --json / TIGAT_BENCH_JSON writes the
-// gbench JSON to BENCH_test_execution.json.
+// gbench JSON to BENCH_test_execution.json.  The model is
+// examples/models/smart_light.tg.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
@@ -15,7 +16,7 @@
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
 #include "util/stopwatch.h"
@@ -28,8 +29,8 @@ constexpr std::int64_t kScale = 16;
 
 struct Fixture {
   Fixture()
-      : light(models::make_smart_light()),
-        plant(models::make_smart_light_plant_only()),
+      : light(test_support::load_smart_light()),
+        plant(test_support::plant(light.system)),
         solution(game::GameSolver(
                      light.system,
                      tsystem::TestPurpose::parse(light.system,
@@ -37,8 +38,8 @@ struct Fixture {
                      .solve()),
         strategy(solution),
         table(decision::compile(*solution)) {}
-  models::SmartLight light;
-  models::SmartLight plant;
+  lang::LoadedModel light;
+  tsystem::System plant;
   std::shared_ptr<const game::GameSolution> solution;
   game::Strategy strategy;
   decision::DecisionTable table;
@@ -116,7 +117,7 @@ BENCHMARK(BM_TableDecideMidGame);
 void BM_FullTestRun(benchmark::State& state) {
   auto& f = fixture();
   testing::SimulatedImplementation imp(
-      f.plant.system, kScale,
+      f.plant, kScale,
       testing::ImpPolicy{static_cast<std::int64_t>(state.range(0)), {}});
   testing::TestExecutor exec(f.strategy, imp, kScale);
   std::size_t passes = 0;
@@ -132,7 +133,7 @@ BENCHMARK(BM_FullTestRun)->Arg(0)->Arg(kScale)->Arg(2 * kScale);
 void BM_FullTestRunCompiled(benchmark::State& state) {
   auto& f = fixture();
   testing::SimulatedImplementation imp(
-      f.plant.system, kScale,
+      f.plant, kScale,
       testing::ImpPolicy{static_cast<std::int64_t>(state.range(0)), {}});
   testing::TestExecutor exec(f.table, f.light.system, imp, kScale);
   std::size_t passes = 0;

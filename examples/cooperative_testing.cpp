@@ -12,23 +12,35 @@
 //   * an eager light (latency 0) answers first     → INCONCLUSIVE
 //   * a broken light still gets caught             → FAIL (sound)
 //
+// The model is examples/models/smart_light.tg; the lights are its
+// process "IUT" alone (tsystem::extract_process).
+//
 // Build & run:  ./build/examples/cooperative_testing
 #include <cstdio>
+#include <string>
 
 #include "game/cooperative.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "lang/lang.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
+#include "tsystem/rebuild.h"
+
+#ifndef TIGAT_MODEL_DIR
+#error "TIGAT_MODEL_DIR must point at examples/models"
+#endif
 
 int main() {
   using namespace tigat;
   constexpr std::int64_t kScale = 16;
 
-  models::SmartLight spec = models::make_smart_light();
-  models::SmartLight plant = models::make_smart_light_plant_only();
+  // The Smart Light as shipped in examples/models/smart_light.tg, and
+  // its process "IUT" alone: the plant the simulated black boxes run.
+  const lang::LoadedModel spec =
+      lang::load_model(std::string(TIGAT_MODEL_DIR) + "/smart_light.tg");
+  const tsystem::System plant = tsystem::extract_process(spec.system, "IUT");
   const auto purpose =
       tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.L6");
 
@@ -57,8 +69,8 @@ int main() {
     std::printf("%-16s trace:   %s\n\n", "", report.trace_string().c_str());
   };
 
-  run_against("patient light", plant.system, 2 * kScale);
-  run_against("eager light", plant.system, 0);
+  run_against("patient light", plant, 2 * kScale);
+  run_against("eager light", plant, 0);
 
   // Soundness carries over: against a plan with output obligations
   // (A<> Bright hopes for bright!), a genuinely faulty box still fails.
@@ -66,8 +78,8 @@ int main() {
       spec.system,
       tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.Bright"));
   game::Strategy plan2(coop2.solution);
-  for (const auto& m : testing::enumerate_mutants(plant.system)) {
-    const tsystem::System mutated = testing::apply_mutant(plant.system, m);
+  for (const auto& m : testing::enumerate_mutants(plant)) {
+    const tsystem::System mutated = testing::apply_mutant(plant, m);
     testing::SimulatedImplementation imp(mutated, kScale,
                                          testing::ImpPolicy{3 * kScale, {}});
     auto exec =

@@ -2,22 +2,34 @@
 // looks like, for three characteristic implementation faults of the
 // Smart Light (a slow box, a wrong-output box, a forgotten-reset box).
 //
+// The model is examples/models/smart_light.tg; the mutants are taken
+// of its process "IUT" alone (tsystem::extract_process).
+//
 // Build & run:  ./build/examples/fault_injection
 #include <cstdio>
+#include <string>
 
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "lang/lang.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
+#include "tsystem/rebuild.h"
+
+#ifndef TIGAT_MODEL_DIR
+#error "TIGAT_MODEL_DIR must point at examples/models"
+#endif
 
 int main() {
   using namespace tigat;
   constexpr std::int64_t kScale = 16;
 
-  models::SmartLight spec = models::make_smart_light();
-  models::SmartLight plant = models::make_smart_light_plant_only();
+  // The Smart Light as shipped in examples/models/smart_light.tg, and
+  // its process "IUT" alone: the plant the simulated black boxes run.
+  const lang::LoadedModel spec =
+      lang::load_model(std::string(TIGAT_MODEL_DIR) + "/smart_light.tg");
+  const tsystem::System plant = tsystem::extract_process(spec.system, "IUT");
 
   game::GameSolver solver(
       spec.system,
@@ -26,7 +38,7 @@ int main() {
 
   // Reference: the unmutated plant passes.
   {
-    testing::SimulatedImplementation imp(plant.system, kScale,
+    testing::SimulatedImplementation imp(plant, kScale,
                                          testing::ImpPolicy{kScale, {}});
     testing::TestExecutor exec(strategy, imp, kScale);
     const auto report = exec.run();
@@ -37,7 +49,7 @@ int main() {
 
   // Walk the mutant catalogue and demonstrate one representative kill
   // per interesting operator.
-  const auto mutants = testing::enumerate_mutants(plant.system);
+  const auto mutants = testing::enumerate_mutants(plant);
   int shown = 0;
   for (const auto kind :
        {testing::MutationKind::kInvariantWiden,
@@ -47,7 +59,7 @@ int main() {
     for (const auto& m : mutants) {
       if (demonstrated) break;
       if (m.kind != kind) continue;
-      const tsystem::System mutated = testing::apply_mutant(plant.system, m);
+      const tsystem::System mutated = testing::apply_mutant(plant, m);
       // A lazy policy exposes timing faults; urgent exposes the rest.
       for (const std::int64_t latency : {3 * kScale, std::int64_t{0}}) {
         testing::SimulatedImplementation imp(mutated, kScale,

@@ -4,24 +4,36 @@
 // action), whatever latency and output preference the implementation
 // exhibits inside the SPEC's uncertainty windows.
 //
+// The model is examples/models/smart_light.tg; the implementations
+// simulate its process "IUT" alone (tsystem::extract_process).
+//
 // Build & run:  ./build/examples/smart_light_campaign
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "lang/lang.h"
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
+#include "tsystem/rebuild.h"
 #include "util/table_printer.h"
 #include "util/text.h"
+
+#ifndef TIGAT_MODEL_DIR
+#error "TIGAT_MODEL_DIR must point at examples/models"
+#endif
 
 int main() {
   using namespace tigat;
   constexpr std::int64_t kScale = 16;
 
-  models::SmartLight spec = models::make_smart_light();
-  models::SmartLight plant = models::make_smart_light_plant_only();
+  // The Smart Light as shipped in examples/models/smart_light.tg, and
+  // its process "IUT" alone: the plant the simulated black boxes run.
+  const lang::LoadedModel spec =
+      lang::load_model(std::string(TIGAT_MODEL_DIR) + "/smart_light.tg");
+  const tsystem::System plant = tsystem::extract_process(spec.system, "IUT");
 
   const std::vector<std::string> purposes = {
       "control: A<> IUT.Bright",
@@ -51,7 +63,7 @@ int main() {
     }
     game::Strategy strategy(solution);
     for (const auto& [imp_name, policy] : imps) {
-      testing::SimulatedImplementation imp(plant.system, kScale, policy);
+      testing::SimulatedImplementation imp(plant, kScale, policy);
       testing::TestExecutor exec(strategy, imp, kScale);
       const auto report = exec.run();
       failures += report.verdict != testing::Verdict::kPass;

@@ -68,9 +68,18 @@ const Fed& Strategy::danger_region(std::uint32_t k) const {
   });
 }
 
+const Fed& Strategy::safe_region(std::uint32_t k) const {
+  return find_or_insert(cache_->mutex, cache_->safe, k, [&] {
+    Fed safe(solution_->graph().system().clock_count());
+    (void)solution_->winning(k, safe);  // decodes into `safe`
+    return safe;
+  });
+}
+
 std::size_t Strategy::cached_region_bytes() const {
   std::shared_lock lock(cache_->mutex);
-  return map_bytes(cache_->actions) + map_bytes(cache_->danger);
+  return map_bytes(cache_->actions) + map_bytes(cache_->danger) +
+         map_bytes(cache_->safe);
 }
 
 Move Strategy::decide(const semantics::ConcreteState& state,
@@ -85,14 +94,13 @@ Move Strategy::decide(const semantics::ConcreteState& state,
   const auto rank = solution_->rank(*k, state.clocks, scale);
   if (!rank) return move;
   move.rank = rank;
-  Fed scratch(g.system().clock_count());  // decoded winning states
 
   if (solution_->purpose().kind == tsystem::PurposeKind::kSafety) {
     // Safety: every winning state has rank 0 (Safe is one round-0
     // delta).  The prescription is time-driven, not rank-driven:
     // delay while delaying is harmless, act before the play reaches a
     // state where an enabled SUT move exits Safe.
-    const Fed& safe = solution_->winning(*k, scratch);
+    const Fed& safe = safe_region(*k);
     const Fed& danger = danger_region(*k);
     // Latest harmless wait: stay inside Safe and stop one tick short
     // of Danger — arriving at the boundary with the escape already
@@ -158,6 +166,7 @@ Move Strategy::decide(const semantics::ConcreteState& state,
       next = std::min(next, *d);
     }
   }
+  Fed scratch(g.system().clock_count());
   const Fed& lower = solution_->winning_up_to(*k, *rank - 1, scratch);
   if (const auto d = lower.earliest_entry_delay(state.clocks, scale)) {
     next = std::min(next, *d);
@@ -182,8 +191,15 @@ std::string Strategy::to_string() const {
 
   Fed scratch(sys.clock_count());
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const std::vector<GameSolution::Delta> deltas = solution_->deltas(k);
-    if (deltas.empty()) continue;
+    // A safety key prints its Safe (decoded once, into the cache
+    // decide() reads), a reach key its per-round deltas.
+    std::vector<GameSolution::Delta> deltas;
+    if (safety_game) {
+      if (safe_region(k).is_empty()) continue;
+    } else {
+      deltas = solution_->deltas(k);
+      if (deltas.empty()) continue;
+    }
 
     // Discrete state header.
     std::string header = "state (";
@@ -203,8 +219,7 @@ std::string Strategy::to_string() const {
       // One Safe row per key plus the prescriptions that keep the play
       // inside it: the region whose entry forces an action, and the
       // escape actions available (in edge order, like decide()).
-      out += "  while " + solution_->winning(k, scratch).to_string(names) +
-             " -> stay safe\n";
+      out += "  while " + safe_region(k).to_string(names) + " -> stay safe\n";
       const Fed& danger = danger_region(k);
       if (!danger.is_empty()) {
         out += "    act on entering " + danger.to_string(names) + "\n";

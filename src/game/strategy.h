@@ -59,9 +59,10 @@ struct Move {
 };
 
 // The walk computes its action and danger regions through
-// GameSolution::action_region / danger_region and keeps them in a
-// cache of its own, filled lazily and kept for the Strategy's
-// lifetime; the solution itself holds no region state.
+// GameSolution::action_region / danger_region, and decodes a safety
+// game's Safe per key, into a cache of its own, filled lazily and kept
+// for the Strategy's lifetime; the solution itself holds no region
+// state.
 class Strategy {
  public:
   explicit Strategy(std::shared_ptr<const GameSolution> solution);
@@ -93,12 +94,15 @@ class Strategy {
     std::shared_mutex mutex;
     std::unordered_map<std::uint64_t, dbm::Fed> actions;  // edge << 32 | round
     std::unordered_map<std::uint32_t, dbm::Fed> danger;   // by key
+    std::unordered_map<std::uint32_t, dbm::Fed> safe;     // by key
   };
 
   // GameSolution::action_region / danger_region, cached.
   [[nodiscard]] const dbm::Fed& action_region(std::uint32_t ei,
                                               std::uint32_t round) const;
   [[nodiscard]] const dbm::Fed& danger_region(std::uint32_t k) const;
+  // GameSolution::winning of a safety game (Safe), cached.
+  [[nodiscard]] const dbm::Fed& safe_region(std::uint32_t k) const;
 
   std::shared_ptr<const GameSolution> solution_;
   // Behind a pointer to keep the class movable.

@@ -35,24 +35,17 @@
 #include "game/strategy.h"
 #include "lang/lang.h"
 #include "semantics/concrete.h"
+#include "support/models.h"
 #include "util/rng.h"
-
-#ifndef TIGAT_MODEL_DIR
-#error "TIGAT_MODEL_DIR must point at examples/models"
-#endif
 
 namespace tigat::decision {
 namespace {
 
-std::string model_path(const char* file) {
-  return std::string(TIGAT_MODEL_DIR) + "/" + file;
-}
+using test_support::load_lep;
+using test_support::load_smart_light;
+using test_support::model_path;
 
-lang::LoadedModel load_lep4() {
-  lang::CompileOptions options;
-  options.params = {{"N", 4}};
-  return lang::load_model(model_path("lep.tg"), options);
-}
+lang::LoadedModel load_lep4() { return load_lep(4); }
 
 struct Compiled {
   std::vector<std::uint8_t> bytes;
@@ -146,17 +139,13 @@ TEST(CompileDeterminism, LepN4Tp1EmptySliceKeepsItsOffset) {
 
 TEST(CompileDeterminism, SmartLightReach) {
   std::deque<lang::LoadedModel> kept;
-  const auto load = [] {
-    return lang::load_model(model_path("smart_light.tg"));
-  };
   expect_same_table_at_any_width([&](unsigned threads) {
-    return solve_fresh(kept, load, 0, threads);
+    return solve_fresh(kept, [] { return load_smart_light(); }, 0, threads);
   }, 0xa08aceabe3806690ull);
 }
 
 TEST(CompileDeterminism, SmartLightCooperative) {
-  const lang::LoadedModel light =
-      lang::load_model(model_path("smart_light.tg"));
+  const lang::LoadedModel light = load_smart_light();
   const auto purpose =
       tsystem::TestPurpose::parse(light.system, "control: A<> IUT.L6");
   // The relaxed system must outlive the solution built on it.
@@ -290,8 +279,7 @@ TEST(PrefixUnions, LepN4) {
 }
 
 TEST(PrefixUnions, SmartLight) {
-  const lang::LoadedModel light =
-      lang::load_model(model_path("smart_light.tg"));
+  const lang::LoadedModel light = load_smart_light();
   expect_prefixes_are_unions(*solve(light.system, light.purposes.at(0), 2));
   const game::CooperativeResult coop = game::solve_cooperative(
       light.system,

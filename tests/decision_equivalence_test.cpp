@@ -20,10 +20,8 @@
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "lang/lang.h"
-#include "models/lep.h"
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
-#include "support/lep_template.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
 #include "util/rng.h"
@@ -35,6 +33,8 @@ constexpr std::int64_t kScale = 16;
 constexpr std::uint64_t kSeed = 0x7161a5eedULL;
 
 using semantics::ConcreteState;
+using test_support::load_lep;
+using test_support::load_smart_light;
 
 std::shared_ptr<const game::GameSolution> solve(const tsystem::System& sys,
                                                 const std::string& purpose) {
@@ -153,30 +153,30 @@ void check_model(const tsystem::System& sys, const std::string& purpose,
 }
 
 TEST(DecisionEquivalence, SmartLight) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   check_model(light.system, "control: A<> IUT.Bright", 4000);
 }
 
 TEST(DecisionEquivalence, LepN3) {
-  const auto lep = models::make_lep({.nodes = 3});
-  check_model(lep.system, models::lep_tp1(), 2000);
+  const auto lep = load_lep(3);
+  check_model(lep.system, lep.purposes[0].source, 2000);  // TP1
 }
 
 TEST(DecisionEquivalence, LepN4) {
-  const auto lep = models::make_lep({.nodes = 4});
-  check_model(lep.system, models::lep_tp1(), 1000);
+  const auto lep = load_lep(4);
+  check_model(lep.system, lep.purposes[0].source, 1000);  // TP1
 }
 
 // Safety tables carry a different leaf shape (the fat delay leaf with
 // acts/danger slices) — the walk-vs-table contract must hold for them
 // on the same walk + fuzz grid as the reachability tables.
 TEST(DecisionEquivalence, SafetySmartLightNeverBright) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   check_model(light.system, "control: A[] !IUT.Bright", 4000);
 }
 
 TEST(DecisionEquivalence, SafetySmartLightStaysOff) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   check_model(light.system, "control: A[] IUT.Off", 2000);
 }
 
@@ -184,7 +184,7 @@ TEST(DecisionEquivalence, SafetySmartLightStaysOff) {
 // structural model hash, so a reachability .tgs can never silently
 // serve a safety purpose over the same formula (or vice versa).
 TEST(DecisionEquivalence, FingerprintDistinguishesPurposeKind) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto reach_p =
       tsystem::TestPurpose::parse(light.system, "control: A<> !IUT.Bright");
   const auto safe_p =
@@ -200,17 +200,15 @@ TEST(DecisionEquivalence, FingerprintDistinguishesPurposeKind) {
 }
 
 TEST(DecisionEquivalence, ExecutorVerdictsAndTracesMatch) {
-  const auto light = models::make_smart_light();
-  const auto plant = models::make_smart_light_plant_only();
+  const auto light = load_smart_light();
+  const tsystem::System plant = test_support::plant(light.system);
   const auto solution = solve(light.system, "control: A<> IUT.Bright");
   game::Strategy strategy(solution);
   const DecisionTable table = compile(*solution);
 
   for (const std::int64_t latency : {std::int64_t{0}, kScale, 2 * kScale}) {
-    testing::SimulatedImplementation imp_a(plant.system, kScale,
-                                           {latency, {}});
-    testing::SimulatedImplementation imp_b(plant.system, kScale,
-                                           {latency, {}});
+    testing::SimulatedImplementation imp_a(plant, kScale, {latency, {}});
+    testing::SimulatedImplementation imp_b(plant, kScale, {latency, {}});
     testing::TestExecutor walk_exec(strategy, imp_a, kScale);
     testing::TestExecutor table_exec(table, light.system, imp_b, kScale);
     const auto a = walk_exec.run();
@@ -226,8 +224,8 @@ TEST(DecisionEquivalence, ExecutorVerdictsAndTracesMatch) {
 // its kind but not the formula).  Both must PASS kSafetyMaintained with
 // identical traces once the pass budget is outlasted.
 TEST(DecisionEquivalence, SafetyExecutorVerdictsAndTracesMatch) {
-  const auto light = models::make_smart_light();
-  const auto plant = models::make_smart_light_plant_only();
+  const auto light = load_smart_light();
+  const tsystem::System plant = test_support::plant(light.system);
   const auto solution = solve(light.system, "control: A[] IUT.Off");
   game::Strategy strategy(solution);
   const DecisionTable table = compile(*solution);
@@ -237,8 +235,8 @@ TEST(DecisionEquivalence, SafetyExecutorVerdictsAndTracesMatch) {
   testing::ExecutorOptions table_opts = opts;
   table_opts.purpose = solution->purpose();
 
-  testing::SimulatedImplementation imp_a(plant.system, kScale);
-  testing::SimulatedImplementation imp_b(plant.system, kScale);
+  testing::SimulatedImplementation imp_a(plant, kScale);
+  testing::SimulatedImplementation imp_b(plant, kScale);
   testing::TestExecutor walk_exec(strategy, imp_a, kScale, opts);
   testing::TestExecutor table_exec(table, light.system, imp_b, kScale,
                                    table_opts);
@@ -256,8 +254,8 @@ TEST(DecisionEquivalence, SafetyExecutorVerdictsAndTracesMatch) {
 // safety purpose "never Bright": the executor must FAIL with
 // kSafetyViolation the moment a SPEC-legal move lands in ¬φ.
 TEST(DecisionEquivalence, SafetyViolationVerdict) {
-  const auto light = models::make_smart_light();
-  const auto plant = models::make_smart_light_plant_only();
+  const auto light = load_smart_light();
+  const tsystem::System plant = test_support::plant(light.system);
   const auto reach = solve(light.system, "control: A<> IUT.Bright");
   game::Strategy strategy(reach);
   const StrategySource source(strategy);
@@ -265,57 +263,58 @@ TEST(DecisionEquivalence, SafetyViolationVerdict) {
   testing::ExecutorOptions opts;
   opts.purpose =
       tsystem::TestPurpose::parse(light.system, "control: A[] !IUT.Bright");
-  testing::SimulatedImplementation imp(plant.system, kScale);
+  testing::SimulatedImplementation imp(plant, kScale);
   testing::TestExecutor exec(source, light.system, imp, kScale, opts);
   const auto report = exec.run();
   EXPECT_EQ(report.verdict, testing::Verdict::kFail);
   EXPECT_EQ(report.code, testing::ReasonCode::kSafetyViolation);
 }
 
-// A .tgs compiled from the template-elaborated LEP serves the C++-built
-// model and vice versa: the fingerprints are identical at the same n —
-// and a template re-instantiated at a different n is REJECTED by the
-// fingerprint check, so a compiled strategy can never silently serve
-// the wrong instance size.
-TEST(DecisionEquivalence, TemplatedLepFingerprintMatchesBuilderAndPinsN) {
-  const lang::LoadedModel parsed = test_support::load_lep_template(3);
-  const auto lep = models::build_lep(3);
+// A .tgs compiled from LEP n = 3 serves every load of that instance:
+// its fingerprint is pinned to the one the hand-built C++ model of the
+// same instance had (recorded before the builder was retired), so the
+// template still elaborates to exactly that model — and a template
+// re-instantiated at a different n is REJECTED by the fingerprint
+// check, so a compiled strategy can never silently serve the wrong
+// instance size.
+TEST(DecisionEquivalence, TemplatedLepFingerprintIsPinnedAndPinsN) {
+  constexpr std::size_t kLepN3Keys = 1377;
+  constexpr std::uint64_t kLepN3Tp1Fingerprint = 0xe61d397e2dad977aULL;
+  const lang::LoadedModel parsed = load_lep(3);
+  const lang::LoadedModel other = load_lep(3);  // a second, separate load
 
-  const auto from_template = solve(parsed.system, models::lep_tp1());
-  const auto from_builder = solve(lep.system, models::lep_tp1());
-  EXPECT_EQ(from_template->stats().keys, from_builder->stats().keys);
+  const auto from_template = solve(parsed.system, parsed.purposes[0].source);
+  const auto from_other = solve(other.system, other.purposes[0].source);
+  EXPECT_EQ(from_template->stats().keys, kLepN3Keys);
 
-  const auto tp_builder =
-      tsystem::TestPurpose::parse(lep.system, models::lep_tp1());
-  const auto tp_template =
-      tsystem::TestPurpose::parse(parsed.system, models::lep_tp1());
+  const tsystem::TestPurpose& tp_other = other.purposes[0];
+  const tsystem::TestPurpose& tp_template = parsed.purposes[0];
   const DecisionTable table_t = compile(*from_template);
-  const DecisionTable table_b = compile(*from_builder);
-  EXPECT_EQ(table_t.fingerprint(), table_b.fingerprint());
-  EXPECT_TRUE(table_t.matches(lep.system, tp_builder));     // cross-served
-  EXPECT_TRUE(table_b.matches(parsed.system, tp_template));  // both directions
+  const DecisionTable table_o = compile(*from_other);
+  EXPECT_EQ(table_t.fingerprint(), kLepN3Tp1Fingerprint);
+  EXPECT_EQ(table_o.fingerprint(), table_t.fingerprint());
+  EXPECT_TRUE(table_t.matches(other.system, tp_other));      // cross-served
+  EXPECT_TRUE(table_o.matches(parsed.system, tp_template));  // both directions
 
   // The .tgs round trip preserves the cross-fingerprint.
   const DecisionTable reloaded = from_bytes(to_bytes(table_t));
-  EXPECT_TRUE(reloaded.matches(lep.system, tp_builder));
+  EXPECT_TRUE(reloaded.matches(other.system, tp_other));
 
   // Same decisions on the template-elaborated system, walk vs both
   // tables, on seeded fuzz states.
   game::Strategy strategy(from_template);
   util::Rng rng(kSeed);
-  expect_identical(strategy, table_b, fuzz_states(*from_template, rng, 1000));
+  expect_identical(strategy, table_o, fuzz_states(*from_template, rng, 1000));
 
   // Re-instantiated at n = 4, the fingerprint must differ: arrays,
   // edges and processes all changed shape.
-  const lang::LoadedModel bigger = test_support::load_lep_template(4);
-  EXPECT_FALSE(table_t.matches(
-      bigger.system, tsystem::TestPurpose::parse(bigger.system,
-                                                 models::lep_tp1())));
+  const lang::LoadedModel bigger = load_lep(4);
+  EXPECT_FALSE(table_t.matches(bigger.system, bigger.purposes[0]));
   EXPECT_TRUE(table_t.matches(parsed.system, tp_template));
 }
 
 TEST(DecisionEquivalence, SerializeRoundTrip) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A<> IUT.Bright");
   game::Strategy strategy(solution);
   const DecisionTable table = compile(*solution);
@@ -343,7 +342,7 @@ TEST(DecisionEquivalence, SerializeRoundTrip) {
 // a safety table must survive the byte and file round trips exactly
 // like a reachability one, still deciding identically to the walk.
 TEST(DecisionEquivalence, SafetySerializeRoundTrip) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A[] !IUT.Bright");
   game::Strategy strategy(solution);
   const DecisionTable table = compile(*solution);
@@ -367,7 +366,7 @@ TEST(DecisionEquivalence, SafetySerializeRoundTrip) {
 }
 
 TEST(DecisionEquivalence, CorruptedFilesAreRejected) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A<> IUT.Bright");
   const auto bytes = to_bytes(compile(*solution));
 

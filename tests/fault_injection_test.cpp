@@ -17,8 +17,7 @@
 #include "decision/source.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/lep.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "testing/campaign.h"
 #include "testing/executor.h"
 #include "testing/faults.h"
@@ -30,10 +29,10 @@
 namespace tigat::testing {
 namespace {
 
+using test_support::load_lep;
 using game::GameSolver;
 using game::Strategy;
-using models::make_smart_light;
-using models::make_smart_light_plant_only;
+using test_support::load_smart_light;
 using tsystem::TestPurpose;
 
 constexpr std::int64_t kScale = 16;
@@ -80,7 +79,7 @@ TEST(FaultSpec, RejectsMalformedClauses) {
 class ChaosTest : public ::testing::Test {
  protected:
   ChaosTest()
-      : spec_(make_smart_light()), plant_(make_smart_light_plant_only()) {}
+      : spec_(load_smart_light()), plant_(test_support::plant(spec_.system)) {}
 
   [[nodiscard]] Strategy strategy_for(const std::string& prop) const {
     GameSolver solver(spec_.system, TestPurpose::parse(spec_.system, prop));
@@ -94,18 +93,18 @@ class ChaosTest : public ::testing::Test {
     return campaign_run(source, spec_.system, imp, kScale, opts);
   }
 
-  models::SmartLight spec_;
-  models::SmartLight plant_;
+  lang::LoadedModel spec_;
+  tsystem::System plant_;
 };
 
 TEST_F(ChaosTest, EmptySpecIsExactPassThrough) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
 
-  SimulatedImplementation bare(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation bare(plant_, kScale, ImpPolicy{kScale, {}});
   TestExecutor bare_exec(strat, bare, kScale);
   const TestReport clean = bare_exec.run();
 
-  SimulatedImplementation inner(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation inner(plant_, kScale, ImpPolicy{kScale, {}});
   FaultInjector injector(inner, FaultSpec{}, 42);
   TestExecutor exec(strat, injector, kScale);
   const TestReport wrapped = exec.run();
@@ -128,7 +127,7 @@ TEST_F(ChaosTest, NoFalseFailOnConformingImpAcrossSeeds) {
   std::uint64_t injected = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     opts.fault_seed = seed;
-    SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+    SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
     const CampaignReport report = campaign(strat, imp, opts);
     EXPECT_EQ(report.fails, 0u)
         << "false FAIL at seed " << seed << ": "
@@ -150,7 +149,7 @@ TEST_F(ChaosTest, NoFalseFailOnConformingImpAcrossSeeds) {
 // reproduces on a clean boundary.
 TEST_F(ChaosTest, ChaosFailsReproduceWithFaultsDisabled) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  const auto mutants = enumerate_mutants(plant_.system);
+  const auto mutants = enumerate_mutants(plant_);
   CampaignOptions opts;
   opts.runs = 2;
   opts.retries = 3;
@@ -159,7 +158,7 @@ TEST_F(ChaosTest, ChaosFailsReproduceWithFaultsDisabled) {
 
   std::size_t chaos_fails = 0;
   for (const auto& m : mutants) {
-    const tsystem::System mutated = apply_mutant(plant_.system, m);
+    const tsystem::System mutated = apply_mutant(plant_, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{0, {}});
     const CampaignReport report = campaign(strat, imp, opts);
     if (report.verdict != CampaignVerdict::kFail) continue;
@@ -182,7 +181,7 @@ TEST_F(ChaosTest, InjectedHangEndsWithTheDeadline) {
   opts.runs = 2;
   opts.run_deadline_ms = 200;
   opts.fault_spec = "hang@step=5";
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
 
   util::Stopwatch watch;
   const CampaignReport report = campaign(strat, imp, opts);
@@ -199,7 +198,7 @@ TEST_F(ChaosTest, InjectedHangEndsWithTheDeadline) {
 
 TEST_F(ChaosTest, HangWithoutArmedDeadlineRefusesToBlock) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  SimulatedImplementation inner(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation inner(plant_, kScale, ImpPolicy{kScale, {}});
   FaultInjector injector(inner, FaultSpec::parse("hang@step=3"), 1);
   TestExecutor exec(strat, injector, kScale);
 
@@ -215,7 +214,7 @@ TEST_F(ChaosTest, InjectedCrashIsContained) {
   CampaignOptions opts;
   opts.runs = 2;
   opts.fault_spec = "crash@step=3";
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
 
   // Must not throw out of campaign_run.
   const CampaignReport report = campaign(strat, imp, opts);
@@ -234,14 +233,14 @@ TEST_F(ChaosTest, IdenticalSeedAndSpecGiveByteIdenticalReports) {
   opts.fault_spec = "drop=0.25,delay=0..8,dup=0.1";
   opts.fault_seed = 11;
 
-  SimulatedImplementation imp_a(plant_.system, kScale, ImpPolicy{kScale, {}});
-  SimulatedImplementation imp_b(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_a(plant_, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_b(plant_, kScale, ImpPolicy{kScale, {}});
   const std::string json_a = campaign(strat, imp_a, opts).to_json();
   const std::string json_b = campaign(strat, imp_b, opts).to_json();
   EXPECT_EQ(json_a, json_b);
 
   opts.fault_seed = 12;
-  SimulatedImplementation imp_c(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_c(plant_, kScale, ImpPolicy{kScale, {}});
   EXPECT_NE(campaign(strat, imp_c, opts).to_json(), json_a);
 }
 
@@ -255,7 +254,7 @@ TEST_F(ChaosTest, RetriesRecoverRunsAcrossTheSweep) {
   bool recovered = false;
   for (std::uint64_t seed = 1; seed <= 20 && !recovered; ++seed) {
     opts.fault_seed = seed;
-    SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+    SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
     const CampaignReport report = campaign(strat, imp, opts);
     // A run whose first attempt was inconclusive but whose final
     // verdict is PASS is a retry doing its job.
@@ -270,8 +269,8 @@ TEST_F(ChaosTest, RetriesRecoverRunsAcrossTheSweep) {
 
 // LEP leg: the same no-false-FAIL sweep on the paper's second model.
 TEST(ChaosLep, NoFalseFailOnConformingLep) {
-  const models::Lep m = models::make_lep({.nodes = 3});
-  GameSolver solver(m.system, TestPurpose::parse(m.system, models::lep_tp1()));
+  const lang::LoadedModel m = load_lep(3);
+  GameSolver solver(m.system, m.purposes[0]);
   const Strategy strat{solver.solve()};
   const decision::StrategySource source(strat);
   const tsystem::System plant = tsystem::extract_process(m.system, "IUT");
@@ -291,8 +290,8 @@ TEST(ChaosLep, NoFalseFailOnConformingLep) {
 }
 
 TEST(ChaosLep, ChaosFailsOnLepMutantsReproduceCleanly) {
-  const models::Lep m = models::make_lep({.nodes = 3});
-  GameSolver solver(m.system, TestPurpose::parse(m.system, models::lep_tp1()));
+  const lang::LoadedModel m = load_lep(3);
+  GameSolver solver(m.system, m.purposes[0]);
   const Strategy strat{solver.solve()};
   const decision::StrategySource source(strat);
   const tsystem::System plant = tsystem::extract_process(m.system, "IUT");

@@ -4,11 +4,12 @@
 
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 
 namespace tigat::game {
 namespace {
 
+using test_support::load_smart_light;
 using tsystem::Controllability;
 using tsystem::LocId;
 using tsystem::Process;
@@ -239,7 +240,7 @@ TEST(GameSolver, UrgentLocationForcesImmediately) {
 // ── Smart Light objectives ───────────────────────────────────────────
 
 TEST(GameSolver, SmartLightBrightIsControllable) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto sol = solve(m.system, "control: A<> IUT.Bright");
   EXPECT_TRUE(sol->winning_from_initial());
   const auto& st = sol->stats();
@@ -248,7 +249,7 @@ TEST(GameSolver, SmartLightBrightIsControllable) {
 }
 
 TEST(GameSolver, SmartLightOffIsTriviallyWinning) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto sol = solve(m.system, "control: A<> IUT.Off");
   EXPECT_TRUE(sol->winning_from_initial());  // initial state is Off
   const std::vector<std::int64_t> zero(m.system.clock_count(), 0);
@@ -256,7 +257,7 @@ TEST(GameSolver, SmartLightOffIsTriviallyWinning) {
 }
 
 TEST(GameSolver, SmartLightDimIsControllable) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto sol = solve(m.system, "control: A<> IUT.Dim");
   EXPECT_TRUE(sol->winning_from_initial());
 }
@@ -268,7 +269,7 @@ TEST(GameSolver, SmartLightDimIsControllable) {
 // universal: the purpose "reach Bright with x already past Tidle" is
 // not reachable directly from init in one step.
 TEST(GameSolver, SmartLightStrategyObjectSane) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto sol = solve(m.system, "control: A<> IUT.Bright");
   Strategy strat(sol);
   EXPECT_GT(strat.size(), 5u);
@@ -279,7 +280,7 @@ TEST(GameSolver, SmartLightStrategyObjectSane) {
 }
 
 TEST(GameSolver, StrategyDecidesAtInitialState) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto sol = solve(m.system, "control: A<> IUT.Bright");
   Strategy strat(sol);
   semantics::ConcreteSemantics sem(m.system, 4);
@@ -438,7 +439,7 @@ TEST(GameSolver, SafetyStrictInvariantDoesNotForce) {
 }
 
 TEST(GameSolver, SmartLightSafetyObjectives) {
-  models::SmartLight m = models::make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   // Never touching keeps the light Off forever.
   EXPECT_TRUE(
       solve(m.system, "control: A[] IUT.Off")->winning_from_initial());

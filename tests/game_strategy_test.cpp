@@ -8,13 +8,13 @@
 
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
+#include "support/models.h"
 
 namespace tigat::game {
 namespace {
 
-using models::SmartLight;
+using test_support::clock;
 using tsystem::TestPurpose;
 
 constexpr std::int64_t kScale = 16;
@@ -22,7 +22,7 @@ constexpr std::int64_t kScale = 16;
 class StrategyTest : public ::testing::Test {
  protected:
   StrategyTest()
-      : light_(models::make_smart_light()),
+      : light_(test_support::load_smart_light()),
         solution_(GameSolver(light_.system,
                              TestPurpose::parse(light_.system,
                                                 "control: A<> IUT.Bright"))
@@ -30,7 +30,7 @@ class StrategyTest : public ::testing::Test {
         strategy_(solution_),
         sem_(light_.system, kScale) {}
 
-  SmartLight light_;
+  lang::LoadedModel light_;
   std::shared_ptr<const GameSolution> solution_;
   Strategy strategy_;
   semantics::ConcreteSemantics sem_;
@@ -133,8 +133,8 @@ TEST_F(StrategyTest, UnreachableStateIsUnwinnable) {
   // the light never left Off with all clocks at zero is reachable...
   // instead use clocks violating the reach zones: x != z before any
   // action is impossible.
-  s.clocks[light_.x.id] = 5;
-  s.clocks[light_.z.id] = 3;
+  s.clocks[clock(light_.system, "x").id] = 5;
+  s.clocks[clock(light_.system, "z").id] = 3;
   const Move m = strategy_.decide(s, kScale);
   EXPECT_EQ(m.kind, MoveKind::kUnwinnable);
   EXPECT_FALSE(m.rank.has_value());
@@ -151,7 +151,8 @@ TEST_F(StrategyTest, DecideIsSafeForConcurrentCallers) {
   // One strategy, many parallel executions (the campaign-service
   // shape): every thread starts on a COLD region cache and decides the
   // same states; all must agree with a serial baseline.  Run under
-  // TSan in CI (game_ filter) to catch cache races.
+  // TSan in CI (game_ filter) to catch cache races.  The safety game
+  // fills the cache's Safe map as well.
   std::vector<semantics::ConcreteState> states;
   auto s = sem_.initial();
   states.push_back(s);
@@ -159,35 +160,44 @@ TEST_F(StrategyTest, DecideIsSafeForConcurrentCallers) {
     sem_.delay(s, kScale / 2);
     states.push_back(s);
   }
-  std::vector<Move> baseline;
-  for (const auto& state : states) {
-    baseline.push_back(strategy_.decide(state, kScale));
-  }
-  EXPECT_GT(strategy_.cached_region_bytes(), 0u);
+  const auto safety = GameSolver(light_.system,
+                                 TestPurpose::parse(light_.system,
+                                                    "control: A[] !IUT.Bright"))
+                          .solve();
+  for (const auto& solution : {solution_, safety}) {
+    SCOPED_TRACE(solution->purpose().source);
+    const Strategy walked(solution);
+    std::vector<Move> baseline;
+    for (const auto& state : states) {
+      baseline.push_back(walked.decide(state, kScale));
+    }
+    EXPECT_GT(walked.cached_region_bytes(), 0u);
 
-  // The cache lives on the Strategy, so a fresh one over the same,
-  // already walked solution is cold for the race window.
-  const Strategy fresh(solution_);
-  ASSERT_EQ(fresh.cached_region_bytes(), 0u);
-  constexpr int kThreads = 8;
-  std::vector<std::vector<Move>> results(kThreads);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int rep = 0; rep < 50; ++rep) {
-        for (const auto& state : states) {
-          const Move m = fresh.decide(state, kScale);
-          if (rep == 0) results[t].push_back(m);
+    // The cache lives on the Strategy, so a fresh one over the same,
+    // already walked solution is cold for the race window.
+    const Strategy fresh(solution);
+    ASSERT_EQ(fresh.cached_region_bytes(), 0u);
+    constexpr int kThreads = 8;
+    std::vector<std::vector<Move>> results(kThreads);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int rep = 0; rep < 50; ++rep) {
+          for (const auto& state : states) {
+            const Move m = fresh.decide(state, kScale);
+            if (rep == 0) results[t].push_back(m);
+          }
         }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(results[t].size(), baseline.size());
+      for (std::size_t i = 0; i < baseline.size(); ++i) {
+        EXPECT_EQ(results[t][i], baseline[i])
+            << "thread " << t << " state " << i;
       }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(results[t].size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(results[t][i], baseline[i]) << "thread " << t << " state " << i;
     }
   }
 }

@@ -21,10 +21,10 @@
 #include "decision/source.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "support/models.h"
 #include "testing/campaign.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
@@ -36,8 +36,7 @@ namespace {
 using game::GameSolver;
 using game::SolverOptions;
 using game::Strategy;
-using models::make_smart_light;
-using models::make_smart_light_plant_only;
+using test_support::load_smart_light;
 using tsystem::TestPurpose;
 
 constexpr std::int64_t kScale = 16;
@@ -46,7 +45,7 @@ constexpr char kProperty[] = "control: A<> IUT.Bright";
 class LedgerTest : public ::testing::Test {
  protected:
   LedgerTest()
-      : spec_(make_smart_light()), plant_(make_smart_light_plant_only()) {}
+      : spec_(load_smart_light()), plant_(test_support::plant(spec_.system)) {}
 
   [[nodiscard]] Strategy strategy_with_threads(unsigned threads) const {
     SolverOptions sopts;
@@ -73,8 +72,8 @@ class LedgerTest : public ::testing::Test {
     return out;
   }
 
-  models::SmartLight spec_;
-  models::SmartLight plant_;
+  lang::LoadedModel spec_;
+  tsystem::System plant_;
 };
 
 // ------------------------------------------------------- determinism
@@ -90,8 +89,8 @@ TEST_F(LedgerTest, ByteIdenticalAcrossSolverThreadCounts) {
   opts.fault_seed = 5;
   opts.record_ledgers = true;
 
-  SimulatedImplementation imp_a(plant_.system, kScale, ImpPolicy{kScale, {}});
-  SimulatedImplementation imp_b(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_a(plant_, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_b(plant_, kScale, ImpPolicy{kScale, {}});
   const CampaignReport a = campaign(serial, imp_a, opts);
   const CampaignReport b = campaign(parallel, imp_b, opts);
 
@@ -112,8 +111,8 @@ TEST_F(LedgerTest, RepeatedCampaignsProduceByteIdenticalLedgers) {
   opts.fault_seed = 13;
   opts.record_ledgers = true;
 
-  SimulatedImplementation imp_a(plant_.system, kScale, ImpPolicy{kScale, {}});
-  SimulatedImplementation imp_b(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_a(plant_, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_b(plant_, kScale, ImpPolicy{kScale, {}});
   const std::string a = all_ledgers(campaign(strat, imp_a, opts));
   const std::string b = all_ledgers(campaign(strat, imp_b, opts));
   EXPECT_EQ(a, b);
@@ -121,7 +120,7 @@ TEST_F(LedgerTest, RepeatedCampaignsProduceByteIdenticalLedgers) {
 
   // A different seed journals a different story.
   opts.fault_seed = 14;
-  SimulatedImplementation imp_c(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_c(plant_, kScale, ImpPolicy{kScale, {}});
   EXPECT_NE(all_ledgers(campaign(strat, imp_c, opts)), a);
 }
 
@@ -138,13 +137,11 @@ TEST_F(LedgerTest, RecordedAndUnrecordedCampaignsAreByteIdentical) {
   opts.fault_seed = 11;
 
   opts.record_ledgers = false;
-  SimulatedImplementation imp_plain(plant_.system, kScale,
-                                    ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_plain(plant_, kScale, ImpPolicy{kScale, {}});
   const std::string plain = campaign(strat, imp_plain, opts).to_json();
 
   opts.record_ledgers = true;
-  SimulatedImplementation imp_rec(plant_.system, kScale,
-                                  ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_rec(plant_, kScale, ImpPolicy{kScale, {}});
   EXPECT_EQ(campaign(strat, imp_rec, opts).to_json(), plain);
 }
 
@@ -183,15 +180,13 @@ TEST_F(LedgerTest, RecordingCausesZeroCounterDrift) {
   };
 
   opts.record_ledgers = false;
-  SimulatedImplementation imp_plain(plant_.system, kScale,
-                                    ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_plain(plant_, kScale, ImpPolicy{kScale, {}});
   const auto before_plain = sample();
   (void)campaign(strat, imp_plain, opts);
   const auto plain = delta(before_plain, sample());
 
   opts.record_ledgers = true;
-  SimulatedImplementation imp_rec(plant_.system, kScale,
-                                  ImpPolicy{kScale, {}});
+  SimulatedImplementation imp_rec(plant_, kScale, ImpPolicy{kScale, {}});
   const auto before_rec = sample();
   (void)campaign(strat, imp_rec, opts);
   const auto rec = delta(before_rec, sample());
@@ -222,10 +217,10 @@ TEST_F(LedgerTest, MutantFailLedgerExplainsItself) {
   opts.runs = 1;
   opts.record_ledgers = true;
 
-  const auto mutants = enumerate_mutants(plant_.system);
+  const auto mutants = enumerate_mutants(plant_);
   bool explained = false;
   for (const auto& m : mutants) {
-    const tsystem::System mutated = apply_mutant(plant_.system, m);
+    const tsystem::System mutated = apply_mutant(plant_, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{0, {}});
     const CampaignReport report = campaign(strat, imp, opts);
     if (report.verdict != CampaignVerdict::kFail) continue;
@@ -292,7 +287,7 @@ TEST_F(LedgerTest, InjectedFaultsAreJournaledInInterleavingOrder) {
   bool journaled = false;
   for (std::uint64_t seed = 1; seed <= 20 && !journaled; ++seed) {
     opts.fault_seed = seed;
-    SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+    SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
     const CampaignReport report = campaign(strat, imp, opts);
     for (const RunOutcome& o : report.outcomes) {
       for (const obs::RunLedger& led : o.ledgers) {
@@ -326,7 +321,7 @@ TEST_F(LedgerTest, PassingCampaignKeepsNoLedgers) {
   opts.runs = 3;
   opts.record_ledgers = true;
 
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
   const CampaignReport report = campaign(strat, imp, opts);
   ASSERT_EQ(report.verdict, CampaignVerdict::kPass);
   for (const RunOutcome& o : report.outcomes) {

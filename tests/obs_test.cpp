@@ -38,17 +38,19 @@
 #include "game/cooperative.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/lep.h"
-#include "models/smart_light.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
 #include "util/memory_meter.h"
 
 namespace tigat::obs {
 namespace {
+
+using test_support::load_lep;
+using test_support::load_smart_light;
 
 // ---- a minimal JSON reader, enough to validate and walk the trace ----
 
@@ -207,12 +209,10 @@ class JsonParser {
 
 std::shared_ptr<const game::GameSolution> solve_lep(unsigned threads) {
   // The solution's graph refers to the system: keep it alive.
-  static const models::Lep lep = models::make_lep({.nodes = 3});
+  static const lang::LoadedModel lep = load_lep(3);
   game::SolverOptions options;
   options.threads = threads;
-  game::GameSolver solver(
-      lep.system, tsystem::TestPurpose::parse(lep.system, models::lep_tp1()),
-      options);
+  game::GameSolver solver(lep.system, lep.purposes[0], options);
   return solver.solve();
 }
 
@@ -377,8 +377,8 @@ TracedRun traced_run(testing::TestExecutor& exec) {
 // "executor.step_ns" sample per span.
 TEST(ObsTrace, CooperativeRunTracesStepsLikeReachRun) {
   constexpr std::int64_t kScale = 16;
-  const models::SmartLight spec = models::make_smart_light();
-  const models::SmartLight plant = models::make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   game::GameSolver solver(
       spec.system,
       tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.Bright"));
@@ -390,10 +390,10 @@ TEST(ObsTrace, CooperativeRunTracesStepsLikeReachRun) {
   const game::Strategy coop_plan(coop.solution);
 
   testing::SimulatedImplementation reach_imp(
-      plant.system, kScale, testing::ImpPolicy{2 * kScale, {}});
+      plant, kScale, testing::ImpPolicy{2 * kScale, {}});
   testing::TestExecutor reach_exec(reach_plan, reach_imp, kScale);
   testing::SimulatedImplementation coop_imp(
-      plant.system, kScale, testing::ImpPolicy{2 * kScale, {}});
+      plant, kScale, testing::ImpPolicy{2 * kScale, {}});
   auto coop_exec = testing::TestExecutor::cooperative(spec.system, coop_plan,
                                                       coop_imp, kScale);
 

@@ -1,18 +1,30 @@
 // Tests for the concrete TIOTS interpreter on the Smart Light model.
 #include <gtest/gtest.h>
 
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
+#include "support/models.h"
 
 namespace tigat::semantics {
 namespace {
 
-using models::SmartLight;
-using models::make_smart_light;
+using test_support::clock;
+using test_support::loc;
+using test_support::process;
 
 class ConcreteTest : public ::testing::Test {
  protected:
-  ConcreteTest() : m_(make_smart_light()), sem_(m_.system, /*scale=*/10) {}
+  ConcreteTest()
+      : m_(test_support::load_smart_light()),
+        sem_(m_.system, /*scale=*/10),
+        iut_(process(m_.system, "IUT")),
+        user_(process(m_.system, "User")) {}
+
+  tsystem::LocId iut_loc(const std::string& name) const {
+    return loc(m_.system, "IUT", name);
+  }
+  std::uint32_t clock_id(const std::string& name) const {
+    return clock(m_.system, name).id;
+  }
 
   // Finds the unique enabled instance on the given channel.
   TransitionInstance instance_on(const ConcreteState& s,
@@ -29,15 +41,16 @@ class ConcreteTest : public ::testing::Test {
     return found;
   }
 
-  SmartLight m_;
+  lang::LoadedModel m_;
   ConcreteSemantics sem_;
+  std::uint32_t iut_, user_;  // process indices
 };
 
 TEST_F(ConcreteTest, InitialState) {
   const ConcreteState s = sem_.initial();
-  EXPECT_EQ(s.locs[m_.iut], m_.loc_off);
-  EXPECT_EQ(s.locs[m_.user], m_.user_init);
-  EXPECT_EQ(s.clocks[m_.x.id], 0);
+  EXPECT_EQ(s.locs[iut_], iut_loc("Off"));
+  EXPECT_EQ(s.locs[user_], loc(m_.system, "User", "Init"));
+  EXPECT_EQ(s.clocks[clock_id("x")], 0);
   EXPECT_TRUE(sem_.invariant_holds(s));
 }
 
@@ -53,17 +66,17 @@ TEST_F(ConcreteTest, TouchActivatesViaL1WhenFresh) {
   const auto touch = instance_on(s, "touch");
   EXPECT_TRUE(touch.controllable);
   sem_.fire(s, touch);
-  EXPECT_EQ(s.locs[m_.iut], m_.l1);  // x = 1 < Tidle
-  EXPECT_EQ(s.clocks[m_.x.id], 0);   // reset
-  EXPECT_EQ(s.clocks[m_.tp.id], 0);
-  EXPECT_EQ(s.locs[m_.user], m_.user_work);
+  EXPECT_EQ(s.locs[iut_], iut_loc("L1"));  // x = 1 < Tidle
+  EXPECT_EQ(s.clocks[clock_id("x")], 0);   // reset
+  EXPECT_EQ(s.clocks[clock_id("Tp")], 0);
+  EXPECT_EQ(s.locs[user_], loc(m_.system, "User", "Work"));
 }
 
 TEST_F(ConcreteTest, TouchAfterIdleGoesToL5) {
   ConcreteState s = sem_.initial();
   sem_.delay(s, 200);  // 20 units = Tidle
   sem_.fire(s, instance_on(s, "touch"));
-  EXPECT_EQ(s.locs[m_.iut], m_.l5);
+  EXPECT_EQ(s.locs[iut_], iut_loc("L5"));
 }
 
 TEST_F(ConcreteTest, InvariantBoundsDelayInOutputWindow) {
@@ -104,11 +117,11 @@ TEST_F(ConcreteTest, BrightViaDoubleTouch) {
   sem_.fire(s, instance_on(s, "touch"));  // → L1
   sem_.delay(s, 10);                      // z = 1 again, Tp = 1 ≤ 2
   sem_.fire(s, instance_on(s, "touch"));  // → L2
-  EXPECT_EQ(s.locs[m_.iut], m_.l2);
+  EXPECT_EQ(s.locs[iut_], iut_loc("L2"));
   sem_.delay(s, 5);
   sem_.fire(s, instance_on(s, "bright"));
-  EXPECT_EQ(s.locs[m_.iut], m_.loc_bright);
-  EXPECT_EQ(s.clocks[m_.x.id], 0);
+  EXPECT_EQ(s.locs[iut_], iut_loc("Bright"));
+  EXPECT_EQ(s.clocks[clock_id("x")], 0);
 }
 
 TEST_F(ConcreteTest, SlowTouchOnDimMayRefuseToTurnOff) {
@@ -116,10 +129,10 @@ TEST_F(ConcreteTest, SlowTouchOnDimMayRefuseToTurnOff) {
   sem_.delay(s, 10);
   sem_.fire(s, instance_on(s, "touch"));
   sem_.fire(s, instance_on(s, "dim"));  // → Dim at once
-  EXPECT_EQ(s.locs[m_.iut], m_.loc_dim);
+  EXPECT_EQ(s.locs[iut_], iut_loc("Dim"));
   sem_.delay(s, 40);  // x = 4 = Tsw → slow touch
   sem_.fire(s, instance_on(s, "touch"));
-  EXPECT_EQ(s.locs[m_.iut], m_.l3);
+  EXPECT_EQ(s.locs[iut_], iut_loc("L3"));
   // The light can answer off! …or dim! (refusal) — both present.
   bool off = false, dim = false;
   for (const auto& t : sem_.enabled_instances(s)) {
@@ -137,12 +150,12 @@ TEST_F(ConcreteTest, GuardBoundaryStrictness) {
   sem_.delay(s, 200);  // x = 20.0 exactly
   const auto touch = instance_on(s, "touch");
   sem_.fire(s, touch);
-  EXPECT_EQ(s.locs[m_.iut], m_.l5);
+  EXPECT_EQ(s.locs[iut_], iut_loc("L5"));
   // One tick earlier: only the L1 branch.
   ConcreteState s2 = sem_.initial();
   sem_.delay(s2, 199);
   sem_.fire(s2, instance_on(s2, "touch"));
-  EXPECT_EQ(s2.locs[m_.iut], m_.l1);
+  EXPECT_EQ(s2.locs[iut_], iut_loc("L1"));
 }
 
 TEST_F(ConcreteTest, DeterminismOneInstancePerChannel) {

@@ -3,19 +3,20 @@
 // concrete runs must lie inside the symbolic reach set.
 #include <gtest/gtest.h>
 
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
 #include "semantics/symbolic.h"
+#include "support/models.h"
 #include "util/rng.h"
 
 namespace tigat::semantics {
 namespace {
 
-using models::SmartLight;
-using models::make_smart_light;
+using test_support::load_smart_light;
+using test_support::loc;
+using test_support::process;
 
 TEST(Symbolic, ExploresSmartLightToFixpoint) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   const auto stats = g.stats();
@@ -25,7 +26,7 @@ TEST(Symbolic, ExploresSmartLightToFixpoint) {
   // Every plant location is discrete-reachable.
   std::vector<bool> seen(9, false);
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    seen[g.key(k).locs[m.iut]] = true;
+    seen[g.key(k).locs[process(m.system, "IUT")]] = true;
   }
   for (std::size_t l = 0; l < seen.size(); ++l) {
     EXPECT_TRUE(seen[l]) << "plant location " << l << " unreachable";
@@ -33,7 +34,7 @@ TEST(Symbolic, ExploresSmartLightToFixpoint) {
 }
 
 TEST(Symbolic, InitialZoneIsDelayClosed) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   dbm::Fed scratch(m.system.clock_count());
@@ -46,13 +47,13 @@ TEST(Symbolic, InitialZoneIsDelayClosed) {
 }
 
 TEST(Symbolic, InvariantCachedPerKey) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   bool found_window = false;
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const auto plant_loc = g.key(k).locs[m.iut];
-    if (plant_loc == m.l5) {
+    const auto plant_loc = g.key(k).locs[process(m.system, "IUT")];
+    if (plant_loc == loc(m.system, "IUT", "L5")) {
       found_window = true;
       // Tp ≤ 2 present in the invariant zone.
       EXPECT_FALSE(g.invariant(k).contains_point({0, 0, 3, 0}));
@@ -63,7 +64,7 @@ TEST(Symbolic, InvariantCachedPerKey) {
 }
 
 TEST(Symbolic, EdgesCarryControllability) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   bool saw_controllable = false, saw_uncontrollable = false;
@@ -76,7 +77,7 @@ TEST(Symbolic, EdgesCarryControllability) {
 }
 
 TEST(Symbolic, PredThroughInvertsApply) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   // For every edge: forward image of reach(src) through the edge lies
@@ -102,7 +103,7 @@ TEST(Symbolic, PredThroughInvertsApply) {
 }
 
 TEST(Symbolic, RandomConcreteRunsStayInsideReach) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   SymbolicGraph g(m.system);
   g.explore();
   ConcreteSemantics sem(m.system, /*scale=*/4);
@@ -137,7 +138,7 @@ TEST(Symbolic, RandomConcreteRunsStayInsideReach) {
 }
 
 TEST(Symbolic, ExplorationLimitThrows) {
-  SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   ExplorationOptions opt;
   opt.max_zones = 3;
   SymbolicGraph g(m.system, opt);

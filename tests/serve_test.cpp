@@ -28,12 +28,11 @@
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/lep.h"
-#include "models/smart_light.h"
 #include "semantics/concrete.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "support/models.h"
 #include "util/rng.h"
 
 namespace tigat::serve {
@@ -44,6 +43,8 @@ constexpr std::uint64_t kSeed = 0x5e57e5ULL;
 
 using decision::DecisionTable;
 using semantics::ConcreteState;
+using test_support::load_lep;
+using test_support::load_smart_light;
 
 std::shared_ptr<const game::GameSolution> solve(const tsystem::System& sys,
                                                 const std::string& purpose) {
@@ -98,7 +99,7 @@ struct ServedTable {
 };
 
 TEST(Serve, HelloCarriesTableIdentity) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   ServedTable served(light.system, "control: A<> IUT.Bright", "hello");
   Client client = Client::connect(served.server.socket_path());
   EXPECT_EQ(client.hello().proto, kProtoVersion);
@@ -146,25 +147,26 @@ void check_concurrent_equivalence(const tsystem::System& sys,
 }
 
 TEST(Serve, SmartLightConcurrentClientsMatchInProcess) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   check_concurrent_equivalence(light.system, "control: A<> IUT.Bright",
                                "sl_reach", 400);
 }
 
 TEST(Serve, SmartLightSafetyConcurrentClientsMatchInProcess) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   check_concurrent_equivalence(light.system, "control: A[] !IUT.Bright",
                                "sl_safe", 400);
 }
 
 TEST(Serve, LepN3ConcurrentClientsMatchInProcess) {
-  const auto lep = models::make_lep({.nodes = 3});
-  check_concurrent_equivalence(lep.system, models::lep_tp1(), "lep3", 150);
+  const auto lep = load_lep(3);
+  check_concurrent_equivalence(lep.system, lep.purposes[0].source, "lep3",
+                               150);  // TP1
 }
 
 // Replies come back in request order: pipeline a burst, then drain.
 TEST(Serve, PipelinedRepliesStayInOrder) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   ServedTable served(light.system, "control: A<> IUT.Bright", "pipe");
   util::Rng rng(kSeed);
   const auto states = fuzz_states(*served.solution, rng, 300);
@@ -180,7 +182,7 @@ TEST(Serve, PipelinedRepliesStayInOrder) {
 // one it was saved from — the zero-copy daemon path end to end,
 // in-process.
 TEST(Serve, MappedTableServesIdentically) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A[] !IUT.Bright");
   const DecisionTable compiled = decision::compile(*solution);
   const std::string path = ::testing::TempDir() + "/serve_mapped.tgs";
@@ -228,7 +230,7 @@ std::vector<std::uint8_t> read_all(int fd) {
 }
 
 TEST(Serve, MalformedFramesGetBadRequestAndClose) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   ServedTable served(light.system, "control: A<> IUT.Bright", "bad", 1);
 
   const auto expect_rejected = [&](std::vector<std::uint8_t> wire,
@@ -363,7 +365,7 @@ TEST(Serve, ClientReceiveBufferStaysBoundedOnChunkedStream) {
 // A client may pipeline far more than kMaxFrameBytes between two reads:
 // every request is still answered, in order.
 TEST(Serve, PipelineOfSeveralMiBBetweenReadsIsServed) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   ServedTable served(light.system, "control: A<> IUT.Bright", "bigpipe", 1);
   util::Rng rng(kSeed);
   const auto states = fuzz_states(*served.solution, rng, 1000);
@@ -399,7 +401,7 @@ TEST(Serve, PipelineOfSeveralMiBBetweenReadsIsServed) {
 // the flooder in time depends on scheduling, so the flood runs three
 // times.
 TEST(Serve, ClientThatNeverReadsIsDroppedPastTheBacklog) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   ServedTable served(light.system, "control: A<> IUT.Bright", "flood", 1);
   util::Rng rng(kSeed);
   const auto states = fuzz_states(*served.solution, rng, 200);
@@ -456,7 +458,7 @@ TEST(Serve, ClientThatNeverReadsIsDroppedPastTheBacklog) {
 }
 
 TEST(Serve, StopWhileClientsConnectedIsClean) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   auto served = std::make_unique<ServedTable>(
       light.system, "control: A<> IUT.Bright", "stop");
   Client client = Client::connect(served->server.socket_path());
@@ -510,7 +512,7 @@ bool wait_for_socket(const std::string& path, int tries = 100) {
 }
 
 TEST(ServeBinary, ServesSavedTableAndShutsDownCleanly) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A[] !IUT.Bright");
   const DecisionTable table = decision::compile(*solution);
   const std::string tgs = ::testing::TempDir() + "/serve_bin.tgs";

@@ -26,16 +26,17 @@
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/lep.h"
-#include "models/smart_light.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/executor.h"
+#include "support/models.h"
 #include "testing/simulated_imp.h"
 
 namespace tigat::game {
 namespace {
 
+using test_support::load_lep;
+using test_support::load_smart_light;
 using tsystem::TestPurpose;
 
 std::shared_ptr<const GameSolution> solve_with_threads(
@@ -85,12 +86,12 @@ void expect_same_solution(const GameSolution& a, const GameSolution& b,
 }
 
 TEST(SolverDeterminism, LepN4AcrossThreadCounts) {
-  models::Lep lep = models::make_lep({.nodes = 4});
-  const auto base = solve_with_threads(lep.system, models::lep_tp1(), 1);
+  const lang::LoadedModel lep = load_lep(4);
+  const auto base = solve_with_threads(lep.system, lep.purposes[0].source, 1);
   for (const unsigned threads : {2u, 8u}) {
-    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const lang::LoadedModel fresh = load_lep(4);
     const auto sol =
-        solve_with_threads(fresh.system, models::lep_tp1(), threads);
+        solve_with_threads(fresh.system, fresh.purposes[0].source, threads);
     expect_same_solution(*base, *sol, threads);
     // The textual strategy is the artifact a tester ships; identical
     // federations must render identically.
@@ -99,12 +100,12 @@ TEST(SolverDeterminism, LepN4AcrossThreadCounts) {
 }
 
 TEST(SolverDeterminism, SmartLightAcrossThreadCounts) {
-  models::SmartLight spec = models::make_smart_light();
+  const lang::LoadedModel spec = load_smart_light();
   for (const char* prop :
        {"control: A<> IUT.Bright", "control: A<> IUT.Dim"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const models::SmartLight fresh = models::make_smart_light();
+      const lang::LoadedModel fresh = load_smart_light();
       const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
@@ -116,12 +117,12 @@ TEST(SolverDeterminism, SafetyAcrossThreadCounts) {
   // Safety games (`A[] φ`) run the same parallel wave + Jacobi rounds
   // with the roles flipped, then publish Safe = Reach \ Attr as serial
   // round-0 deltas — so the thread-count promise carries over intact.
-  models::SmartLight spec = models::make_smart_light();
+  const lang::LoadedModel spec = load_smart_light();
   for (const char* prop :
        {"control: A[] !IUT.Bright", "control: A[] IUT.Off"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const models::SmartLight fresh = models::make_smart_light();
+      const lang::LoadedModel fresh = load_smart_light();
       const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
@@ -133,14 +134,14 @@ TEST(SolverDeterminism, TracedSolvesBitIdentical) {
   // The obs layer promises pure observation: spans and counters never
   // synchronize threads or alter control flow, so a fully instrumented
   // solve equals the untraced baseline bit for bit at any thread count.
-  models::Lep lep = models::make_lep({.nodes = 4});
-  const auto base = solve_with_threads(lep.system, models::lep_tp1(), 1);
+  const lang::LoadedModel lep = load_lep(4);
+  const auto base = solve_with_threads(lep.system, lep.purposes[0].source, 1);
   obs::Tracer::instance().enable();
   obs::enable_metrics();
   for (const unsigned threads : {1u, 8u}) {
-    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const lang::LoadedModel fresh = load_lep(4);
     const auto sol =
-        solve_with_threads(fresh.system, models::lep_tp1(), threads);
+        solve_with_threads(fresh.system, fresh.purposes[0].source, threads);
     expect_same_solution(*base, *sol, threads);
     EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
   }
@@ -154,9 +155,9 @@ TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
   // System solve against one graph that only the first solve explores,
   // and each solution equals a solve on a freshly built System down to
   // its compiled .tgs bytes.
-  const models::Lep lep = models::make_lep({.nodes = 4});
-  const std::vector<std::string> purposes = {
-      models::lep_tp1(), models::lep_tp2(), models::lep_tp3()};
+  const lang::LoadedModel lep = load_lep(4);
+  std::vector<std::string> purposes;  // TP1-TP3
+  for (const TestPurpose& tp : lep.purposes) purposes.push_back(tp.source);
   std::vector<std::shared_ptr<const GameSolution>> shared;
   for (const std::string& prop : purposes) {
     shared.push_back(solve_with_threads(lep.system, prop, 2));
@@ -169,7 +170,7 @@ TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
   }
   for (std::size_t p = 0; p < purposes.size(); ++p) {
     SCOPED_TRACE("TP" + std::to_string(p + 1));
-    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const lang::LoadedModel fresh = load_lep(4);
     const auto own = solve_with_threads(fresh.system, purposes[p], 2);
     expect_same_solution(*own, *shared[p], 2);
     EXPECT_TRUE(decision::to_bytes(decision::compile(*own)) ==
@@ -178,7 +179,7 @@ TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
 
   // Other exploration options key another graph (the Smart Light's is
   // finite without extrapolation, LEP's is not).
-  const models::SmartLight light = models::make_smart_light();
+  const lang::LoadedModel light = load_smart_light();
   const char* bright = "control: A<> IUT.Bright";
   const auto extrapolated = solve_with_threads(light.system, bright, 2);
   SolverOptions plain;
@@ -195,8 +196,7 @@ TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
   SolverOptions tiny;
   tiny.threads = 2;
   tiny.exploration.max_keys = 16;
-  GameSolver limited(lep.system, TestPurpose::parse(lep.system, purposes[0]),
-                     tiny);
+  GameSolver limited(lep.system, lep.purposes[0], tiny);
   EXPECT_THROW((void)limited.solve(), semantics::ExplorationLimit);
   EXPECT_EQ(lep.system.graph_memo().graph, nullptr);
   const auto again = solve_with_threads(lep.system, purposes[0], 2);
@@ -206,7 +206,7 @@ TEST(SolverDeterminism, SharedGraphAcrossPurposes) {
   EXPECT_EQ(again->stats().keys, shared[0]->stats().keys);
 
   // Concurrent solvers of one System wait for a single exploration.
-  const models::Lep racing = models::make_lep({.nodes = 4});
+  const lang::LoadedModel racing = load_lep(4);
   std::shared_ptr<const GameSolution> tp1, tp2;
   std::thread t1(
       [&] { tp1 = solve_with_threads(racing.system, purposes[0], 2); });
@@ -225,22 +225,22 @@ TEST(SolverDeterminism, StrategyGuidedTracesIdentical) {
   // same deterministic implementation: the guided runs must coincide
   // event for event.
   constexpr std::int64_t kScale = 16;
-  models::SmartLight spec = models::make_smart_light();
-  models::SmartLight plant = models::make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   const auto base =
       solve_with_threads(spec.system, "control: A<> IUT.Bright", 1);
   Strategy base_strategy(base);
-  testing::SimulatedImplementation base_imp(plant.system, kScale,
+  testing::SimulatedImplementation base_imp(plant, kScale,
                                             testing::ImpPolicy{kScale, {}});
   testing::TestExecutor base_exec(base_strategy, base_imp, kScale);
   const testing::TestReport base_report = base_exec.run();
 
   for (const unsigned threads : {2u, 8u}) {
-    const models::SmartLight fresh = models::make_smart_light();
+    const lang::LoadedModel fresh = load_smart_light();
     const auto sol =
         solve_with_threads(fresh.system, "control: A<> IUT.Bright", threads);
     Strategy strategy(sol);
-    testing::SimulatedImplementation imp(plant.system, kScale,
+    testing::SimulatedImplementation imp(plant, kScale,
                                          testing::ImpPolicy{kScale, {}});
     testing::TestExecutor exec(strategy, imp, kScale);
     const testing::TestReport report = exec.run();

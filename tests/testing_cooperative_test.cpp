@@ -5,7 +5,7 @@
 #include "game/cooperative.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
@@ -16,14 +16,13 @@ namespace {
 
 using game::GameSolver;
 using game::Strategy;
-using models::make_smart_light;
-using models::make_smart_light_plant_only;
+using test_support::load_smart_light;
 using tsystem::TestPurpose;
 
 constexpr std::int64_t kScale = 16;
 
 TEST(Rebuild, RelaxAllControllableFlipsThePartition) {
-  models::SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const tsystem::System relaxed =
       tsystem::relax_all_controllable(m.system);
   for (const auto& p : relaxed.processes()) {
@@ -37,7 +36,7 @@ TEST(Rebuild, RelaxAllControllableFlipsThePartition) {
 }
 
 TEST(Cooperative, L6UnwinnableButCooperativelyReachable) {
-  models::SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   const auto purpose = TestPurpose::parse(m.system, "control: A<> IUT.L6");
   GameSolver strict(m.system, purpose);
   EXPECT_FALSE(strict.solve()->winning_from_initial());
@@ -49,7 +48,7 @@ TEST(Cooperative, L6UnwinnableButCooperativelyReachable) {
 TEST(Cooperative, WinnablePurposesStayWinnableUnderRelaxation) {
   // Relaxation only helps: every controllable purpose must remain
   // cooperatively reachable.
-  models::SmartLight m = make_smart_light();
+  const lang::LoadedModel m = load_smart_light();
   for (const char* prop :
        {"control: A<> IUT.Bright", "control: A<> IUT.Dim"}) {
     const auto purpose = TestPurpose::parse(m.system, prop);
@@ -60,30 +59,29 @@ TEST(Cooperative, WinnablePurposesStayWinnableUnderRelaxation) {
 }
 
 TEST(Cooperative, PatientImpCooperatesToPass) {
-  models::SmartLight spec = make_smart_light();
-  models::SmartLight plant = make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   const auto purpose = TestPurpose::parse(spec.system, "control: A<> IUT.L6");
   auto coop = game::solve_cooperative(spec.system, purpose);
   ASSERT_TRUE(coop.reachable);
   Strategy plan(coop.solution);
 
-  SimulatedImplementation imp(plant.system, kScale,
-                              ImpPolicy{2 * kScale, {}});
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{2 * kScale, {}});
   auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kPass) << report.detail;
 }
 
 TEST(Cooperative, EagerImpYieldsInconclusiveNotFail) {
-  models::SmartLight spec = make_smart_light();
-  models::SmartLight plant = make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   const auto purpose = TestPurpose::parse(spec.system, "control: A<> IUT.L6");
   auto coop = game::solve_cooperative(spec.system, purpose);
   Strategy plan(coop.solution);
 
   // Latency 0: the light answers the reactivating touch immediately —
   // legal behaviour that ruins the plan.  Must NOT be a fail.
-  SimulatedImplementation imp(plant.system, kScale, ImpPolicy{0, {}});
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{0, {}});
   auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kInconclusive) << report.detail;
@@ -95,18 +93,18 @@ TEST(Cooperative, SoundnessStillFailsBrokenImp) {
   // windows then miss deadlines — a sound FAIL even in cooperative
   // mode.  (The L6 plan, by contrast, reaches its goal on inputs alone
   // and can never fail — a run is judged only by what is observed.)
-  models::SmartLight spec = make_smart_light();
-  models::SmartLight plant = make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   const auto purpose =
       TestPurpose::parse(spec.system, "control: A<> IUT.Bright");
   auto coop = game::solve_cooperative(spec.system, purpose);
   ASSERT_TRUE(coop.reachable);
   Strategy plan(coop.solution);
 
-  const auto mutants = enumerate_mutants(plant.system);
+  const auto mutants = enumerate_mutants(plant);
   bool found = false;
   for (const auto& m : mutants) {
-    const tsystem::System mutated = apply_mutant(plant.system, m);
+    const tsystem::System mutated = apply_mutant(plant, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{3 * kScale, {}});
     auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
     if (exec.run().verdict == Verdict::kFail) {
@@ -120,14 +118,14 @@ TEST(Cooperative, SoundnessStillFailsBrokenImp) {
 TEST(Cooperative, CooperativeRunOnWinnablePurposeAlsoPasses) {
   // A cooperative plan for a purpose that IS controllable behaves like
   // ordinary testing when the IMP happens to cooperate.
-  models::SmartLight spec = make_smart_light();
-  models::SmartLight plant = make_smart_light_plant_only();
+  const lang::LoadedModel spec = load_smart_light();
+  const tsystem::System plant = test_support::plant(spec.system);
   const auto purpose =
       TestPurpose::parse(spec.system, "control: A<> IUT.Dim");
   auto coop = game::solve_cooperative(spec.system, purpose);
   ASSERT_TRUE(coop.reachable);
   Strategy plan(coop.solution);
-  SimulatedImplementation imp(plant.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{kScale, {}});
   auto exec = TestExecutor::cooperative(spec.system, plan, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_NE(report.verdict, Verdict::kFail) << report.detail;

@@ -10,7 +10,7 @@
 
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
+#include "support/models.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
@@ -20,8 +20,7 @@ namespace {
 
 using game::GameSolver;
 using game::Strategy;
-using models::make_smart_light;
-using models::make_smart_light_plant_only;
+using test_support::load_smart_light;
 using tsystem::TestPurpose;
 
 constexpr std::int64_t kScale = 16;
@@ -29,21 +28,21 @@ constexpr std::int64_t kScale = 16;
 class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest()
-      : spec_(make_smart_light()),
-        plant_(make_smart_light_plant_only()) {}
+      : spec_(load_smart_light()),
+        plant_(test_support::plant(spec_.system)) {}
 
   [[nodiscard]] Strategy strategy_for(const std::string& prop) const {
     GameSolver solver(spec_.system, TestPurpose::parse(spec_.system, prop));
     return Strategy(solver.solve());
   }
 
-  models::SmartLight spec_;
-  models::SmartLight plant_;
+  lang::LoadedModel spec_;
+  tsystem::System plant_;
 };
 
 TEST_F(ExecutorTest, PassesAgainstOutputUrgentImp) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{0, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{0, {}});
   TestExecutor exec(strat, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kPass) << report.detail << "\n"
@@ -55,8 +54,7 @@ TEST_F(ExecutorTest, PassesAgainstLazyImp) {
   // Latency at the far edge of the 2-unit output window: still
   // conforming, still PASS (timing uncertainty in action).
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  SimulatedImplementation imp(plant_.system, kScale,
-                              ImpPolicy{2 * kScale, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{2 * kScale, {}});
   TestExecutor exec(strat, imp, kScale);
   const TestReport report = exec.run();
   EXPECT_EQ(report.verdict, Verdict::kPass) << report.detail;
@@ -72,8 +70,7 @@ TEST_F(ExecutorTest, PassesForAllLatenciesAndPreferences) {
          {std::vector<std::string>{"dim", "bright", "off"},
           std::vector<std::string>{"bright", "off", "dim"},
           std::vector<std::string>{"off", "dim", "bright"}}) {
-      SimulatedImplementation imp(plant_.system, kScale,
-                                  ImpPolicy{latency, pref});
+      SimulatedImplementation imp(plant_, kScale, ImpPolicy{latency, pref});
       TestExecutor exec(strat, imp, kScale);
       const TestReport report = exec.run();
       EXPECT_EQ(report.verdict, Verdict::kPass)
@@ -90,7 +87,7 @@ TEST_F(ExecutorTest, OtherPurposesAlsoPass) {
     SCOPED_TRACE(prop);
     if (std::string(prop).find("Tp") != std::string::npos) continue;  // clock
     const Strategy strat = strategy_for(prop);
-    SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+    SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
     TestExecutor exec(strat, imp, kScale);
     EXPECT_EQ(exec.run().verdict, Verdict::kPass);
   }
@@ -98,7 +95,7 @@ TEST_F(ExecutorTest, OtherPurposesAlsoPass) {
 
 TEST_F(ExecutorTest, TraceIsWellFormed) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{kScale, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{kScale, {}});
   TestExecutor exec(strat, imp, kScale);
   const TestReport report = exec.run();
   ASSERT_EQ(report.verdict, Verdict::kPass);
@@ -116,7 +113,7 @@ TEST_F(ExecutorTest, TraceIsWellFormed) {
 
 TEST_F(ExecutorTest, RunsAreRepeatable) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  SimulatedImplementation imp(plant_.system, kScale, ImpPolicy{3, {}});
+  SimulatedImplementation imp(plant_, kScale, ImpPolicy{3, {}});
   TestExecutor exec(strat, imp, kScale);
   const TestReport a = exec.run();
   const TestReport b = exec.run();  // executor resets the IMP
@@ -132,11 +129,11 @@ TEST_F(ExecutorTest, RunsAreRepeatable) {
 // 1 time unit late.  Simulate by widening every window invariant.
 TEST_F(ExecutorTest, DetectsLateOutputs) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  const auto mutants = enumerate_mutants(plant_.system);
+  const auto mutants = enumerate_mutants(plant_);
   bool found = false;
   for (const auto& m : mutants) {
     if (m.kind != MutationKind::kInvariantWiden) continue;
-    const tsystem::System mutated = apply_mutant(plant_.system, m);
+    const tsystem::System mutated = apply_mutant(plant_, m);
     // IMP that uses the widened window fully: fires at latency 3 units.
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{3 * kScale, {}});
     TestExecutor exec(strat, imp, kScale);
@@ -153,11 +150,11 @@ TEST_F(ExecutorTest, DetectsLateOutputs) {
 // A light that answers bright! where the SPEC promises dim!.
 TEST_F(ExecutorTest, DetectsWrongOutput) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  const auto mutants = enumerate_mutants(plant_.system);
+  const auto mutants = enumerate_mutants(plant_);
   bool found = false;
   for (const auto& m : mutants) {
     if (m.kind != MutationKind::kOutputSwap) continue;
-    const tsystem::System mutated = apply_mutant(plant_.system, m);
+    const tsystem::System mutated = apply_mutant(plant_, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{0, {}});
     TestExecutor exec(strat, imp, kScale);
     const TestReport report = exec.run();
@@ -173,12 +170,12 @@ TEST_F(ExecutorTest, DetectsWrongOutput) {
 // and — soundness — the unmutated plant must never fail.
 TEST_F(ExecutorTest, MutationCampaignKillsAndSoundness) {
   const Strategy strat = strategy_for("control: A<> IUT.Bright");
-  const auto mutants = enumerate_mutants(plant_.system);
+  const auto mutants = enumerate_mutants(plant_);
   ASSERT_GT(mutants.size(), 50u);
 
   int killed = 0, passed = 0, inconclusive = 0;
   for (const auto& m : mutants) {
-    tsystem::System mutated = apply_mutant(plant_.system, m);
+    tsystem::System mutated = apply_mutant(plant_, m);
     SimulatedImplementation imp(mutated, kScale, ImpPolicy{kScale / 2, {}});
     TestExecutor exec(strat, imp, kScale);
     switch (exec.run().verdict) {

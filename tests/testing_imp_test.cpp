@@ -2,42 +2,43 @@
 // the mutation operators.
 #include <gtest/gtest.h>
 
-#include "models/smart_light.h"
 #include "testing/monitor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
+#include "support/models.h"
 
 namespace tigat::testing {
 namespace {
 
-using models::make_smart_light;
-using models::make_smart_light_plant_only;
+using test_support::clock;
+using test_support::load_smart_light;
+using test_support::loc;
+using test_support::process;
 
 constexpr std::int64_t kScale = 16;
 
 TEST(SimulatedImp, QuiescentUntilStimulated) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale);
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale);
   EXPECT_FALSE(imp.advance(100 * kScale).has_value());
-  EXPECT_EQ(imp.state().locs[0], plant.loc_off);
+  EXPECT_EQ(imp.state().locs[0], loc(plant, "IUT", "Off"));
 }
 
 TEST(SimulatedImp, UrgentOutputAfterTouch) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale, ImpPolicy{0, {}});
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{0, {}});
   ASSERT_TRUE(imp.offer_input("touch"));
-  EXPECT_EQ(imp.state().locs[0], plant.l1);  // x=0 < Tidle
+  EXPECT_EQ(imp.state().locs[0], loc(plant, "IUT", "L1"));  // x=0 < Tidle
   const auto out = imp.advance(10 * kScale);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->channel, "dim");
   EXPECT_EQ(out->after_ticks, 0);  // output urgency
-  EXPECT_EQ(imp.state().locs[0], plant.loc_dim);
+  EXPECT_EQ(imp.state().locs[0], loc(plant, "IUT", "Dim"));
 }
 
 TEST(SimulatedImp, LatencyDelaysTheOutput) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale,
-                              ImpPolicy{3 * kScale / 2, {}});
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{3 * kScale / 2, {}});
   ASSERT_TRUE(imp.offer_input("touch"));
   const auto out = imp.advance(10 * kScale);
   ASSERT_TRUE(out.has_value());
@@ -47,9 +48,8 @@ TEST(SimulatedImp, LatencyDelaysTheOutput) {
 
 TEST(SimulatedImp, LatencyClampedToWindow) {
   // Latency 5 units, window 2 units: fires at the deadline.
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale,
-                              ImpPolicy{5 * kScale, {}});
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{5 * kScale, {}});
   ASSERT_TRUE(imp.offer_input("touch"));
   const auto out = imp.advance(10 * kScale);
   ASSERT_TRUE(out.has_value());
@@ -57,14 +57,13 @@ TEST(SimulatedImp, LatencyClampedToWindow) {
 }
 
 TEST(SimulatedImp, PreferenceBreaksOutputChoice) {
-  models::SmartLight plant = make_smart_light_plant_only();
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
   // Reach L5 (both dim! and bright! enabled): idle 20 units first.
   for (const std::string preferred : {"bright", "dim"}) {
-    SimulatedImplementation imp(plant.system, kScale,
-                                ImpPolicy{0, {preferred}});
+    SimulatedImplementation imp(plant, kScale, ImpPolicy{0, {preferred}});
     EXPECT_FALSE(imp.advance(20 * kScale).has_value());
     ASSERT_TRUE(imp.offer_input("touch"));
-    EXPECT_EQ(imp.state().locs[0], plant.l5);
+    EXPECT_EQ(imp.state().locs[0], loc(plant, "IUT", "L5"));
     const auto out = imp.advance(kScale);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->channel, preferred);
@@ -73,8 +72,8 @@ TEST(SimulatedImp, PreferenceBreaksOutputChoice) {
 
 TEST(SimulatedImp, AdvanceSlicingIsInvariant) {
   // Many small advances must behave like one big one.
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale, ImpPolicy{kScale, {}});
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{kScale, {}});
   ASSERT_TRUE(imp.offer_input("touch"));
   std::int64_t waited = 0;
   std::optional<ObservedOutput> out;
@@ -90,8 +89,8 @@ TEST(SimulatedImp, AdvanceSlicingIsInvariant) {
 }
 
 TEST(SimulatedImp, AdvanceZeroFiresDueOutput) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale, ImpPolicy{0, {}});
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale, ImpPolicy{0, {}});
   ASSERT_TRUE(imp.offer_input("touch"));
   const auto out = imp.advance(0);
   ASSERT_TRUE(out.has_value());
@@ -99,30 +98,31 @@ TEST(SimulatedImp, AdvanceZeroFiresDueOutput) {
 }
 
 TEST(SimulatedImp, ResetRestoresInitialState) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  SimulatedImplementation imp(plant.system, kScale);
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  SimulatedImplementation imp(plant, kScale);
   imp.offer_input("touch");
   imp.advance(5 * kScale);
   imp.reset();
-  EXPECT_EQ(imp.state().locs[0], plant.loc_off);
-  EXPECT_EQ(imp.state().clocks[plant.x.id], 0);
+  EXPECT_EQ(imp.state().locs[0], loc(plant, "IUT", "Off"));
+  EXPECT_EQ(imp.state().clocks[clock(plant, "x").id], 0);
 }
 
 TEST(SpecMonitor, TracksObservedTrace) {
-  models::SmartLight spec = make_smart_light();
+  const lang::LoadedModel spec = load_smart_light();
   SpecMonitor mon(spec.system, kScale);
   EXPECT_TRUE(mon.apply_delay(kScale));  // 1 unit: user may touch now
   EXPECT_TRUE(mon.apply_input("touch"));
-  EXPECT_EQ(mon.state().locs[spec.iut], spec.l1);
+  const std::uint32_t iut = process(spec.system, "IUT");
+  EXPECT_EQ(mon.state().locs[iut], loc(spec.system, "IUT", "L1"));
   // Window: at most 2 units.
   EXPECT_EQ(mon.allowed_delay(), 2 * kScale);
   EXPECT_TRUE(mon.apply_delay(kScale));
   EXPECT_TRUE(mon.apply_output("dim"));
-  EXPECT_EQ(mon.state().locs[spec.iut], spec.loc_dim);
+  EXPECT_EQ(mon.state().locs[iut], loc(spec.system, "IUT", "Dim"));
 }
 
 TEST(SpecMonitor, RejectsDisallowedOutput) {
-  models::SmartLight spec = make_smart_light();
+  const lang::LoadedModel spec = load_smart_light();
   SpecMonitor mon(spec.system, kScale);
   // bright! is not possible from Off.
   EXPECT_FALSE(mon.apply_output("bright"));
@@ -134,7 +134,7 @@ TEST(SpecMonitor, RejectsDisallowedOutput) {
 }
 
 TEST(SpecMonitor, RejectsOverlongDelay) {
-  models::SmartLight spec = make_smart_light();
+  const lang::LoadedModel spec = load_smart_light();
   SpecMonitor mon(spec.system, kScale);
   EXPECT_TRUE(mon.apply_delay(kScale));
   EXPECT_TRUE(mon.apply_input("touch"));
@@ -142,20 +142,20 @@ TEST(SpecMonitor, RejectsOverlongDelay) {
 }
 
 TEST(Mutants, CloneIsStructurallyIdentical) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  const tsystem::System copy = clone_system(plant.system);
-  EXPECT_EQ(copy.clock_count(), plant.system.clock_count());
-  EXPECT_EQ(copy.channels().size(), plant.system.channels().size());
-  EXPECT_EQ(copy.processes().size(), plant.system.processes().size());
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  const tsystem::System copy = testing::clone_system(plant);
+  EXPECT_EQ(copy.clock_count(), plant.clock_count());
+  EXPECT_EQ(copy.channels().size(), plant.channels().size());
+  EXPECT_EQ(copy.processes().size(), plant.processes().size());
   EXPECT_EQ(copy.processes()[0].edges().size(),
-            plant.system.processes()[0].edges().size());
-  EXPECT_EQ(copy.max_constants(), plant.system.max_constants());
-  EXPECT_EQ(copy.to_string(), plant.system.to_string());
+            plant.processes()[0].edges().size());
+  EXPECT_EQ(copy.max_constants(), plant.max_constants());
+  EXPECT_EQ(copy.to_string(), plant.to_string());
 }
 
 TEST(Mutants, EnumerationCoversAllOperators) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  const auto mutants = enumerate_mutants(plant.system);
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  const auto mutants = enumerate_mutants(plant);
   EXPECT_GT(mutants.size(), 50u);
   for (const MutationKind kind :
        {MutationKind::kGuardShift, MutationKind::kGuardFlip,
@@ -170,13 +170,13 @@ TEST(Mutants, EnumerationCoversAllOperators) {
 }
 
 TEST(Mutants, ApplyProducesValidDifferentSystem) {
-  models::SmartLight plant = make_smart_light_plant_only();
-  const auto mutants = enumerate_mutants(plant.system);
+  const tsystem::System plant = test_support::plant(load_smart_light().system);
+  const auto mutants = enumerate_mutants(plant);
   int different = 0;
   for (const auto& m : mutants) {
-    const tsystem::System mutated = apply_mutant(plant.system, m);
+    const tsystem::System mutated = apply_mutant(plant, m);
     EXPECT_TRUE(mutated.finalized());
-    if (mutated.to_string() != plant.system.to_string()) ++different;
+    if (mutated.to_string() != plant.to_string()) ++different;
   }
   // Every mutant must actually change the model text (drop changes the
   // edge list, shifts change guards, ...).

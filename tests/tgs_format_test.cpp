@@ -17,13 +17,15 @@
 #include "decision/serialize.h"
 #include "game/solver.h"
 #include "game/strategy.h"
-#include "models/smart_light.h"
 #include "obs/metrics.h"
 #include "semantics/concrete.h"
+#include "support/models.h"
 #include "util/rng.h"
 
 namespace tigat::decision {
 namespace {
+
+using test_support::load_smart_light;
 
 constexpr std::int64_t kScale = 16;
 constexpr std::uint64_t kSeed = 0x763f0417ULL;
@@ -92,7 +94,7 @@ void expect_rejected(std::vector<std::uint8_t> image, const char* what) {
 }
 
 std::vector<std::uint8_t> smart_light_image(const std::string& purpose) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   return to_bytes(compile(*solve(light.system, purpose)));
 }
 
@@ -231,7 +233,7 @@ TEST(TgsFormat, TruncationAtEveryBoundaryIsRejected) {
 // semantically invisible — what is banned is a crash or an
 // out-of-bounds walk).
 TEST(TgsFormat, PayloadBitRotNeverCrashes) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A[] !IUT.Bright");
   const auto bytes = to_bytes(compile(*solution));
   util::Rng rng(kSeed);
@@ -327,7 +329,7 @@ TEST(TgsFormat, TruncatedLegacyStubStillSaysMigrate) {
 // ── the zero-copy mmap path ─────────────────────────────────────────
 
 TEST(TgsFormat, MapIsZeroCopyAndZeroMigration) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A[] !IUT.Bright");
   const DecisionTable table = compile(*solution);
   const std::string path = ::testing::TempDir() + "/tgs_format_map.tgs";
@@ -360,7 +362,7 @@ TEST(TgsFormat, MapMissingFileIsIoError) {
 
 // Provenance strings survive the compiler, the image and the file.
 TEST(TgsFormat, ProvenanceStringsAreCarried) {
-  const auto light = models::make_smart_light();
+  const auto light = load_smart_light();
   const auto solution = solve(light.system, "control: A<> IUT.Bright");
   const DecisionTable table = compile(*solution);
   EXPECT_EQ(table.system_name(), "smart_light");

@@ -15,11 +15,13 @@
 
 #include "dbm/zone_pool.h"
 #include "game/solver.h"
-#include "models/lep.h"
+#include "support/models.h"
 #include "util/rng.h"
 
 namespace tigat::dbm {
 namespace {
+
+using test_support::load_lep;
 
 // Random non-empty zone over `dim` clocks: constrain a universal zone
 // with a handful of random (i, j, bound) facets; retry on emptiness.
@@ -184,12 +186,10 @@ TEST(ZonePoolSolver, CompactReportsCompressedFootprint) {
   // the end of a solve the reach and winning sets are both live, so
   // any storage as dim×dim matrices would peak at least at their
   // matrix bytes; row ids must stay below that.
-  models::Lep lep = models::make_lep({.nodes = 4});
+  const lang::LoadedModel lep = load_lep(4);
   game::SolverOptions opt;
   opt.threads = 1;
-  game::GameSolver solver(
-      lep.system, tsystem::TestPurpose::parse(lep.system, models::lep_tp1()),
-      opt);
+  game::GameSolver solver(lep.system, lep.purposes[0], opt);
   const auto solution = solver.solve();
   const game::SolverStats& st = solution->stats();
   const std::size_t dim = lep.system.clock_count();
