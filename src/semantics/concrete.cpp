@@ -74,9 +74,13 @@ void ConcreteSemantics::delay(ConcreteState& s, std::int64_t ticks) const {
   for (std::uint32_t i = 1; i < s.clocks.size(); ++i) s.clocks[i] += ticks;
 }
 
+const Edge& ConcreteSemantics::edge(const EdgeRef& ref) const {
+  return sys_->processes()[ref.process].edges()[ref.edge];
+}
+
 bool ConcreteSemantics::edge_guard_holds(const ConcreteState& s,
                                          const EdgeRef& ref) const {
-  const Edge& e = sys_->processes()[ref.process].edges()[ref.edge];
+  const Edge& e = edge(ref);
   for (const ClockConstraint& c : e.guard) {
     if (!constraint_holds(s, c, scale_)) return false;
   }
@@ -87,11 +91,42 @@ bool ConcreteSemantics::enabled(const ConcreteState& s,
                                 const TransitionInstance& t) const {
   if (!edge_guard_holds(s, t.primary)) return false;
   if (t.receiver && !edge_guard_holds(s, *t.receiver)) return false;
-  // The target state must satisfy its invariant; check by firing a copy.
-  ConcreteState probe = s;
-  apply_edge_effects(probe, t.primary);
-  if (t.receiver) apply_edge_effects(probe, *t.receiver);
-  return invariant_holds(probe);
+  const Edge& primary = edge(t.primary);
+  const Edge* receiver = t.receiver ? &edge(*t.receiver) : nullptr;
+  // Invariants constrain clocks only, so the data effects run just for
+  // their range checks, which throw here exactly as fire() would.  The
+  // scratch valuation keeps its capacity from call to call.
+  if (!primary.assignments.empty() ||
+      (receiver != nullptr && !receiver->assignments.empty())) {
+    thread_local tsystem::DataState scratch;
+    scratch = s.data;
+    apply_assignments(scratch, primary);
+    if (receiver != nullptr) apply_assignments(scratch, *receiver);
+  }
+  // The target state must satisfy its invariant.  Clock i after the
+  // jump: its last reset wins, the receiver's after the sender's.
+  const auto clock_after = [&](std::uint32_t i) {
+    std::int64_t v = s.clocks[i];
+    for (const Edge* e : {&primary, receiver}) {
+      if (e == nullptr) continue;
+      for (const auto& r : e->resets) {
+        if (r.clock == i) v = static_cast<std::int64_t>(r.value) * scale_;
+      }
+    }
+    return v;
+  };
+  const auto& procs = sys_->processes();
+  for (std::uint32_t p = 0; p < procs.size(); ++p) {
+    LocId loc = s.locs[p];
+    if (p == t.primary.process) loc = primary.dst;
+    if (receiver != nullptr && p == t.receiver->process) loc = receiver->dst;
+    for (const ClockConstraint& c : procs[p].locations()[loc].invariant) {
+      if (!satisfies(clock_after(c.i) - clock_after(c.j), c.bound, scale_)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::vector<TransitionInstance> ConcreteSemantics::enabled_instances(
@@ -103,20 +138,24 @@ std::vector<TransitionInstance> ConcreteSemantics::enabled_instances(
   return out;
 }
 
+void ConcreteSemantics::apply_assignments(tsystem::DataState& data,
+                                          const Edge& e) const {
+  for (const auto& a : e.assignments) {
+    const std::int64_t index =
+        a.index.is_null() ? 0 : a.index.eval(data, sys_->data());
+    const std::int64_t value = a.rhs.eval(data, sys_->data());
+    sys_->data().checked_store(data, a.var, index, value);
+  }
+}
+
 void ConcreteSemantics::apply_edge_effects(ConcreteState& s,
                                            const EdgeRef& ref) const {
-  const auto& proc = sys_->processes()[ref.process];
-  const Edge& e = proc.edges()[ref.edge];
+  const Edge& e = edge(ref);
   s.locs[ref.process] = e.dst;
   for (const auto& r : e.resets) {
     s.clocks[r.clock] = static_cast<std::int64_t>(r.value) * scale_;
   }
-  for (const auto& a : e.assignments) {
-    const std::int64_t index =
-        a.index.is_null() ? 0 : a.index.eval(s.data, sys_->data());
-    const std::int64_t value = a.rhs.eval(s.data, sys_->data());
-    sys_->data().checked_store(s.data, a.var, index, value);
-  }
+  apply_assignments(s.data, e);
 }
 
 void ConcreteSemantics::fire(ConcreteState& s,

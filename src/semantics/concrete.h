@@ -71,8 +71,12 @@ class ConcreteSemantics {
   [[nodiscard]] std::string to_string(const ConcreteState& s) const;
 
  private:
+  [[nodiscard]] const tsystem::Edge& edge(const EdgeRef& ref) const;
   [[nodiscard]] bool edge_guard_holds(const ConcreteState& s,
                                       const EdgeRef& ref) const;
+  // Runs e's data assignments in order; throws ModelError out of range.
+  void apply_assignments(tsystem::DataState& data,
+                         const tsystem::Edge& e) const;
   void apply_edge_effects(ConcreteState& s, const EdgeRef& ref) const;
 
   const tsystem::System* sys_;

@@ -25,8 +25,13 @@ std::optional<std::string> TransitionInstance::channel_name(
   return sys.channels()[e.channel.id].name;
 }
 
-std::vector<TransitionInstance> instances_from(
-    const tsystem::System& sys, std::span<const tsystem::LocId> locs) {
+namespace {
+
+// instances_from; with `only` set, just the synchronisations on that
+// channel.
+std::vector<TransitionInstance> collect_instances(
+    const tsystem::System& sys, std::span<const tsystem::LocId> locs,
+    std::optional<tsystem::ChannelId> only) {
   TIGAT_ASSERT(locs.size() == sys.processes().size(),
                "location vector size mismatch");
   const auto& procs = sys.processes();
@@ -47,6 +52,10 @@ std::vector<TransitionInstance> instances_from(
     for (std::uint32_t ei = 0; ei < procs[p].edges().size(); ++ei) {
       const tsystem::Edge& e = procs[p].edges()[ei];
       if (e.src != locs[p]) continue;
+      if (only &&
+          (e.sync != SyncKind::kSend || e.channel.id != only->id)) {
+        continue;
+      }
       if (e.sync == SyncKind::kNone) {
         if (any_committed && !committed(p)) continue;
         TransitionInstance t;
@@ -76,6 +85,19 @@ std::vector<TransitionInstance> instances_from(
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<TransitionInstance> instances_from(
+    const tsystem::System& sys, std::span<const tsystem::LocId> locs) {
+  return collect_instances(sys, locs, std::nullopt);
+}
+
+std::vector<TransitionInstance> sync_instances_from(
+    const tsystem::System& sys, std::span<const tsystem::LocId> locs,
+    tsystem::ChannelId channel) {
+  return collect_instances(sys, locs, channel);
 }
 
 bool time_frozen(const tsystem::System& sys,

@@ -50,6 +50,12 @@ struct TransitionInstance {
 [[nodiscard]] std::vector<TransitionInstance> instances_from(
     const tsystem::System& sys, std::span<const tsystem::LocId> locs);
 
+// The synchronisations on `channel` among instances_from(sys, locs), in
+// the same order.
+[[nodiscard]] std::vector<TransitionInstance> sync_instances_from(
+    const tsystem::System& sys, std::span<const tsystem::LocId> locs,
+    tsystem::ChannelId channel);
+
 // True when some process is in an urgent or committed location (time
 // must not elapse).
 [[nodiscard]] bool time_frozen(const tsystem::System& sys,

@@ -1,6 +1,7 @@
 #include "testing/campaign.h"
 
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -56,20 +57,31 @@ std::vector<std::string> uncontrollable_channels(const tsystem::System& spec) {
   return out;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char ch : s) {
+  while (!s.empty()) {
+    // The longest prefix that needs no escape goes in one append.
+    std::size_t n = 0;
+    while (n < s.size() && s[n] != '"' && s[n] != '\\' &&
+           static_cast<unsigned char>(s[n]) >= 0x20) {
+      ++n;
+    }
+    out.append(s.data(), n);
+    if (n == s.size()) break;
+    const char ch = s[n];
+    s.remove_prefix(n + 1);
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += util::format("\\u%04x", ch);
-        } else {
-          out += ch;
-        }
+      default: {
+        const auto byte = static_cast<unsigned char>(ch);
+        out += "\\u00";
+        out += kHex[byte >> 4];
+        out += kHex[byte & 0xf];
+      }
     }
   }
   out += '"';
@@ -262,60 +274,79 @@ CampaignReport campaign_with(const decision::DecisionSource& source,
 }  // namespace
 
 std::string CampaignReport::to_json() const {
-  std::string out = "{\"schema\": \"tigat.campaign\", \"version\": 1";
-  out += util::format(", \"verdict\": \"%s\"", to_string(verdict));
-  out += util::format(", \"runs\": %zu", runs);
-  out += util::format(", \"passes\": %zu", passes);
-  out += util::format(", \"fails\": %zu", fails);
-  out += util::format(", \"inconclusive\": %zu", inconclusive);
-  out += util::format(", \"attempts\": %zu", attempts);
-  out += util::format(", \"retries_used\": %zu", retries_used);
-  out += util::format(", \"deadline_hits\": %zu", deadline_hits);
-  out += ", \"fault_spec\": ";
+  std::string out;
+  // `, "key": ` — every field but an object's first.
+  const auto key = [&out](const char* name) {
+    out += ", \"";
+    out += name;
+    out += "\": ";
+  };
+  const auto uint_field = [&](const char* name, std::uint64_t value) {
+    key(name);
+    util::append_uint(out, value);
+  };
+  const auto str_field = [&](const char* name, const char* value) {
+    key(name);
+    out += '"';
+    out += value;
+    out += '"';
+  };
+  out += "{\"schema\": \"tigat.campaign\", \"version\": 1";
+  str_field("verdict", to_string(verdict));
+  uint_field("runs", runs);
+  uint_field("passes", passes);
+  uint_field("fails", fails);
+  uint_field("inconclusive", inconclusive);
+  uint_field("attempts", attempts);
+  uint_field("retries_used", retries_used);
+  uint_field("deadline_hits", deadline_hits);
+  key("fault_spec");
   append_escaped(out, fault_spec);
-  out += util::format(", \"fault_seed\": %llu",
-                      static_cast<unsigned long long>(fault_seed));
-  out += util::format(", \"run_deadline_ms\": %lld",
-                      static_cast<long long>(run_deadline_ms));
-  out += util::format(", \"retries\": %zu", retries);
+  uint_field("fault_seed", fault_seed);
+  key("run_deadline_ms");
+  util::append_int(out, run_deadline_ms);
+  uint_field("retries", retries);
   out += ", \"outcomes\": [";
+  std::string trace;  // reused across outcomes
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const RunOutcome& o = outcomes[i];
     if (i > 0) out += ", ";
-    out += util::format("{\"run\": %zu, \"attempts\": %zu", o.run,
-                        o.attempts);
-    out += util::format(", \"seed\": %llu",
-                        static_cast<unsigned long long>(o.seed));
-    out += util::format(", \"verdict\": \"%s\"", to_string(o.report.verdict));
-    out += util::format(", \"code\": \"%s\"", to_string(o.report.code));
-    out += ", \"detail\": ";
+    out += "{\"run\": ";
+    util::append_uint(out, o.run);
+    uint_field("attempts", o.attempts);
+    uint_field("seed", o.seed);
+    str_field("verdict", to_string(o.report.verdict));
+    str_field("code", to_string(o.report.code));
+    key("detail");
     append_escaped(out, o.report.detail);
-    out += util::format(", \"steps\": %zu", o.report.steps);
-    out += util::format(", \"total_ticks\": %lld",
-                        static_cast<long long>(o.report.total_ticks));
-    out += util::format(
-        ", \"harness_faults\": %llu",
-        static_cast<unsigned long long>(o.report.harness_faults));
-    out += ", \"trace\": ";
-    append_escaped(out, o.report.trace_string());
+    uint_field("steps", o.report.steps);
+    key("total_ticks");
+    util::append_int(out, o.report.total_ticks);
+    uint_field("harness_faults", o.report.harness_faults);
+    key("trace");
+    trace.clear();
+    o.report.append_trace(trace);
+    append_escaped(out, trace);
     out += ", \"attempt_codes\": [";
     for (std::size_t a = 0; a < o.attempt_codes.size(); ++a) {
       if (a > 0) out += ", ";
-      out += util::format("\"%s\"", to_string(o.attempt_codes[a]));
+      out += '"';
+      out += to_string(o.attempt_codes[a]);
+      out += '"';
     }
     out += "]}";
   }
   out += "]";
   if (has_timing) {
-    const auto block = [&](const char* name,
-                           const TimingSummary& s) {
-      out += util::format(
-          "\"%s\": {\"count\": %llu, \"p50\": %llu, \"p90\": %llu, "
-          "\"p99\": %llu}",
-          name, static_cast<unsigned long long>(s.count),
-          static_cast<unsigned long long>(s.p50),
-          static_cast<unsigned long long>(s.p90),
-          static_cast<unsigned long long>(s.p99));
+    const auto block = [&](const char* name, const TimingSummary& s) {
+      out += '"';
+      out += name;
+      out += "\": {\"count\": ";
+      util::append_uint(out, s.count);
+      uint_field("p50", s.p50);
+      uint_field("p90", s.p90);
+      uint_field("p99", s.p99);
+      out += '}';
     };
     out += ", \"timing\": {";
     block("run_ms", run_ms);

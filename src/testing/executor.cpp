@@ -52,17 +52,28 @@ bool is_harness_level(ReasonCode c) {
 
 std::string TestReport::trace_string() const {
   std::string out;
-  for (const TraceEvent& e : trace) {
-    if (!out.empty()) out += " . ";
+  append_trace(out);
+  return out;
+}
+
+void TestReport::append_trace(std::string& out) const {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace[i];
+    if (i > 0) out += " . ";
     switch (e.kind) {
-      case TraceEvent::Kind::kInput: out += e.channel + "!"; break;
-      case TraceEvent::Kind::kOutput: out += e.channel + "?"; break;
+      case TraceEvent::Kind::kInput:
+        out += e.channel;
+        out += '!';
+        break;
+      case TraceEvent::Kind::kOutput:
+        out += e.channel;
+        out += '?';
+        break;
       case TraceEvent::Kind::kDelay:
-        out += util::format("%lld", static_cast<long long>(e.ticks));
+        util::append_int(out, e.ticks);
         break;
     }
   }
-  return out;
 }
 
 namespace {

@@ -130,7 +130,11 @@ struct TestReport {
   // that is the soundness-under-faults invariant.
   std::uint64_t harness_faults = 0;
 
+  // "touch! . 16 . dim?": events joined by " . ", inputs marked '!',
+  // outputs '?', delays in ticks.
   [[nodiscard]] std::string trace_string() const;
+  // Appends trace_string() to `out`.
+  void append_trace(std::string& out) const;
 };
 
 struct ExecutorOptions {

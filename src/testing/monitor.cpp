@@ -19,11 +19,16 @@ bool SpecMonitor::apply_delay(std::int64_t ticks) {
 
 std::optional<semantics::TransitionInstance> SpecMonitor::unique_enabled(
     const std::string& channel, bool controllable) {
+  const tsystem::System& sys = sem_.system();
+  const auto chan = sys.find_channel(channel);
+  if (!chan) return std::nullopt;
   std::optional<semantics::TransitionInstance> found;
-  for (const auto& t : sem_.enabled_instances(state_)) {
+  // Channel and polarity first: only candidates on `channel` pay for
+  // their guards and target invariants.
+  for (const auto& t :
+       semantics::sync_instances_from(sys, state_.locs, *chan)) {
     if (t.controllable != controllable) continue;
-    const auto chan = t.channel_name(sem_.system());
-    if (!chan || *chan != channel) continue;
+    if (!sem_.enabled(state_, t)) continue;
     if (found) {
       throw tsystem::ModelError(
           "SPEC is nondeterministic on channel '" + channel +

@@ -63,7 +63,9 @@ class SpecMonitor {
   [[nodiscard]] std::vector<std::string> expected_outputs() const;
 
  private:
-  // Unique enabled instance on `channel` with the given direction.
+  // Unique enabled instance on `channel` with the given direction;
+  // throws ModelError when two are enabled.  Instances on other
+  // channels or of the other direction are not evaluated.
   [[nodiscard]] std::optional<semantics::TransitionInstance> unique_enabled(
       const std::string& channel, bool controllable);
 

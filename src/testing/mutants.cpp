@@ -31,10 +31,6 @@ const char* to_string(MutationKind kind) {
   return "?";
 }
 
-System clone_system(const System& source) {
-  return tsystem::clone_system(source);
-}
-
 std::vector<MutantDescriptor> enumerate_mutants(const System& plant) {
   TIGAT_ASSERT(plant.finalized(), "mutants require a finalized system");
   std::vector<MutantDescriptor> out;

@@ -49,10 +49,6 @@ struct MutantDescriptor {
   std::string description;
 };
 
-// Structural copy of a finalized system (same clocks, channels, data,
-// processes, edges); the copy is finalized too.
-[[nodiscard]] tsystem::System clone_system(const tsystem::System& source);
-
 // All applicable mutants of the given (plant) system.
 [[nodiscard]] std::vector<MutantDescriptor> enumerate_mutants(
     const tsystem::System& plant);

@@ -1,5 +1,6 @@
 #include "util/text.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -49,6 +50,24 @@ std::string format(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+namespace {
+
+template <typename Int>
+void append_decimal(std::string& out, Int value) {
+  char buf[24];  // fits every 64-bit value: 20 digits and a sign
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+}  // namespace
+
+void append_int(std::string& out, std::int64_t value) {
+  append_decimal(out, value);
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  append_decimal(out, value);
 }
 
 }  // namespace tigat::util

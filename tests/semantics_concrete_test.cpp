@@ -1,6 +1,11 @@
 // Tests for the concrete TIOTS interpreter on the Smart Light model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "semantics/concrete.h"
 #include "support/models.h"
 
@@ -185,6 +190,50 @@ TEST_F(ConcreteTest, ToStringIsInformative) {
   EXPECT_NE(str.find("IUT.Off"), std::string::npos);
   EXPECT_NE(str.find("User.Init"), std::string::npos);
   EXPECT_NE(str.find("x="), std::string::npos);
+}
+
+// Along seeded random walks of Smart Light and LEP (whose committed
+// locations restrict the instances), sync_instances_from is exactly
+// the channel's slice of instances_from, and every enabled instance
+// lands in a state that satisfies its invariant.
+TEST(ConcreteWalk, ChannelSliceAndTargetInvariant) {
+  for (const lang::LoadedModel& m :
+       {test_support::load_smart_light(), test_support::load_lep(3)}) {
+    const tsystem::System& sys = m.system;
+    const ConcreteSemantics sem(sys, 4);
+    std::mt19937 rng(7);
+    ConcreteState s = sem.initial();
+    int moves = 0;
+    for (int step = 0; step < 400; ++step) {
+      const auto all = instances_from(sys, s.locs);
+      for (std::uint32_t c = 0; c < sys.channels().size(); ++c) {
+        std::vector<TransitionInstance> slice;
+        for (const TransitionInstance& t : all) {
+          const auto& e = sys.processes()[t.primary.process]
+                              .edges()[t.primary.edge];
+          if (t.is_sync() && e.channel.id == c) slice.push_back(t);
+        }
+        EXPECT_EQ(sync_instances_from(sys, s.locs, tsystem::ChannelId{c}),
+                  slice)
+            << sys.name() << " step " << step << " channel " << c;
+      }
+      const auto enabled = sem.enabled_instances(s);
+      for (const TransitionInstance& t : enabled) {
+        ConcreteState next = s;
+        sem.fire(next, t);
+        EXPECT_TRUE(sem.invariant_holds(next)) << sys.name() << " " << step;
+      }
+      const std::int64_t max = std::min<std::int64_t>(sem.max_delay(s), 12);
+      if (enabled.empty() || (max > 0 && rng() % 3 == 0)) {
+        if (max <= 0) break;  // deadlock
+        sem.delay(s, 1 + static_cast<std::int64_t>(rng() % max));
+      } else {
+        sem.fire(s, enabled[rng() % enabled.size()]);
+        ++moves;
+      }
+    }
+    EXPECT_GT(moves, 100) << sys.name();
+  }
 }
 
 }  // namespace

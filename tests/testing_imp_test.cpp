@@ -2,9 +2,12 @@
 // the mutation operators.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "testing/monitor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
+#include "tsystem/rebuild.h"
 #include "support/models.h"
 
 namespace tigat::testing {
@@ -141,9 +144,98 @@ TEST(SpecMonitor, RejectsOverlongDelay) {
   EXPECT_FALSE(mon.apply_delay(3 * kScale));  // window is 2 units
 }
 
+// Two IUT edges on each of touch? and dim!, enabled together.
+constexpr char kTwinEdgesSpec[] = R"(
+system twin_edges;
+clock x;
+chan ctrl touch;
+chan unctrl dim;
+process IUT uncontrolled {
+  loc S; loc A; loc B;
+  init S;
+  edge S -> A on touch?;
+  edge S -> B on touch?;
+  edge S -> A on dim!;
+  edge S -> B on dim!;
+}
+process User controlled {
+  loc U;
+  init U;
+  edge U -> U on touch!;
+  edge U -> U on dim?;
+}
+)";
+
+// One edge per channel; bright! and buzz? assign outside v's range.
+constexpr char kBadAssignmentSpec[] = R"(
+system bad_assignment;
+clock x;
+chan ctrl touch, buzz;
+chan unctrl bright;
+int[0, 1] v = 0;
+process IUT uncontrolled {
+  loc S; loc A;
+  init S;
+  edge S -> A on touch?;
+  edge S -> A on bright! do v := 2;
+  edge S -> A on buzz? do v := 3;
+}
+process User controlled {
+  loc U;
+  init U;
+  edge U -> U on touch!;
+  edge U -> U on buzz!;
+  edge U -> U on bright?;
+}
+)";
+
+TEST(SpecMonitor, NondeterministicChannelThrowsFromInputAndOutput) {
+  const lang::LoadedModel spec =
+      lang::load_model_from_string(kTwinEdgesSpec, "twin_edges.tg");
+  SpecMonitor mon(spec.system, kScale);
+  const auto expect_nondeterministic = [&](bool input, const char* channel) {
+    try {
+      (void)(input ? mon.apply_input(channel) : mon.apply_output(channel));
+    } catch (const tsystem::ModelError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("SPEC is nondeterministic on channel '") +
+                    channel +
+                    "' — the monitor requires a deterministic specification");
+      return;
+    }
+    ADD_FAILURE() << channel << " did not throw";
+  };
+  expect_nondeterministic(true, "touch");
+  expect_nondeterministic(false, "dim");
+  // Neither call moved the monitor.
+  EXPECT_EQ(mon.state().locs[process(spec.system, "IUT")],
+            loc(spec.system, "IUT", "S"));
+}
+
+TEST(SpecMonitor, OutOfRangeAssignmentOnTheMatchedChannelThrows) {
+  const lang::LoadedModel spec =
+      lang::load_model_from_string(kBadAssignmentSpec, "bad_assignment.tg");
+  SpecMonitor mon(spec.system, kScale);
+  EXPECT_THROW((void)mon.apply_output("bright"), tsystem::ModelError);
+  EXPECT_THROW((void)mon.apply_input("buzz"), tsystem::ModelError);
+}
+
+TEST(SpecMonitor, OnlyCandidatesOnTheObservedChannelAreEvaluated) {
+  // The faulty bright! and buzz? edges are on other channels, so
+  // touch? never evaluates their assignments.
+  const lang::LoadedModel spec =
+      lang::load_model_from_string(kBadAssignmentSpec, "bad_assignment.tg");
+  SpecMonitor mon(spec.system, kScale);
+  EXPECT_FALSE(mon.apply_output("touch"));  // touch is an input
+  EXPECT_FALSE(mon.apply_input("nosuch"));
+  EXPECT_TRUE(mon.apply_input("touch"));
+  EXPECT_EQ(mon.state().locs[process(spec.system, "IUT")],
+            loc(spec.system, "IUT", "A"));
+}
+
 TEST(Mutants, CloneIsStructurallyIdentical) {
   const tsystem::System plant = test_support::plant(load_smart_light().system);
-  const tsystem::System copy = testing::clone_system(plant);
+  const tsystem::System copy = tsystem::clone_system(plant);
   EXPECT_EQ(copy.clock_count(), plant.clock_count());
   EXPECT_EQ(copy.channels().size(), plant.channels().size());
   EXPECT_EQ(copy.processes().size(), plant.processes().size());

@@ -1,7 +1,10 @@
 // Tests for the util module: text helpers, tables, rng, memory meter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dbm/dbm.h"
@@ -35,6 +38,29 @@ TEST(Text, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 1.234), "1.23");
   EXPECT_EQ(format("empty"), "empty");
+}
+
+TEST(Text, AppendIntegersMatchPrintf) {
+  constexpr std::int64_t kSigned[] = {
+      0, 1, -1, 42, -1000000007, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max()};
+  for (const std::int64_t v : kSigned) {
+    std::string out = "x=";
+    append_int(out, v);
+    EXPECT_EQ(out, format("x=%lld", static_cast<long long>(v)));
+  }
+  constexpr std::uint64_t kUnsigned[] = {
+      0, 1, 10, std::numeric_limits<std::uint64_t>::max() - 1,
+      std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t v : kUnsigned) {
+    std::string out = "x=";
+    append_uint(out, v);
+    EXPECT_EQ(out, format("x=%llu", static_cast<unsigned long long>(v)));
+  }
+  std::string out;
+  append_int(out, -1);
+  append_uint(out, 0);
+  EXPECT_EQ(out, "-10");
 }
 
 TEST(TablePrinter, AlignsColumns) {
