@@ -1,8 +1,8 @@
 // Micro-benchmarks of the symbolic substrate (ablation A2 in
 // DESIGN.md): the DBM/federation operations whose cost dominates the
-// game fixpoint — closure, delay operators, subtraction, pred_t, and
-// the federation maintenance (add/reduce with the bound-signature
-// pre-filter).  --json / TIGAT_BENCH_JSON writes the gbench JSON to
+// game fixpoint — closure, intersection, delay operators, subtraction,
+// pred_t, and the federation maintenance (add/reduce with the
+// bound-signature pre-filter).  --json / TIGAT_BENCH_JSON writes the gbench JSON to
 // BENCH_micro_dbm.json.
 #include <benchmark/benchmark.h>
 
@@ -57,6 +57,47 @@ void BM_Constrain(benchmark::State& state) {
 }
 BENCHMARK(BM_Constrain)->Arg(3)->Arg(6)->Arg(10)->Arg(16);
 
+// Dbm::intersect_with tightens through the other zone's stricter
+// bounds with constrain()'s incremental closure instead of closing the
+// pointwise minimum.  The second zone is an independent random zone, so
+// most pairs overlap and tighten a few bounds.
+void BM_IntersectWith(benchmark::State& state) {
+  const auto dim = static_cast<std::uint32_t>(state.range(0));
+  tigat::util::Rng rng(41);
+  const Dbm a = random_zone(rng, dim, 50);
+  const Dbm b = random_zone(rng, dim, 50);
+  for (auto _ : state) {
+    Dbm copy(a);
+    benchmark::DoNotOptimize(copy.intersect_with(b));
+  }
+}
+BENCHMARK(BM_IntersectWith)->Arg(3)->Arg(6)->Arg(10);
+
+// Fed::intersection into a reused output federation, the form the
+// fixpoint and the compiler call: every member pair intersected, the
+// survivors added with inclusion filtering.
+void BM_FedIntersection(benchmark::State& state) {
+  const auto dim = static_cast<std::uint32_t>(state.range(0));
+  const auto zones = static_cast<int>(state.range(1));
+  tigat::util::Rng rng(43);
+  Fed a(dim);
+  Fed b(dim);
+  for (int i = 0; i < zones; ++i) {
+    a.add(random_zone(rng, dim, 50));
+    b.add(random_zone(rng, dim, 50));
+  }
+  Fed out(dim);
+  for (auto _ : state) {
+    a.intersection(b, out);
+    benchmark::DoNotOptimize(out.size());
+  }
+}
+BENCHMARK(BM_FedIntersection)
+    ->Args({3, 2})
+    ->Args({3, 8})
+    ->Args({6, 2})
+    ->Args({6, 8});
+
 void BM_UpDown(benchmark::State& state) {
   const auto dim = static_cast<std::uint32_t>(state.range(0));
   tigat::util::Rng rng(13);
@@ -75,8 +116,11 @@ void BM_Subtract(benchmark::State& state) {
   tigat::util::Rng rng(17);
   const Dbm a = random_zone(rng, dim, 50);
   const Dbm b = random_zone(rng, dim, 50);
+  std::vector<Dbm> pieces;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(subtract(a, b));
+    pieces.clear();
+    subtract(a, b, pieces);
+    benchmark::DoNotOptimize(pieces.data());
   }
 }
 BENCHMARK(BM_Subtract)->Arg(3)->Arg(6)->Arg(10);

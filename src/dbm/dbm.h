@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "dbm/bound.h"
+#include "util/memory_meter.h"
 
 namespace tigat::dbm {
 
@@ -116,11 +117,56 @@ class Dbm {
     return d;
   }
 
-  Dbm(const Dbm&);
-  Dbm(Dbm&&) noexcept;
-  Dbm& operator=(const Dbm&);
-  Dbm& operator=(Dbm&&) noexcept;
-  ~Dbm();
+  // The value operations are inline: the solver copies and destroys
+  // millions of temporary zones per solve, and an out-of-line call (plus
+  // the zone meter's) per copy costs more than the 64-byte copy itself.
+  Dbm(const Dbm& other) : dim_(other.dim_), empty_(other.empty_) {
+    if (on_heap()) {
+      heap_ = new raw_t[cells()];
+      std::memcpy(heap_, other.heap_, cells() * sizeof(raw_t));
+    } else {
+      std::memcpy(inline_, other.inline_, sizeof(inline_));
+    }
+    meter_add();
+  }
+  Dbm(Dbm&& other) noexcept : dim_(other.dim_), empty_(other.empty_) {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+    other.dim_ = 0;
+  }
+  Dbm& operator=(const Dbm& other) {
+    if (this == &other) return *this;
+    if (!other.on_heap()) {
+      if (on_heap()) delete[] heap_;
+      meter_sub();
+      std::memcpy(inline_, other.inline_, sizeof(inline_));
+    } else {
+      if (!on_heap() || cells() != other.cells()) {
+        raw_t* fresh = new raw_t[other.cells()];
+        if (on_heap()) delete[] heap_;
+        heap_ = fresh;
+      }
+      meter_sub();
+      std::memcpy(heap_, other.heap_, other.cells() * sizeof(raw_t));
+    }
+    dim_ = other.dim_;
+    empty_ = other.empty_;
+    meter_add();
+    return *this;
+  }
+  Dbm& operator=(Dbm&& other) noexcept {
+    if (this == &other) return *this;
+    meter_sub();
+    if (on_heap()) delete[] heap_;
+    dim_ = other.dim_;
+    empty_ = other.empty_;
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+    other.dim_ = 0;
+    return *this;
+  }
+  ~Dbm() {
+    meter_sub();
+    if (on_heap()) delete[] heap_;
+  }
 
   [[nodiscard]] std::uint32_t dimension() const noexcept { return dim_; }
   [[nodiscard]] bool is_empty() const noexcept { return empty_; }
@@ -156,8 +202,9 @@ class Dbm {
   // Removes every constraint on x_k.
   void free(std::uint32_t k);
 
-  // Pointwise-minimum + closure.  Returns false iff the result is empty
-  // (in which case *this is marked empty).
+  // The intersection, in closed form: the matrix close() makes of the
+  // pointwise minimum, reached by incremental tightening.  Returns false
+  // iff the result is empty (in which case *this is marked empty).
   bool intersect_with(const Dbm& other);
   [[nodiscard]] bool intersects(const Dbm& other) const;
 
@@ -228,7 +275,11 @@ class Dbm {
   }
 
  private:
-  explicit Dbm(std::uint32_t dim);
+  explicit Dbm(std::uint32_t dim) : dim_(dim) {
+    TIGAT_ASSERT(dim >= 1, "a DBM needs at least the reference clock");
+    if (on_heap()) heap_ = new raw_t[cells()];
+    meter_add();
+  }
 
   [[nodiscard]] std::size_t cells() const noexcept {
     return std::size_t{dim_} * dim_;
@@ -239,8 +290,12 @@ class Dbm {
     return on_heap() ? heap_ : inline_;
   }
 
-  void meter_add() const noexcept;
-  void meter_sub() const noexcept;
+  void meter_add() const noexcept {
+    if (dim_ != 0) util::zone_memory_add(memory_bytes());
+  }
+  void meter_sub() const noexcept {
+    if (dim_ != 0) util::zone_memory_sub(memory_bytes());
+  }
 
   std::uint32_t dim_ = 0;
   bool empty_ = false;
@@ -253,9 +308,11 @@ class Dbm {
   static_assert(sizeof(inline_) >= sizeof(heap_));
 };
 
-// Z1 \ Z2 as a list of pairwise-disjoint, closed, non-empty zones.
-// Splits only on the facets of `z2` that actually cut `z1`, which keeps
-// the fragment count near the minimum for typical game workloads.
-[[nodiscard]] std::vector<Dbm> subtract(const Dbm& z1, const Dbm& z2);
+// Z1 \ Z2 as a list of pairwise-disjoint, closed, non-empty zones,
+// appended to `out` (whose earlier contents are kept), so hot callers
+// reuse one vector's capacity.  Splits only on the facets of `z2` that
+// actually cut `z1`, which keeps the fragment count near the minimum
+// for typical game workloads.
+void subtract(const Dbm& z1, const Dbm& z2, std::vector<Dbm>& out);
 
 }  // namespace tigat::dbm

@@ -10,8 +10,8 @@ Fed::Fed(Dbm zone) : dim_(zone.dimension()) {
   if (!zone.is_empty()) zones_.push_back(std::move(zone));
 }
 
-void Fed::add(Dbm zone) {
-  if (zone.is_empty()) return;
+bool Fed::admit(const Dbm& zone) {
+  if (zone.is_empty()) return false;
   TIGAT_ASSERT(zone.dimension() == dim_, "dimension mismatch");
   // One relation() per member decides both directions (the old
   // subset-then-erase needed two full scans); members that the new
@@ -26,7 +26,7 @@ void Fed::add(Dbm zone) {
     switch (zones_[i].relation(zone)) {
       case Relation::kEqual:
       case Relation::kSuperset:
-        return;  // already covered; nothing was mutated yet
+        return false;  // already covered; nothing was mutated yet
       case Relation::kSubset:
         if (drops < kStackDrops) {
           drop_stack[drops] = i;
@@ -55,7 +55,7 @@ void Fed::add(Dbm zone) {
     }
     zones_.resize(w);
   }
-  zones_.push_back(std::move(zone));
+  return true;
 }
 
 void Fed::append_raw(Dbm zone) {
@@ -76,32 +76,17 @@ Fed& Fed::operator|=(const Dbm& zone) {
   return *this;
 }
 
-Fed& Fed::operator&=(const Dbm& zone) {
-  TIGAT_ASSERT(zone.dimension() == dim_, "dimension mismatch");
-  std::vector<Dbm> out;
-  out.reserve(zones_.size());
-  for (Dbm& z : zones_) {
-    if (z.intersect_with(zone)) out.push_back(std::move(z));
-  }
-  zones_ = std::move(out);
-  return *this;
-}
-
-Fed& Fed::operator&=(const Fed& other) {
-  *this = intersection(other);
-  return *this;
-}
-
-Fed Fed::intersection(const Fed& other) const {
+void Fed::intersection(const Fed& other, Fed& out) const {
   TIGAT_ASSERT(other.dim_ == dim_, "dimension mismatch");
-  Fed out(dim_);
+  TIGAT_ASSERT(&out != this && &out != &other, "intersection into an operand");
+  out.dim_ = dim_;
+  out.zones_.clear();
   for (const Dbm& a : zones_) {
     for (const Dbm& b : other.zones_) {
       Dbm z(a);
       if (z.intersect_with(b)) out.add(std::move(z));
     }
   }
-  return out;
 }
 
 Fed Fed::minus(const Dbm& zone) const {
@@ -111,8 +96,11 @@ Fed Fed::minus(const Dbm& zone) const {
     out.zones_ = zones_;
     return out;
   }
+  std::vector<Dbm> pieces;
   for (const Dbm& z : zones_) {
-    for (Dbm& piece : subtract(z, zone)) out.add(std::move(piece));
+    pieces.clear();
+    subtract(z, zone, pieces);
+    for (Dbm& piece : pieces) out.add(std::move(piece));
   }
   return out;
 }
@@ -121,16 +109,20 @@ Fed Fed::minus(const Fed& other) const {
   TIGAT_ASSERT(other.dim_ == dim_, "dimension mismatch");
   // Same zone-by-zone carving as repeated minus(Dbm), but ping-ponging
   // between two vectors so each bad zone reuses the capacity the
-  // previous iteration left behind instead of allocating a fresh Fed.
+  // previous iteration left behind instead of allocating a fresh Fed;
+  // one pieces vector serves every subtraction.
   Fed out = *this;
   std::vector<Dbm> scratch;
+  std::vector<Dbm> pieces;
   for (const Dbm& g : other.zones_) {
     if (out.zones_.empty()) break;
     if (g.is_empty()) continue;
     scratch.clear();
     std::swap(out.zones_, scratch);
     for (const Dbm& z : scratch) {
-      for (Dbm& piece : subtract(z, g)) out.add(std::move(piece));
+      pieces.clear();
+      subtract(z, g, pieces);
+      for (Dbm& piece : pieces) out.add(std::move(piece));
     }
   }
   return out;
@@ -166,30 +158,44 @@ Fed Fed::down() const {
 
 Fed Fed::pred_t(const Fed& bad) const {
   Fed result(dim_);
+  // Scratch for every (b, g) pair of this call: the accumulator, one
+  // pair's term, the intersection's output and the subtraction pieces.
+  Fed acc(dim_);
+  Fed term(dim_);
+  Fed meet(dim_);
+  std::vector<Dbm> pieces;
+  std::vector<Dbm> frags;
   for (const Dbm& b : zones_) {
     Dbm b_down(b);
     b_down.down();
     // pred_t(b, ∅) = b↓; intersect with pred_t(b, g) per bad zone.
-    Fed acc(b_down);
+    acc.clear();
+    acc.add(b_down);
     for (const Dbm& g : bad.zones_) {
       if (acc.is_empty()) break;
       Dbm g_down(g);
       g_down.down();
 
       // Term 1: b↓ \ g↓.
-      Fed term(dim_);
-      for (Dbm& piece : subtract(b_down, g_down)) term.add(std::move(piece));
+      term.clear();
+      pieces.clear();
+      subtract(b_down, g_down, pieces);
+      for (Dbm& piece : pieces) term.add(std::move(piece));
 
       // Term 2: ((b ∩ g↓) \ g)↓ \ g.
       Dbm reach_below(b);
       if (reach_below.intersect_with(g_down)) {
-        for (const Dbm& piece : subtract(reach_below, g)) {
-          Dbm piece_down(piece);
-          piece_down.down();
-          for (Dbm& frag : subtract(piece_down, g)) term.add(std::move(frag));
+        pieces.clear();
+        subtract(reach_below, g, pieces);
+        for (Dbm& piece : pieces) {
+          piece.down();
+          frags.clear();
+          subtract(piece, g, frags);
+          for (Dbm& frag : frags) term.add(std::move(frag));
         }
       }
-      acc &= term;
+      acc.intersection(term, meet);  // acc := acc ∩ term
+      acc.swap(meet);
     }
     result |= acc;
   }
@@ -238,15 +244,31 @@ void Fed::extrapolate_max_bounds(std::span<const bound_t> max_constants) {
 }
 
 void Fed::reduce() {
-  // Two passes: decide first (comparisons need intact zones), move after.
+  // Two passes: decide first (comparisons need intact zones), compact
+  // after.
   const std::size_t n = zones_.size();
   if (n <= 1) return;
   // Bound-signature pre-filter: zone_i ⊆ zone_j forces sig_i ≤ sig_j
   // (canonical DBMs compare pointwise), so most of the quadratic
-  // relation() scans collapse to one integer comparison.
-  std::vector<std::int64_t> sig(n);
-  for (std::size_t i = 0; i < n; ++i) sig[i] = zones_[i].bound_signature();
-  std::vector<bool> covered(n, false);
+  // relation() scans collapse to one integer comparison.  Small
+  // federations keep the signatures and flags on the stack.
+  constexpr std::size_t kStackZones = 32;
+  std::int64_t sig_stack[kStackZones];
+  char covered_stack[kStackZones];
+  std::vector<std::int64_t> sig_heap;
+  std::vector<char> covered_heap;
+  std::int64_t* sig = sig_stack;
+  char* covered = covered_stack;
+  if (n > kStackZones) {
+    sig_heap.resize(n);
+    covered_heap.resize(n);
+    sig = sig_heap.data();
+    covered = covered_heap.data();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sig[i] = zones_[i].bound_signature();
+    covered[i] = 0;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n && !covered[i]; ++j) {
       if (i == j) continue;
@@ -260,12 +282,13 @@ void Fed::reduce() {
       }
     }
   }
-  std::vector<Dbm> kept;
-  kept.reserve(n);
+  std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!covered[i]) kept.push_back(std::move(zones_[i]));
+    if (covered[i]) continue;
+    if (w != i) zones_[w] = std::move(zones_[i]);
+    ++w;
   }
-  zones_ = std::move(kept);
+  zones_.resize(w);
 }
 
 std::size_t Fed::heap_bytes() const noexcept {

@@ -43,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dbm/dbm.h"
@@ -65,19 +66,32 @@ class Fed {
   [[nodiscard]] const std::vector<Dbm>& zones() const noexcept { return zones_; }
 
   // Union; filters zones already included in a member (and members
-  // included in the new zone).  Ignores empty zones.
-  void add(Dbm zone);
+  // included in the new zone).  Ignores empty zones.  An lvalue zone is
+  // copied only when it is kept.
+  void add(const Dbm& zone) {
+    if (admit(zone)) zones_.push_back(zone);
+  }
+  void add(Dbm&& zone) {
+    if (admit(zone)) zones_.push_back(std::move(zone));
+  }
   // Appends without the inclusion scan — for decoding pooled storage
   // (dbm/zone_pool.h) whose members are already pairwise-filtered.
   // Member order is preserved exactly.
   void append_raw(Dbm zone);
   void clear() noexcept { zones_.clear(); }
+  void reserve(std::size_t zones) { zones_.reserve(zones); }
   Fed& operator|=(const Fed& other);
   Fed& operator|=(const Dbm& zone);
 
-  Fed& operator&=(const Dbm& zone);
-  Fed& operator&=(const Fed& other);
-  [[nodiscard]] Fed intersection(const Fed& other) const;
+  [[nodiscard]] Fed intersection(const Fed& other) const {
+    Fed out(dim_);
+    intersection(other, out);
+    return out;
+  }
+  // this ∩ other written into `out` (cleared first; must be neither
+  // operand), so a loop reuses out's capacity.  Pairs are added in
+  // (this member, other member) order.
+  void intersection(const Fed& other, Fed& out) const;
 
   [[nodiscard]] Fed minus(const Dbm& zone) const;
   [[nodiscard]] Fed minus(const Fed& other) const;
@@ -133,6 +147,11 @@ class Fed {
   // the zone counts game solving produces).
   void reduce();
 
+  void swap(Fed& other) noexcept {
+    std::swap(dim_, other.dim_);
+    zones_.swap(other.zones_);
+  }
+
   // Heap bytes the federation owns: its zone vector's capacity plus
   // the matrices of zones too wide to store inline.
   [[nodiscard]] std::size_t heap_bytes() const noexcept;
@@ -140,6 +159,11 @@ class Fed {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  // Fed::add's filter: false when a member covers `zone` (or it is
+  // empty); otherwise drops the members `zone` covers and returns true,
+  // and the caller appends it.
+  bool admit(const Dbm& zone);
+
   std::uint32_t dim_;
   std::vector<Dbm> zones_;
 };

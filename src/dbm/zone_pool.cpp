@@ -189,6 +189,7 @@ void PooledFed::assign(const Fed& fed, ZonePool& pool) {
                "dimension mismatch");
   meter_resize(0);
   ids_.clear();
+  ids_.reserve(fed.size() * dim_);
   for (const Dbm& z : fed.zones()) append(z, pool);
 }
 
@@ -206,6 +207,7 @@ Dbm PooledFed::zone(std::size_t i, const ZonePool& pool) const {
 void PooledFed::materialize(Fed& out, const ZonePool& pool) const {
   out.clear();
   const std::size_t members = size();
+  out.reserve(members);
   for (std::size_t m = 0; m < members; ++m) {
     out.append_raw(zone(m, pool));
   }

@@ -1,7 +1,6 @@
 #include "decision/compiler.h"
 
 #include <algorithm>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -222,13 +221,14 @@ class Pools {
 
 // P ⊆ fed.  Most covered cells lie inside a single member zone; the
 // rest are carved by the members (no pairwise dedup: only emptiness
-// matters), stopping as soon as nothing is left.
-bool covers(const Fed& fed, const Dbm& P) {
+// matters), stopping as soon as nothing is left.  `rest` and `next` are
+// the caller's scratch, left empty.
+bool covers(const Fed& fed, const Dbm& P, std::vector<Dbm>& rest,
+            std::vector<Dbm>& next) {
   for (const Dbm& z : fed.zones()) {
     if (P.is_subset_of(z)) return true;
   }
-  std::vector<Dbm> rest{P};
-  std::vector<Dbm> next;
+  rest.assign(1, P);
   for (const Dbm& z : fed.zones()) {
     next.clear();
     for (Dbm& r : rest) {
@@ -236,12 +236,15 @@ bool covers(const Fed& fed, const Dbm& P) {
         next.push_back(std::move(r));
         continue;
       }
-      for (Dbm& piece : dbm::subtract(r, z)) next.push_back(std::move(piece));
+      dbm::subtract(r, z, next);
     }
     std::swap(rest, next);
-    if (rest.empty()) return true;
+    if (rest.empty()) break;
   }
-  return false;
+  const bool covered = rest.empty();
+  rest.clear();
+  next.clear();
+  return covered;
 }
 
 // One row of a key's decision cascade: "if the point is in `fed` (and
@@ -272,7 +275,9 @@ class Compiler {
         safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
         dim_(g_.system().clock_count()),
         reach_(dim_),
-        win_(dim_) {}
+        win_(dim_),
+        danger_(dim_),
+        region_scratch_(dim_) {}
 
   Fragment run(std::uint32_t begin, std::uint32_t end) {
     for (std::uint32_t k = begin; k < end; ++k) compile_key(k);
@@ -314,19 +319,19 @@ class Compiler {
   // `regions` holds the action regions at round − 1 of k's
   // controllable edges, in edges_out order.
   target_t delay_leaf(std::uint32_t k, std::uint32_t round,
-                      const std::vector<Fed>& regions) {
-    Words refs;
+                      std::span<const Fed> regions) {
+    refs_.clear();
     for (const Fed& region : regions) {
-      for (const Dbm& z : region.zones()) refs.push_back(pools_.zone(z));
+      for (const Dbm& z : region.zones()) refs_.push_back(pools_.zone(z));
     }
     for (const Dbm& z : sol_.winning_up_to(k, round - 1, win_).zones()) {
-      refs.push_back(pools_.zone(z));
+      refs_.push_back(pools_.zone(z));
     }
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = round;
-    leaf.zones_first = intern_slice(refs);
-    leaf.zones_count = static_cast<std::uint32_t>(refs.size());
+    leaf.zones_first = intern_slice(refs_);
+    leaf.zones_count = static_cast<std::uint32_t>(refs_.size());
     return pools_.leaf(leaf);
   }
 
@@ -340,88 +345,104 @@ class Compiler {
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = 0;
-    Words refs;
+    refs_.clear();
     for (const Dbm& z : safe.zones()) {
-      refs.push_back(pools_.zone(z));
+      refs_.push_back(pools_.zone(z));
     }
-    leaf.zones_first = intern_slice(refs);
-    leaf.zones_count = static_cast<std::uint32_t>(refs.size());
-    refs.clear();
-    const Fed danger = sol_.danger_region(k, reach);
-    for (const Dbm& z : danger.zones()) refs.push_back(pools_.zone(z));
-    leaf.danger_first = intern_slice(refs);
-    leaf.danger_count = static_cast<std::uint32_t>(refs.size());
-    std::vector<TableData::Act> acts;
+    leaf.zones_first = intern_slice(refs_);
+    leaf.zones_count = static_cast<std::uint32_t>(refs_.size());
+    refs_.clear();
+    sol_.danger_region(k, reach, danger_, region_scratch_);
+    for (const Dbm& z : danger_.zones()) refs_.push_back(pools_.zone(z));
+    leaf.danger_first = intern_slice(refs_);
+    leaf.danger_count = static_cast<std::uint32_t>(refs_.size());
+    acts_.clear();
+    Fed& region = regions(1)[0];
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
-      const Fed region = sol_.action_region(ei, 0, reach);
+      sol_.action_region(ei, 0, reach, region, region_scratch_);
       if (region.is_empty()) continue;
       TableData::Act act;
       act.edge_slot = edge_slot(ei);
-      refs.clear();
-      for (const Dbm& z : region.zones()) refs.push_back(pools_.zone(z));
-      act.zones_first = intern_slice(refs);
-      act.zones_count = static_cast<std::uint32_t>(refs.size());
-      acts.push_back(act);
+      refs_.clear();
+      for (const Dbm& z : region.zones()) refs_.push_back(pools_.zone(z));
+      act.zones_first = intern_slice(refs_);
+      act.zones_count = static_cast<std::uint32_t>(refs_.size());
+      acts_.push_back(act);
     }
-    leaf.acts_first = pools_.acts(acts);
-    leaf.acts_count = static_cast<std::uint32_t>(acts.size());
+    leaf.acts_first = pools_.acts(acts_);
+    leaf.acts_count = static_cast<std::uint32_t>(acts_.size());
     return pools_.leaf(leaf);
   }
 
   void compile_key(std::uint32_t k) {
     const Fed& reach = g_.reach(k, reach_);
+    entries_.clear();
     if (safety_) {
       const Fed& safe = sol_.winning(k, win_);
-      TableData::Key key;
-      key.locs = g_.key(k).locs;
-      key.data = g_.key(k).data;
-      if (safe.is_empty()) {
-        key.root = unwinnable_leaf();
-      } else {
-        std::vector<Entry> entries{{&safe, safety_leaf(k, reach, safe)}};
-        cascade_entries_ += entries.size();
-        key.root = build(Dbm::universal(dim_), entries);
+      if (!safe.is_empty()) {
+        entries_.push_back({&safe, safety_leaf(k, reach, safe)});
       }
-      pools_.data.keys.push_back(std::move(key));
+      finish_key(k);
       return;
     }
-    // The entries point into `deltas` and `owned`: both outlive build().
-    const std::vector<GameSolution::Delta> deltas = sol_.deltas(k);
-    std::deque<Fed> owned;
-    std::vector<Entry> entries;
-    std::vector<Fed> regions;  // the current delta's action regions
+    // The entries point into `deltas_` and `owned_`, which do not grow
+    // once the key's deltas are decoded: owned_ is sized to one region
+    // per (delta, controllable edge) up front.
+    const std::span<const GameSolution::Delta> deltas =
+        sol_.deltas(k, deltas_);
+    std::size_t controllable = 0;
+    for (const std::uint32_t ei : g_.edges_out(k)) {
+      if (g_.edges()[ei].inst.controllable) ++controllable;
+    }
+    if (owned_.size() < deltas.size() * controllable) {
+      owned_.resize(deltas.size() * controllable, Fed(dim_));
+    }
+    const std::span<Fed> regions = this->regions(controllable);
+    std::size_t owned = 0;
     for (const GameSolution::Delta& d : deltas) {
       if (d.round == 0) {
         TableData::Leaf goal;
         goal.kind = MoveKind::kGoalReached;
         goal.rank = 0;
-        entries.push_back({&d.gained, pools_.leaf(goal)});
+        entries_.push_back({&d.gained, pools_.leaf(goal)});
         continue;
       }
-      regions.clear();
+      std::size_t r = 0;
       for (const std::uint32_t ei : g_.edges_out(k)) {
         if (!g_.edges()[ei].inst.controllable) continue;
-        regions.push_back(sol_.action_region(ei, d.round - 1, reach));
-        Fed region = regions.back().intersection(d.gained);
-        if (region.is_empty()) continue;
+        Fed& region = regions[r++];
+        sol_.action_region(ei, d.round - 1, reach, region, region_scratch_);
+        Fed& acted = owned_[owned];
+        region.intersection(d.gained, acted);
+        if (acted.is_empty()) continue;
+        ++owned;
         TableData::Leaf act;
         act.kind = MoveKind::kAction;
         act.rank = d.round;
         act.edge_slot = edge_slot(ei);
-        owned.push_back(std::move(region));
-        entries.push_back({&owned.back(), pools_.leaf(act)});
+        entries_.push_back({&acted, pools_.leaf(act)});
       }
-      entries.push_back({&d.gained, delay_leaf(k, d.round, regions)});
+      entries_.push_back({&d.gained, delay_leaf(k, d.round, regions)});
     }
-    cascade_entries_ += entries.size();
+    finish_key(k);
+  }
 
+  // Lowers the key's cascade (entries_) and appends the key.
+  void finish_key(std::uint32_t k) {
+    cascade_entries_ += entries_.size();
     TableData::Key key;
     key.locs = g_.key(k).locs;
     key.data = g_.key(k).data;
-    key.root = entries.empty() ? unwinnable_leaf()
-                               : build(Dbm::universal(dim_), entries);
+    key.root = entries_.empty() ? unwinnable_leaf()
+                                : build(Dbm::universal(dim_), entries_);
     pools_.data.keys.push_back(std::move(key));
+  }
+
+  // The first `count` region slots, grown on demand.
+  std::span<Fed> regions(std::size_t count) {
+    if (regions_.size() < count) regions_.resize(count, Fed(dim_));
+    return {regions_.data(), count};
   }
 
   target_t unwinnable_leaf() { return pools_.leaf(TableData::Leaf{}); }
@@ -442,7 +463,7 @@ class Compiler {
 
       // First live row.  If it covers P the whole cell is decided (no
       // earlier row can fire anywhere in P).
-      if (covers(*entry.fed, P)) return entry.leaf;
+      if (covers(*entry.fed, P, cover_rest_, cover_next_)) return entry.leaf;
 
       // Otherwise split P on a bound of a live member zone.  Some zone
       // must have one: a live zone without a P-tightening bound would
@@ -476,8 +497,10 @@ class Compiler {
     const target_t on_no = build(no, entries);
     if (on_yes == on_no) return on_yes;  // the test does not discriminate
 
-    std::vector<TableData::Arc> arcs;
-    arcs.push_back({bound, on_yes});
+    // arcs_ is filled only after both recursive builds returned, and
+    // consumed by intern_node before this call returns.
+    arcs_.clear();
+    arcs_.push_back({bound, on_yes});
     // Fuse a same-difference chain into one multi-arc node.  On the
     // no-side every later cut on (i, j) is strictly looser (a tighter
     // one could not intersect the no-side cell), so sortedness holds;
@@ -488,13 +511,13 @@ class Compiler {
       if (chain.i == i && chain.j == j &&
           out.arcs[chain.first_arc].bound > bound) {
         for (std::uint32_t a = 0; a < chain.arc_count; ++a) {
-          arcs.push_back(out.arcs[chain.first_arc + a]);
+          arcs_.push_back(out.arcs[chain.first_arc + a]);
         }
-        return intern_node(i, j, arcs);
+        return intern_node(i, j, arcs_);
       }
     }
-    arcs.push_back({dbm::kInfinity, on_no});
-    return intern_node(i, j, arcs);
+    arcs_.push_back({dbm::kInfinity, on_no});
+    return intern_node(i, j, arcs_);
   }
 
   const GameSolution& sol_;
@@ -503,6 +526,21 @@ class Compiler {
   const std::uint32_t dim_;
   Fed reach_;  // the current key's decoded reach set
   Fed win_;    // scratch for the current key's decoded winning sets
+  // Per-key scratch, reused from key to key: decoded gains, action
+  // regions (the current delta's, in edges_out order), their cuts by
+  // the delta, the danger region, the cascade and the lowering's
+  // buffers.  The Compiler dies with its key range, and its zones with
+  // it.
+  Fed danger_;
+  GameSolution::RegionScratch region_scratch_;
+  std::vector<GameSolution::Delta> deltas_;
+  std::vector<Fed> regions_;
+  std::vector<Fed> owned_;
+  std::vector<Entry> entries_;
+  Words refs_;
+  std::vector<TableData::Act> acts_;
+  std::vector<TableData::Arc> arcs_;
+  std::vector<Dbm> cover_rest_, cover_next_;
   Pools pools_;
   std::optional<bool> first_slice_empty_;
   std::size_t cascade_entries_ = 0;

@@ -40,39 +40,46 @@ const Fed& GameSolution::winning(std::uint32_t k, Fed& scratch) const {
   return winning_up_to(k, std::numeric_limits<std::uint32_t>::max(), scratch);
 }
 
-std::vector<GameSolution::Delta> GameSolution::deltas(std::uint32_t k) const {
-  std::vector<Delta> out;
-  out.reserve(deltas_[k].size());
-  for (const PooledDelta& pd : deltas_[k]) {
-    out.push_back({pd.round, Fed(graph_->system().clock_count())});
-    pd.gained.materialize(out.back().gained, pool_);
-  }
-  return out;
-}
-
-Fed GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
-                                const Fed& reach_src) const {
-  const SymbolicEdge& e = graph_->edges()[ei];
-  Fed scratch(graph_->system().clock_count());
-  Fed region = graph_->pred_through(e, winning_up_to(e.dst, round, scratch));
-  region &= reach_src;
-  return region;
-}
-
-Fed GameSolution::danger_region(std::uint32_t k, const Fed& reach_k) const {
+std::span<const GameSolution::Delta> GameSolution::deltas(
+    std::uint32_t k, std::vector<Delta>& scratch) const {
+  const std::vector<PooledDelta>& pooled = deltas_[k];
   const std::uint32_t dim = graph_->system().clock_count();
-  Fed danger(dim);
-  Fed reach(dim);
-  Fed win(dim);
+  if (scratch.size() < pooled.size()) {
+    scratch.resize(pooled.size(), Delta{0, Fed(dim)});
+  }
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    scratch[i].round = pooled[i].round;
+    pooled[i].gained.materialize(scratch[i].gained, pool_);
+  }
+  for (std::size_t i = pooled.size(); i < scratch.size(); ++i) {
+    scratch[i].gained.clear();
+  }
+  return {scratch.data(), pooled.size()};
+}
+
+void GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
+                                 const Fed& reach_src, Fed& out,
+                                 RegionScratch& scratch) const {
+  const SymbolicEdge& e = graph_->edges()[ei];
+  graph_->pred_through(e, winning_up_to(e.dst, round, scratch.decoded),
+                       scratch.pred);
+  scratch.pred.intersection(reach_src, out);
+}
+
+void GameSolution::danger_region(std::uint32_t k, const Fed& reach_k,
+                                 Fed& out, RegionScratch& scratch) const {
+  Fed& danger = scratch.bad;
+  danger.clear();
   for (const std::uint32_t ei : graph_->edges_out(k)) {
     const SymbolicEdge& e = graph_->edges()[ei];
     if (e.inst.controllable) continue;
-    Fed bad = graph_->reach(e.dst, reach).minus(winning(e.dst, win));
+    const Fed bad = graph_->reach(e.dst, scratch.reach)
+                        .minus(winning(e.dst, scratch.decoded));
     if (bad.is_empty()) continue;
-    danger |= graph_->pred_through(e, bad);
+    graph_->pred_through(e, bad, scratch.pred);
+    danger |= scratch.pred;
   }
-  danger &= reach_k;
-  return danger;
+  danger.intersection(reach_k, out);
 }
 
 std::optional<std::uint32_t> GameSolution::rank(
@@ -183,6 +190,8 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   std::vector<Fed> forced(n, Fed(dim));
   pool.parallel_for(n, 8, [&](std::size_t begin, std::size_t end) {
     Fed scratch(dim);
+    Fed pred(dim);
+    Fed meet(dim);
     for (std::size_t i = begin; i < end; ++i) {
       const auto k = static_cast<std::uint32_t>(i);
       // Upper invariant boundary: some weak bound x_i ≤ b holds with
@@ -210,16 +219,16 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
       for (const std::uint32_t ei : g.edges_out(k)) {
         const SymbolicEdge& e = g.edges()[ei];
         if (e.inst.controllable == attacker_ctrl) continue;  // defender only
-        def_enabled |= g.pred_through(e, g.reach(e.dst, scratch));
+        g.pred_through(e, g.reach(e.dst, scratch), pred);
+        def_enabled |= pred;
       }
       if (def_enabled.is_empty()) continue;
       if (g.time_frozen(k)) {
         // Urgent/committed: every state is a deadline.
-        forced[k] = def_enabled.intersection(g.reach(k, scratch));
+        def_enabled.intersection(g.reach(k, scratch), forced[k]);
       } else {
-        forced[k] =
-            boundary.intersection(def_enabled).intersection(
-                g.reach(k, scratch));
+        boundary.intersection(def_enabled, meet);
+        meet.intersection(g.reach(k, scratch), forced[k]);
       }
     }
   }, "solve.forced");
@@ -276,9 +285,16 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     // throughout).
     const auto round_body = [&](std::size_t base) {
       return [&, base](std::size_t begin, std::size_t end) {
+      // Chunk scratch: decodes, the B and G accumulators, one edge's
+      // predecessors and an intersection's output.  It dies with the
+      // chunk, so no zone outlives the round.
       Fed scratch(dim);
       Fed other(dim);  // decoded win/loss of a neighbour
       Fed win_k(dim);  // decoded win of k
+      Fed b(dim);
+      Fed gbad(dim);
+      Fed pred(dim);
+      Fed meet(dim);
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t k = work[base + i];
 
@@ -286,33 +302,35 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         // deadline where the defender is forced to move (G filters out
         // forced states with a non-winning escape).
         const Fed& wk = solution->winning(k, win_k);
-        Fed b = wk;
+        b = wk;
         if (!forced[k].is_empty()) b |= forced[k];
         // G: a defender edge can escape to a non-winning state.
-        Fed gbad(dim);
+        gbad.clear();
         for (const std::uint32_t ei : g.edges_out(k)) {
           const SymbolicEdge& e = g.edges()[ei];
           if (e.inst.controllable == attacker_ctrl) {
             if (!deltas[e.dst].empty()) {
-              b |= g.pred_through(e, solution->winning(e.dst, other));
+              g.pred_through(e, solution->winning(e.dst, other), pred);
+              b |= pred;
             }
           } else if (!loss[e.dst].is_empty()) {
             loss[e.dst].materialize(other, zpool);
-            gbad |= g.pred_through(e, other);
+            g.pred_through(e, other, pred);
+            gbad |= pred;
           }
         }
         // One decode serves all three intersections (materializing a
         // pooled federation per use tripled the hot-loop decode cost).
         const Fed& rk = g.reach(k, scratch);
-        b &= rk;
-        gbad &= rk;
+        b.intersection(rk, meet);
+        b.swap(meet);
+        gbad.intersection(rk, meet);
+        gbad.swap(meet);
 
-        Fed new_win = g.time_frozen(k)
-                          ? b.minus(gbad)
-                          : b.pred_t(gbad);
-        new_win &= rk;
+        const Fed new_win = g.time_frozen(k) ? b.minus(gbad) : b.pred_t(gbad);
+        new_win.intersection(rk, meet);
 
-        Fed gained = new_win.minus(wk);
+        Fed gained = meet.minus(wk);
         if (gained.is_empty()) continue;
         gained.reduce();
         gains[i] = std::move(gained);
@@ -326,11 +344,15 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     std::vector<bool> new_dirty(n, false);
     changed.clear();
     constexpr std::size_t kGainBatch = std::size_t{1} << 16;
+    // Keys per chunk: enough for the chunk scratch to pay off, few
+    // enough that stealing still balances keys of very uneven cost.
+    constexpr std::size_t kRoundGrain = 8;
     staged.clear();
     for (std::size_t base = 0; base < work.size(); base += kGainBatch) {
       const std::size_t count = std::min(kGainBatch, work.size() - base);
       gains.assign(count, Fed(dim));
-      pool.parallel_for(count, 1, round_body(base), "fixpoint.recompute");
+      pool.parallel_for(count, kRoundGrain, round_body(base),
+                        "fixpoint.recompute");
       TIGAT_SPAN("fixpoint.compress_gains");
       for (std::size_t i = 0; i < count; ++i) {
         if (gains[i].is_empty()) continue;
@@ -430,7 +452,10 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
 
   // Publish the finished stats into the metrics registry: same fields,
   // same values (set(), not add(), so counters equal SolverStats
-  // bit-for-bit — tests/obs_test.cpp holds us to that).
+  // bit-for-bit — tests/obs_test.cpp holds us to that).  The zone peak
+  // is a gauge: a high-water mark whose value depends on when worker
+  // threads publish their metered bytes, so two identical runs may
+  // differ there and nowhere else.
   if (obs::metrics_enabled()) {
     auto& m = obs::metrics();
     m.counter("solver.keys").set(st.keys);
@@ -438,7 +463,8 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     m.counter("solver.winning_zones").set(st.winning_zones);
     m.counter("solver.edges").set(st.edges);
     m.counter("solver.rounds").set(st.rounds);
-    m.counter("solver.peak_zone_bytes").set(st.peak_zone_bytes);
+    m.gauge("solver.peak_zone_bytes")
+        .set(static_cast<double>(st.peak_zone_bytes));
     m.counter("solver.zone_pool_rows").set(st.zone_pool_rows);
     m.counter("solver.zone_pool_bytes").set(st.zone_pool_bytes);
     m.gauge("solver.solve_seconds").set(st.solve_seconds);

@@ -98,6 +98,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dbm/federation.h"
@@ -165,34 +166,54 @@ class GameSolution {
                                               std::uint32_t round,
                                               dbm::Fed& scratch) const;
   // Key k's per-round gains, decoded, in round order.
-  [[nodiscard]] std::vector<Delta> deltas(std::uint32_t k) const;
+  [[nodiscard]] std::vector<Delta> deltas(std::uint32_t k) const {
+    std::vector<Delta> out;
+    (void)deltas(k, out);  // `out` grows to exactly the gains
+    return out;
+  }
+  // The same gains, decoded into the leading entries of `scratch`,
+  // which grows as needed and never shrinks, so a loop over keys reuses
+  // its federations; entries past the returned span are left empty.
+  std::span<const Delta> deltas(std::uint32_t k,
+                                std::vector<Delta>& scratch) const;
 
   // Rank of a concrete valuation (ticks at `scale`), if winning.
   [[nodiscard]] std::optional<std::uint32_t> rank(
       std::uint32_t k, std::span<const std::int64_t> clocks,
       std::int64_t scale) const;
 
-  // pred_e(Win_{≤ round}[dst]) ∩ Reach[src] for edge index `ei` — the
-  // region where the strategy prescribes taking `ei` from rank
-  // round+1 (safety: round 0 — the region where taking `ei` keeps the
-  // play inside Safe).  `reach_src` is Reach[src], decoded by the
-  // caller (graph().reach(src, scratch)), so one decode serves every
-  // edge of a key.  Computed afresh on every call: this is the single
-  // definition of the region, shared by Strategy::decide (which caches
-  // it) and decision::compile (which computes it once per key), so
-  // their results — member-zone layout included — stay bit-identical.
-  [[nodiscard]] dbm::Fed action_region(std::uint32_t ei, std::uint32_t round,
-                                       const dbm::Fed& reach_src) const;
+  // The federations action_region / danger_region decode into and
+  // compute through.  Caller-owned, so a loop over many regions reuses
+  // their capacity; they hold nothing the caller reads.
+  struct RegionScratch {
+    explicit RegionScratch(std::uint32_t dim)
+        : decoded(dim), reach(dim), bad(dim), pred(dim) {}
+    dbm::Fed decoded, reach, bad, pred;
+  };
+
+  // pred_e(Win_{≤ round}[dst]) ∩ Reach[src] for edge index `ei`, written
+  // into `out` (cleared first) — the region where the strategy
+  // prescribes taking `ei` from rank round+1 (safety: round 0 — the
+  // region where taking `ei` keeps the play inside Safe).  `reach_src`
+  // is Reach[src], decoded by the caller (graph().reach(src, scratch)),
+  // so one decode serves every edge of a key.  Computed afresh on every
+  // call: this is the single definition of the region, shared by
+  // Strategy::decide (which caches it) and decision::compile (which
+  // computes it once per key), so their results — member-zone layout
+  // included — stay bit-identical.
+  void action_region(std::uint32_t ei, std::uint32_t round,
+                     const dbm::Fed& reach_src, dbm::Fed& out,
+                     RegionScratch& scratch) const;
 
   // Safety games only: the sub-region of Reach[k] where some enabled
-  // uncontrollable edge exits Safe.  Inside Safe \ Danger delaying is
-  // harmless; the strategy must act no later than the play enters
-  // Danger (the closed-avoidance fixpoint guarantees a safe
-  // controllable escape is available by then — ties go to the
-  // tester).  `reach_k` is Reach[k], decoded by the caller; computed
-  // afresh on every call, like action_region.
-  [[nodiscard]] dbm::Fed danger_region(std::uint32_t k,
-                                       const dbm::Fed& reach_k) const;
+  // uncontrollable edge exits Safe, written into `out` (cleared first).
+  // Inside Safe \ Danger delaying is harmless; the strategy must act no
+  // later than the play enters Danger (the closed-avoidance fixpoint
+  // guarantees a safe controllable escape is available by then — ties
+  // go to the tester).  `reach_k` is Reach[k], decoded by the caller;
+  // computed afresh on every call, like action_region.
+  void danger_region(std::uint32_t k, const dbm::Fed& reach_k, dbm::Fed& out,
+                     RegionScratch& scratch) const;
 
   // Whether the initial state (every clock 0) is winning.
   [[nodiscard]] bool winning_from_initial() const;

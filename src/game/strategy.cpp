@@ -54,17 +54,25 @@ const Fed& Strategy::action_region(std::uint32_t ei,
   const std::uint64_t key = (static_cast<std::uint64_t>(ei) << 32) | round;
   return find_or_insert(cache_->mutex, cache_->actions, key, [&] {
     const auto& g = solution_->graph();
-    Fed scratch(g.system().clock_count());
-    return solution_->action_region(ei, round,
-                                    g.reach(g.edges()[ei].src, scratch));
+    const std::uint32_t dim = g.system().clock_count();
+    Fed reach(dim);
+    Fed region(dim);
+    GameSolution::RegionScratch scratch(dim);
+    solution_->action_region(ei, round, g.reach(g.edges()[ei].src, reach),
+                             region, scratch);
+    return region;
   });
 }
 
 const Fed& Strategy::danger_region(std::uint32_t k) const {
   return find_or_insert(cache_->mutex, cache_->danger, k, [&] {
     const auto& g = solution_->graph();
-    Fed scratch(g.system().clock_count());
-    return solution_->danger_region(k, g.reach(k, scratch));
+    const std::uint32_t dim = g.system().clock_count();
+    Fed reach(dim);
+    Fed danger(dim);
+    GameSolution::RegionScratch scratch(dim);
+    solution_->danger_region(k, g.reach(k, reach), danger, scratch);
+    return danger;
   });
 }
 
@@ -190,6 +198,7 @@ std::string Strategy::to_string() const {
   out += "strategy for: " + solution_->purpose().source + "\n";
 
   Fed scratch(sys.clock_count());
+  Fed pred(sys.clock_count());
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
     // A safety key prints its Safe (decoded once, into the cache
     // decide() reads), a reach key its per-round deltas.
@@ -246,9 +255,10 @@ std::string Strategy::to_string() const {
       for (const std::uint32_t ei : g.edges_out(k)) {
         const SymbolicEdge& e = g.edges()[ei];
         if (!e.inst.controllable) continue;
-        Fed region = g.pred_through(
-            e, solution_->winning_up_to(e.dst, d.round - 1, scratch));
-        region = region.intersection(rest);
+        g.pred_through(e,
+                       solution_->winning_up_to(e.dst, d.round - 1, scratch),
+                       pred);
+        const Fed region = pred.intersection(rest);
         if (region.is_empty()) continue;
         out += "  while " + region.to_string(names) + " -> take " +
                e.inst.label(sys) + "\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -79,8 +80,7 @@ void SymbolicGraph::fill_facts(InternMap::Entry& e) const {
   for (const tsystem::LocId l : e.key.locs) {
     h ^= l + 0x9e3779b9u + (h << 6) + (h >> 2);
   }
-  std::vector<tsystem::LocId> locs = e.key.locs;
-  auto [facts, inserted] = facts_.intern(std::move(locs), h, 0);
+  auto [facts, inserted] = facts_.intern(e.key.locs, h, 0);
   if (inserted) {
     Dbm inv = Dbm::universal(sys_->clock_count());
     bool alive = true;
@@ -129,28 +129,36 @@ void SymbolicGraph::collect_guard(const EdgeRef& ref, Dbm& zone,
 
 namespace {
 
-// Final value per reset clock; later writes win (sender before
-// receiver, matching the concrete semantics).
-std::vector<tsystem::ClockReset> merged_resets(const tsystem::System& sys,
-                                               const TransitionInstance& t) {
-  std::vector<tsystem::ClockReset> out;
-  const auto apply = [&](const EdgeRef& ref) {
-    const Edge& e = sys.processes()[ref.process].edges()[ref.edge];
-    for (const auto& r : e.resets) {
-      bool found = false;
-      for (auto& existing : out) {
-        if (existing.clock == r.clock) {
-          existing.value = r.value;
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.push_back(r);
-    }
+// Calls fn(clock, value) once per clock the instance resets, in the
+// order of first write, with the last value written (sender before
+// receiver, matching the concrete semantics).  Allocates nothing.
+template <typename Fn>
+void for_each_reset(const tsystem::System& sys, const TransitionInstance& t,
+                    const Fn& fn) {
+  const auto resets_of = [&](const EdgeRef& ref) {
+    return std::span<const tsystem::ClockReset>(
+        sys.processes()[ref.process].edges()[ref.edge].resets);
   };
-  apply(t.primary);
-  if (t.receiver) apply(*t.receiver);
-  return out;
+  const auto first = resets_of(t.primary);
+  const auto second = t.receiver ? resets_of(*t.receiver)
+                                 : std::span<const tsystem::ClockReset>{};
+  const std::size_t total = first.size() + second.size();
+  const auto at = [&](std::size_t i) -> const tsystem::ClockReset& {
+    return i < first.size() ? first[i] : second[i - first.size()];
+  };
+  for (std::size_t i = 0; i < total; ++i) {
+    const std::uint32_t clock = at(i).clock;
+    bool written_before = false;
+    for (std::size_t j = 0; j < i && !written_before; ++j) {
+      written_before = at(j).clock == clock;
+    }
+    if (written_before) continue;
+    dbm::bound_t value = at(i).value;
+    for (std::size_t j = i + 1; j < total; ++j) {
+      if (at(j).clock == clock) value = at(j).value;
+    }
+    fn(clock, value);
+  }
 }
 
 void apply_discrete_effects(const tsystem::System& sys, DiscreteKey& key,
@@ -167,42 +175,44 @@ void apply_discrete_effects(const tsystem::System& sys, DiscreteKey& key,
 
 }  // namespace
 
-std::optional<std::pair<DiscreteKey, Dbm>> SymbolicGraph::apply(
-    std::uint32_t src_key, const Dbm& zone,
-    const TransitionInstance& inst) const {
+bool SymbolicGraph::successor(std::uint32_t src_key, const Dbm& src_zone,
+                              const TransitionInstance& inst,
+                              DiscreteKey& key, Dbm& zone) const {
   // Data guards must already hold (instances are enumerated per key).
-  Dbm z(zone);
+  zone = src_zone;
   bool alive = true;
-  collect_guard(inst.primary, z, alive);
-  if (inst.receiver) collect_guard(*inst.receiver, z, alive);
-  if (!alive) return std::nullopt;
+  collect_guard(inst.primary, zone, alive);
+  if (inst.receiver) collect_guard(*inst.receiver, zone, alive);
+  if (!alive) return false;
 
-  DiscreteKey key = this->key(src_key);
+  key = this->key(src_key);
   apply_discrete_effects(*sys_, key, inst.primary);
   if (inst.receiver) apply_discrete_effects(*sys_, key, *inst.receiver);
 
-  for (const auto& r : merged_resets(*sys_, inst)) z.reset(r.clock, r.value);
+  for_each_reset(*sys_, inst, [&](std::uint32_t clock, dbm::bound_t value) {
+    zone.reset(clock, value);
+  });
 
   // Target invariant, then delay closure (unless time is frozen there).
   const auto& procs = sys_->processes();
   for (std::uint32_t p = 0; p < procs.size(); ++p) {
     for (const ClockConstraint& c : procs[p].locations()[key.locs[p]].invariant) {
-      if (!z.constrain(c.i, c.j, c.bound)) return std::nullopt;
+      if (!zone.constrain(c.i, c.j, c.bound)) return false;
     }
   }
   // The target's facts may still be under construction by another
   // worker of this wave, so urgency is read off the model directly.
   if (!semantics::time_frozen(*sys_, key.locs)) {
-    z.up();
+    zone.up();
     for (std::uint32_t p = 0; p < procs.size(); ++p) {
       for (const ClockConstraint& c :
            procs[p].locations()[key.locs[p]].invariant) {
-        const bool ok = z.constrain(c.i, c.j, c.bound);
+        const bool ok = zone.constrain(c.i, c.j, c.bound);
         TIGAT_ASSERT(ok, "delay closure emptied a non-empty zone");
       }
     }
   }
-  return std::make_pair(std::move(key), std::move(z));
+  return true;
 }
 
 void SymbolicGraph::explore(util::ThreadPool* pool) {
@@ -216,7 +226,7 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   init.data = sys_->data().initial_state();
 
   {
-    auto [entry, inserted] = intern_.intern(std::move(init), init.hash(), 0);
+    auto [entry, inserted] = intern_.intern(init, init.hash(), 0);
     TIGAT_ASSERT(inserted, "fresh interner already held the initial key");
     fill_facts(*entry);
     seal_wave();  // initial key gets id 0
@@ -263,6 +273,9 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
   };
   constexpr std::uint64_t kRankShift = 24;  // successors per wave item
   constexpr std::size_t kExpandBatch = 1u << 15;
+  // Wave items per chunk: the chunk's successor scratch is reused across
+  // them, and stealing still balances items of uneven fan-out.
+  constexpr std::size_t kExpandGrain = 8;
   std::vector<std::uint32_t> wave_keys{0}, next_wave_keys;
   // dim row ids per frontier zone; k0's single zone is reach_[0]'s.
   const auto k0_ids = reach_[0].last_zone_ids();
@@ -289,6 +302,10 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
       const double batch_start = watch.seconds();
       expanded.assign(count, {});
       const auto expand = [&](std::size_t begin, std::size_t end) {
+        // Scratch for the successor being built: the key is copied into
+        // the interner only when it is new, the zone moves into `out`.
+        DiscreteKey next_key;
+        Dbm next_zone;
         for (std::size_t li = begin; li < end; ++li) {
           // Budget checks live here too, not only in the merge: a wide
           // batch must not overshoot the deadline or the zone-byte cap
@@ -323,25 +340,23 @@ void SymbolicGraph::explore(util::ThreadPool* pool) {
             if (!data_ok(inst.primary)) continue;
             if (inst.receiver && !data_ok(*inst.receiver)) continue;
 
-            auto next = apply(k, z, inst);
-            if (!next) continue;
+            if (!successor(k, z, inst, next_key, next_zone)) continue;
             if (options_.extrapolate) {
-              next->second.extrapolate_max_bounds(max_constants_);
+              next_zone.extrapolate_max_bounds(max_constants_);
             }
             TIGAT_ASSERT(out.size() < (1u << kRankShift),
                          "successor fan-out exceeds the rank encoding");
             const std::uint64_t rank =
                 (static_cast<std::uint64_t>(gi) << kRankShift) | out.size();
-            const std::size_t h = next->first.hash();
             auto [entry, inserted] =
-                intern_.intern(std::move(next->first), h, rank);
+                intern_.intern(next_key, next_key.hash(), rank);
             if (inserted) fill_facts(*entry);
-            out.push_back({entry, std::move(next->second), inst});
+            out.push_back({entry, std::move(next_zone), inst});
           }
         }
       };
       if (pool != nullptr) {
-        pool->parallel_for(count, 1, expand, "explore.expand");
+        pool->parallel_for(count, kExpandGrain, expand, "explore.expand");
       } else {
         TIGAT_SPAN("explore.expand");
         expand(0, count);
@@ -458,28 +473,26 @@ std::span<const std::uint32_t> SymbolicGraph::edges_in(std::uint32_t k) const {
   return {in_flat_.data() + in_off_[k], in_off_[k + 1] - in_off_[k]};
 }
 
-Fed SymbolicGraph::pred_through(const SymbolicEdge& e,
-                                const Fed& target) const {
-  Fed result(sys_->clock_count());
-  const auto resets = merged_resets(*sys_, e.inst);
+void SymbolicGraph::pred_through(const SymbolicEdge& e, const Fed& target,
+                                 Fed& out) const {
+  TIGAT_ASSERT(&out != &target, "pred_through into its own target");
+  out.clear();
   for (const Dbm& w : target.zones()) {
     Dbm z(w);
     bool alive = true;
     // Pin every reset clock to its written value, then free it.
-    for (const auto& r : resets) {
-      if (!z.constrain(r.clock, 0, dbm::make_weak(r.value)) ||
-          !z.constrain(0, r.clock, dbm::make_weak(-r.value))) {
-        alive = false;
-        break;
-      }
-    }
+    for_each_reset(*sys_, e.inst, [&](std::uint32_t clock, dbm::bound_t value) {
+      alive = alive && z.constrain(clock, 0, dbm::make_weak(value)) &&
+              z.constrain(0, clock, dbm::make_weak(-value));
+    });
     if (!alive) continue;
-    for (const auto& r : resets) z.free(r.clock);
+    for_each_reset(*sys_, e.inst, [&](std::uint32_t clock, dbm::bound_t) {
+      z.free(clock);
+    });
     collect_guard(e.inst.primary, z, alive);
     if (e.inst.receiver) collect_guard(*e.inst.receiver, z, alive);
-    if (alive) result.add(std::move(z));
+    if (alive) out.add(std::move(z));
   }
-  return result;
 }
 
 SymbolicGraph::Stats SymbolicGraph::stats() const {

@@ -163,17 +163,23 @@ class SymbolicGraph {
   }
 
   // Predecessor through an edge: states satisfying the edge's clock
-  // guards whose reset image lies in `target`.  NOT intersected with
-  // the source invariant or reach set; callers do that.
-  [[nodiscard]] dbm::Fed pred_through(const SymbolicEdge& e,
-                                      const dbm::Fed& target) const;
+  // guards whose reset image lies in `target`, written into `out`
+  // (cleared first; not `target`), so a loop reuses its capacity.  NOT
+  // intersected with the source invariant or reach set; callers do
+  // that.
+  void pred_through(const SymbolicEdge& e, const dbm::Fed& target,
+                    dbm::Fed& out) const;
 
-  // Forward image used by exploration; exposed for tests.  Applies
-  // guards, resets, target invariant and (unless frozen) delay closure,
-  // but no extrapolation.
-  [[nodiscard]] std::optional<std::pair<DiscreteKey, dbm::Dbm>> apply(
-      std::uint32_t src_key, const dbm::Dbm& zone,
-      const TransitionInstance& inst) const;
+  // Forward image used by exploration; exposed for tests.  Writes the
+  // successor's key and zone into `key` and `zone` — caller-owned
+  // scratch, overwritten, so a loop reuses their storage — and returns
+  // false when the instance is disabled from `src_zone` (the outputs
+  // are then unspecified).  Applies guards, resets, target invariant
+  // and (unless frozen) delay closure, but no extrapolation.
+  [[nodiscard]] bool successor(std::uint32_t src_key,
+                               const dbm::Dbm& src_zone,
+                               const TransitionInstance& inst,
+                               DiscreteKey& key, dbm::Dbm& zone) const;
 
   struct Stats {
     std::size_t keys = 0;

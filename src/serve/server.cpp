@@ -355,6 +355,10 @@ void Server::run_worker(Worker& worker) {
                    !flush(conn)) {
           alive = false;  // peer gone, or backlog past kMaxOutputBacklog
         }
+        // A short read drained the socket: another recv would only
+        // return EAGAIN.  Level-triggered epoll reports later bytes (or
+        // the peer's shutdown) as a new event.
+        if (static_cast<std::size_t>(n) < space.size()) break;
       }
       if (alive && !flush(conn)) alive = false;
       if (!alive) drop(fd);

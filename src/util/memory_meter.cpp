@@ -13,38 +13,16 @@ MemoryMeter& zone_meter() noexcept {
   return meter;
 }
 
-// A thread's zone bytes not yet published to zone_meter(); flushed by
-// the thread's own calls and, last, when the thread exits.
-struct PendingZoneBytes {
-  std::int64_t bytes = 0;
-
-  void flush() noexcept {
-    if (bytes == 0) return;
-    zone_meter().apply(bytes);
-    bytes = 0;
-  }
-  ~PendingZoneBytes() { flush(); }
-};
-
-thread_local PendingZoneBytes pending_zone_bytes;
-
 }  // namespace
 
+void detail::PendingZoneBytes::publish() noexcept {
+  zone_meter().apply(bytes);
+  bytes = 0;
+}
+
 MemoryMeter& zone_memory() noexcept {
-  pending_zone_bytes.flush();
+  detail::pending_zone_bytes.flush();
   return zone_meter();
-}
-
-void zone_memory_add(std::size_t bytes) noexcept {
-  PendingZoneBytes& pending = pending_zone_bytes;
-  pending.bytes += static_cast<std::int64_t>(bytes);
-  if (pending.bytes >= kZoneMeterSlack) pending.flush();
-}
-
-void zone_memory_sub(std::size_t bytes) noexcept {
-  PendingZoneBytes& pending = pending_zone_bytes;
-  pending.bytes -= static_cast<std::int64_t>(bytes);
-  if (pending.bytes <= -kZoneMeterSlack) pending.flush();
 }
 
 std::size_t peak_rss_bytes() noexcept {

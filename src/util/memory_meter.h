@@ -88,9 +88,40 @@ MemoryMeter& zone_memory() noexcept;
 
 // Batched zone accounting (see the file comment): the per-thread delta
 // is published to zone_memory() once it reaches ±kZoneMeterSlack bytes.
+// Every Dbm copy and destructor calls these, so they are inline: only
+// the rare publication leaves the caller.
 inline constexpr std::int64_t kZoneMeterSlack = 16 * 1024;
-void zone_memory_add(std::size_t bytes) noexcept;
-void zone_memory_sub(std::size_t bytes) noexcept;
+
+namespace detail {
+
+// A thread's zone bytes not yet published to zone_memory(); flushed by
+// the thread's own calls and, last, by the destructor when the thread
+// exits (a worker's remainder below the slack would otherwise be lost).
+struct PendingZoneBytes {
+  std::int64_t bytes = 0;
+
+  void flush() noexcept {
+    if (bytes != 0) publish();
+  }
+  void publish() noexcept;  // out of line: the slow path
+  ~PendingZoneBytes() { flush(); }
+};
+
+inline thread_local PendingZoneBytes pending_zone_bytes;
+
+}  // namespace detail
+
+inline void zone_memory_add(std::size_t bytes) noexcept {
+  detail::PendingZoneBytes& pending = detail::pending_zone_bytes;
+  pending.bytes += static_cast<std::int64_t>(bytes);
+  if (pending.bytes >= kZoneMeterSlack) [[unlikely]] pending.publish();
+}
+
+inline void zone_memory_sub(std::size_t bytes) noexcept {
+  detail::PendingZoneBytes& pending = detail::pending_zone_bytes;
+  pending.bytes -= static_cast<std::int64_t>(bytes);
+  if (pending.bytes <= -kZoneMeterSlack) [[unlikely]] pending.publish();
+}
 
 // Process high-water RSS from the OS (0 where unsupported).  The
 // counters above measure the zone layer exactly; this measures

@@ -45,8 +45,8 @@ class StripedInternMap {
   static constexpr std::uint32_t kUnassigned = 0xffffffffu;
 
   struct Entry {
-    Entry(Key k, std::size_t h, Entry* n, std::uint64_t r)
-        : key(std::move(k)), hash(h), next(n), rank(r) {}
+    Entry(const Key& k, std::size_t h, Entry* n, std::uint64_t r)
+        : key(k), hash(h), next(n), rank(r) {}
 
     Key key;                 // immutable after publication
     std::size_t hash;        // cached full hash of `key`
@@ -69,7 +69,9 @@ class StripedInternMap {
   // key's hash, `rank` the caller's deterministic discovery rank (see
   // the file comment).  Returns the entry and whether this call
   // inserted it (the inserting caller owns the one-time aux write).
-  std::pair<Entry*, bool> intern(Key&& key, std::size_t hash,
+  // The key is copied only when it is inserted: most interns of a wave
+  // find a key some earlier successor already brought in.
+  std::pair<Entry*, bool> intern(const Key& key, std::size_t hash,
                                  std::uint64_t rank) {
     Stripe& s = stripes_[stripe_of(hash)];
     const std::size_t b = hash & s.bucket_mask;
@@ -87,8 +89,8 @@ class StripedInternMap {
       note_rank(*e, rank);
       return {e, false};
     }
-    s.entries.emplace_back(std::move(key), hash,
-                           head.load(std::memory_order_relaxed), rank);
+    s.entries.emplace_back(key, hash, head.load(std::memory_order_relaxed),
+                           rank);
     Entry* e = &s.entries.back();
     s.pending.push_back(e);
     head.store(e, std::memory_order_release);

@@ -223,7 +223,8 @@ TEST(Dbm, ExtrapolationIsIdempotent) {
 TEST(Dbm, SubtractDisjointPiecesReassembleDifference) {
   const Dbm a = box_xy(0, 6, 0, 6);
   const Dbm b = box_xy(2, 4, 1, 3);
-  const std::vector<Dbm> pieces = subtract(a, b);
+  std::vector<Dbm> pieces;
+  subtract(a, b, pieces);
   ASSERT_FALSE(pieces.empty());
   // Pairwise disjoint.
   for (std::size_t i = 0; i < pieces.size(); ++i) {
@@ -246,7 +247,8 @@ TEST(Dbm, SubtractDisjointPiecesReassembleDifference) {
 TEST(Dbm, SubtractWhenDisjointReturnsOriginal) {
   const Dbm a = box_xy(0, 2, 0, 2);
   const Dbm b = box_xy(5, 6, 5, 6);
-  const auto pieces = subtract(a, b);
+  std::vector<Dbm> pieces;
+  subtract(a, b, pieces);
   ASSERT_EQ(pieces.size(), 1u);
   EXPECT_EQ(pieces[0].relation(a), Relation::kEqual);
 }
@@ -254,7 +256,9 @@ TEST(Dbm, SubtractWhenDisjointReturnsOriginal) {
 TEST(Dbm, SubtractWhenCoveredReturnsNothing) {
   const Dbm a = box_xy(2, 3, 2, 3);
   const Dbm b = box_xy(0, 5, 0, 5);
-  EXPECT_TRUE(subtract(a, b).empty());
+  std::vector<Dbm> pieces;
+  subtract(a, b, pieces);
+  EXPECT_TRUE(pieces.empty());
 }
 
 TEST(Dbm, ToStringReadable) {

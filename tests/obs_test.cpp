@@ -26,13 +26,16 @@
 
 #include <sys/wait.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "dbm/dbm.h"
 #include "decision/compiler.h"
 #include "decision/serialize.h"
 #include "game/cooperative.h"
@@ -45,6 +48,7 @@
 #include "testing/executor.h"
 #include "testing/simulated_imp.h"
 #include "util/memory_meter.h"
+#include "util/thread_pool.h"
 
 namespace tigat::obs {
 namespace {
@@ -433,13 +437,48 @@ TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {
 
 // The solution is read-only: compile decodes each key's federations
 // into its own scratch and frees them before the next key, so the zone
-// bytes held after a compile are those held before it.  One thread
-// keeps the meter exact (no other thread's unpublished slack).
+// bytes held after a compile are those held before it.  A 4-thread
+// solve makes compile fan its key ranges out over 4 workers (LEP n=3
+// has more than a thousand keys); the meter is still exact once the
+// workers have exited and published their slack.
 TEST(ObsMetrics, CompileLeavesZoneMemoryUnchanged) {
-  const auto solution = solve_lep(1);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto solution = solve_lep(threads);
+    ASSERT_EQ(solution->worker_count(), threads);
+    const std::size_t before = util::zone_memory().current();
+    const decision::DecisionTable table = decision::compile(*solution);
+    ASSERT_GT(table.key_count(), 0u);
+    EXPECT_EQ(util::zone_memory().current(), before);
+  }
+}
+
+// A worker's zone bytes below kZoneMeterSlack stay in its per-thread
+// delta until the thread exits; the delta's destructor must publish
+// them then.  Each item of the parallel_for waits until every item has
+// started, so each runs on a thread of its own: three pool workers plus
+// the caller.
+TEST(ObsMetrics, WorkerZoneBytesBelowTheSlackArePublishedAtThreadExit) {
+  constexpr unsigned kThreads = 4;
+  const std::size_t zone_bytes = dbm::Dbm::universal(3).memory_bytes();
+  ASSERT_LT(static_cast<std::int64_t>(kThreads * zone_bytes),
+            util::kZoneMeterSlack);
   const std::size_t before = util::zone_memory().current();
-  const decision::DecisionTable table = decision::compile(*solution);
-  ASSERT_GT(table.key_count(), 0u);
+  std::vector<dbm::Dbm> zones(kThreads);  // moved-from shells: unmetered
+  {
+    util::ThreadPool pool(kThreads);
+    ASSERT_EQ(pool.worker_count(), kThreads);
+    std::atomic<unsigned> started{0};
+    pool.parallel_for(kThreads, 1, [&](std::size_t begin, std::size_t end) {
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (std::size_t i = begin; i < end; ++i) {
+        zones[i] = dbm::Dbm::universal(3);
+      }
+    });
+  }  // the workers exit here
+  EXPECT_EQ(util::zone_memory().current(), before + kThreads * zone_bytes);
+  zones.clear();
   EXPECT_EQ(util::zone_memory().current(), before);
 }
 

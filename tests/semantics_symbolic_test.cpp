@@ -87,13 +87,15 @@ TEST(Symbolic, PredThroughInvertsApply) {
   int checked = 0;
   dbm::Fed src_scratch(m.system.clock_count());
   dbm::Fed dst_fed(m.system.clock_count());
+  DiscreteKey fwd_key;
+  dbm::Dbm fwd_zone;
   for (const SymbolicEdge& e : g.edges()) {
     const auto& src_fed = g.reach(e.src, src_scratch);
     for (const dbm::Dbm& z : src_fed.zones()) {
-      auto fwd = g.apply(e.src, z, e.inst);
-      if (!fwd) continue;
+      if (!g.successor(e.src, z, e.inst, fwd_key, fwd_zone)) continue;
+      EXPECT_EQ(g.find_key(fwd_key).value_or(~0u), e.dst);
       // Forward states are reachable.
-      dbm::Fed img(fwd->second);
+      dbm::Fed img(fwd_zone);
       EXPECT_TRUE(img.is_subset_of(g.reach(e.dst, dst_fed)))
           << "edge " << e.inst.label(m.system);
       ++checked;

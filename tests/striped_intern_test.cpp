@@ -153,6 +153,62 @@ TEST(StripedIntern, RacingDuplicatesKeepMinimumRank) {
   }
 }
 
+// A colliding key that counts its copies, so a test sees every time
+// the map copies one.
+struct CountedKey {
+  static inline std::atomic<std::size_t> copies{0};
+
+  std::uint64_t v = 0;
+
+  explicit CountedKey(std::uint64_t value) : v(value) {}
+  CountedKey(const CountedKey& other) : v(other.v) {
+    copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  CountedKey& operator=(const CountedKey& other) {
+    v = other.v;
+    copies.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  bool operator==(const CountedKey& other) const { return v == other.v; }
+  [[nodiscard]] std::size_t hash() const noexcept { return v % 97; }
+};
+
+TEST(StripedIntern, ConstReferenceInternCopiesOnlyOnInsert) {
+  // Every key is interned kHits times from 8 threads, by const
+  // reference, each time at a distinct rank.  Ranks fall as the index
+  // rises, so a key's minimum arrives after its first insertion and
+  // must win the CAS race; the minimum of key v is kKeys − 1 − v, so
+  // sealing numbers the keys in reverse.
+  constexpr std::uint64_t kKeys = 40;
+  constexpr std::size_t kHits = 64;
+  std::vector<CountedKey> keys;
+  keys.reserve(kKeys);
+  for (std::uint64_t v = 0; v < kKeys; ++v) keys.emplace_back(v);
+  StripedInternMap<CountedKey, int> map;
+  ThreadPool pool(8);
+  CountedKey::copies.store(0);
+  std::atomic<std::size_t> insertions{0};
+  constexpr std::size_t kItems = kKeys * kHits;
+  pool.parallel_for(kItems, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const CountedKey& key = keys[i % kKeys];
+      const auto [entry, inserted] = map.intern(key, key.hash(), kItems - 1 - i);
+      ASSERT_NE(entry, nullptr);
+      if (inserted) insertions.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(insertions.load(), kKeys);
+  EXPECT_EQ(CountedKey::copies.load(), kKeys) << "one copy per inserted key";
+  map.seal_wave();
+  EXPECT_EQ(CountedKey::copies.load(), kKeys) << "sealing copies no key";
+  for (const CountedKey& key : keys) {
+    const auto* e = map.find(key, key.hash());
+    ASSERT_NE(e, nullptr) << "key " << key.v;
+    EXPECT_EQ(e->rank.load(), kKeys - 1 - key.v) << "key " << key.v;
+    EXPECT_EQ(e->id, kKeys - 1 - key.v) << "key " << key.v;
+  }
+}
+
 TEST(StripedIntern, FindMissesAndUnsealedEntries) {
   Map map;
   EXPECT_EQ(map.find(CollidingKey{7}, CollidingKey{7}.hash()), nullptr);
