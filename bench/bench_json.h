@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -137,6 +138,22 @@ class JsonObject {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
+// The build system names the build type (CMakeLists.txt); a bench
+// compiled outside it reports "unknown".
+#ifndef TIGAT_BUILD_TYPE
+#define TIGAT_BUILD_TYPE "unknown"
+#endif
+
+// The host and build a report was measured on, as a JSON object:
+// figures from different machines or build types do not compare.
+inline std::string host_json() {
+  JsonObject host;
+  host.set("cpus", static_cast<int>(std::thread::hardware_concurrency()));
+  host.set("compiler", __VERSION__);
+  host.set("build_type", TIGAT_BUILD_TYPE);
+  return host.render();
+}
+
 class BenchReport {
  public:
   BenchReport(std::string bench_name, int argc, char** argv)
@@ -160,6 +177,7 @@ class BenchReport {
     if (!root_.has("peak_rss_mb")) {
       root_.set("peak_rss_mb", util::to_mebibytes(util::peak_rss_bytes()));
     }
+    if (!root_.has("host")) root_.raw("host", host_json());
     std::string out = root_.render();
     out.pop_back();  // reopen the root object to append "rows"
     if (out.size() > 1) out += ", ";
@@ -232,9 +250,9 @@ inline int gbench_main(int argc, char** argv, const char* bench_name) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!json.empty()) {
-    // gbench owns the JSON file format; splice peak_rss_mb into the
-    // root object after the fact so gbench benches report it like the
-    // BenchReport ones do.
+    // gbench owns the JSON file format; splice peak_rss_mb and host
+    // into the root object after the fact so gbench benches report
+    // them like the BenchReport ones do.
     if (std::FILE* f = std::fopen(json.c_str(), "r+")) {
       std::string doc;
       char buf[1 << 12];
@@ -242,10 +260,11 @@ inline int gbench_main(int argc, char** argv, const char* bench_name) {
       while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
       const std::size_t brace = doc.find('{');
       if (brace != std::string::npos) {
-        char field[64];
-        std::snprintf(field, sizeof field, "\"peak_rss_mb\": %.6f,",
+        char rss[64];
+        std::snprintf(rss, sizeof rss, "%.6f",
                       tigat::util::to_mebibytes(tigat::util::peak_rss_bytes()));
-        doc.insert(brace + 1, field);
+        doc.insert(brace + 1, std::string("\"peak_rss_mb\": ") + rss +
+                                  ", \"host\": " + host_json() + ",");
         std::rewind(f);
         std::fwrite(doc.data(), 1, doc.size(), f);
       }

@@ -10,15 +10,6 @@ namespace tigat::dbm {
 
 namespace {
 
-std::size_t row_hash(const raw_t* row, std::uint32_t dim) noexcept {
-  std::size_t h = 0xcbf29ce484222325ULL;
-  for (std::uint32_t i = 0; i < dim; ++i) {
-    h ^= static_cast<std::size_t>(static_cast<std::uint32_t>(row[i]));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Cached registry references — intern_row is hot enough that a name
 // lookup per call would show up; resolved once, on the first metered
 // call.
@@ -38,42 +29,26 @@ ZonePool::ZonePool(std::uint32_t dim) : dim_(dim) {
 }
 
 ZonePool::ZonePool(const ZonePool& other)
-    : dim_(other.dim_),
-      slab_(other.slab_),
-      index_(other.index_),
-      metered_(other.metered_) {
-  util::zone_memory_add(metered_);
+    : dim_(other.dim_), slab_(other.slab_), index_(other.index_) {
+  util::zone_memory_add(slab_.size() * sizeof(raw_t));
 }
 
-ZonePool::~ZonePool() { util::zone_memory_sub(metered_); }
+ZonePool::~ZonePool() { util::zone_memory_sub(slab_.size() * sizeof(raw_t)); }
 
 ZonePool::RowId ZonePool::intern_row(const raw_t* row) {
   if (obs::metrics_enabled()) row_lookups().add(1);
-  const std::size_t h = row_hash(row, dim_);
-  std::vector<RowId>& chain = index_[h];
-  for (const RowId id : chain) {
-    if (std::memcmp(this->row(id), row, dim_ * sizeof(raw_t)) == 0) return id;
-  }
+  const std::size_t bytes = dim_ * sizeof(raw_t);
+  // raw_t is int32_t: its words hash as their unsigned counterparts.
+  // The index asserts past 2^31 records, so ids never run out.
+  const auto [id, inserted] = index_.find_or_insert(
+      util::hash_words({reinterpret_cast<const std::uint32_t*>(row), dim_}),
+      static_cast<RowId>(row_count()),
+      [&](RowId r) { return std::memcmp(this->row(r), row, bytes) == 0; });
+  if (!inserted) return id;
   if (obs::metrics_enabled()) row_inserts().add(1);
-  const std::size_t count = row_count();
-  TIGAT_ASSERT(count < 0xffffffffu, "zone pool row ids exhausted");
-  const auto id = static_cast<RowId>(count);
   slab_.insert(slab_.end(), row, row + dim_);
-  chain.push_back(id);
-  util::zone_memory_add(dim_ * sizeof(raw_t));
-  metered_ += dim_ * sizeof(raw_t);
+  util::zone_memory_add(bytes);
   return id;
-}
-
-std::size_t ZonePool::memory_bytes() const noexcept {
-  std::size_t total = slab_.capacity() * sizeof(raw_t);
-  // Index estimate: node + chain storage per distinct hash.
-  total += index_.size() * (sizeof(std::size_t) + sizeof(void*) * 2);
-  for (const auto& [h, chain] : index_) {
-    (void)h;
-    total += chain.capacity() * sizeof(RowId);
-  }
-  return total;
 }
 
 PooledFed::PooledFed(const PooledFed& other)

@@ -18,6 +18,9 @@
 // or heap-backed alike.  Zones of up to 64 clocks (reference clock
 // included) can be pooled.
 //
+// The dictionary is a row slab plus a util::FlatIndex that compares
+// rows in place; memory_bytes() is the exact size of slab and slots.
+//
 // Concurrency contract (matches the solving pipeline's fork-join
 // structure): intern_row() and every PooledFed mutator are SERIAL-ONLY
 // — they run in the serial merge sections between parallel waves /
@@ -32,10 +35,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dbm/federation.h"
+#include "util/flat_index.h"
 
 namespace tigat::dbm {
 
@@ -64,14 +67,15 @@ class ZonePool {
   [[nodiscard]] std::size_t row_count() const noexcept {
     return slab_.size() / dim_;
   }
-  // Slab + dictionary index, the pool's own footprint.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  // Slab + index slots: the pool's own footprint, exactly.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return slab_.capacity() * sizeof(raw_t) + index_.memory_bytes();
+  }
 
  private:
   std::uint32_t dim_;
   std::vector<raw_t> slab_;  // row r at slab_[r*dim_ .. r*dim_+dim_)
-  std::unordered_map<std::size_t, std::vector<RowId>> index_;
-  std::size_t metered_ = 0;  // slab bytes currently reported to the meter
+  util::FlatIndex index_;    // row hash → id; compares rows in the slab
 };
 
 // A federation stored as row ids into a ZonePool.  Mirrors the exact

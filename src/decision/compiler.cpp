@@ -4,12 +4,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.h"
 #include "util/assert.h"
+#include "util/flat_index.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -38,69 +38,6 @@ constexpr std::uint32_t kUnset = 0xffff'ffffu;
 // words.
 using Words = std::vector<std::uint32_t>;
 
-std::uint64_t hash_words(std::span<const std::uint32_t> words) {
-  std::uint64_t h = 0xcbf29ce484222325ull ^ words.size();
-  for (const std::uint32_t w : words) h = (h ^ w) * 0x100000001b3ull;
-  return h ^ (h >> 32);
-}
-
-// An open-addressing table of (hash, id) pairs with linear probing.
-// It stores no keys: a probe asks the caller whether the record with a
-// candidate id is the one looked up, and the caller compares against
-// wherever that record lives.
-class FlatIndex {
- public:
-  // Returns the id of the record with this hash for which `same(id)`
-  // holds and false, or records `fresh` under the hash and returns it
-  // and true.
-  template <typename Same>
-  std::pair<std::uint32_t, bool> find_or_insert(std::uint64_t hash,
-                                                std::uint32_t fresh,
-                                                const Same& same) {
-    if (2 * (count_ + 1) > slots_.size()) grow();
-    const auto tag = static_cast<std::uint32_t>(hash);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(tag);; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.id == kUnset) {
-        slot = {tag, fresh};
-        ++count_;
-        return {fresh, true};
-      }
-      if (slot.tag == tag && same(slot.id)) return {slot.id, false};
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint32_t tag = 0;  // low bits of the record's hash
-    std::uint32_t id = kUnset;
-  };
-
-  // Fibonacci hashing of the tag onto the table's 2^bits_ slots.
-  [[nodiscard]] std::size_t home(std::uint32_t tag) const {
-    return (tag * 0x9e3779b9u) >> (32 - bits_);
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    ++bits_;
-    TIGAT_ASSERT(bits_ <= 32, "interning index overflow");
-    slots_.assign(std::size_t{1} << bits_, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.id == kUnset) continue;
-      std::size_t i = home(slot.tag);
-      while (slots_[i].id != kUnset) i = (i + 1) & mask;
-      slots_[i] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::uint32_t bits_ = 3;  // the first grow() sizes the table to 16
-  std::size_t count_ = 0;
-};
-
 // Interns word strings: each distinct key is copied once into a word
 // arena, where probes compare against it in place, and maps to the id
 // it was first given.
@@ -109,8 +46,8 @@ class WordsIndex {
   std::pair<std::uint32_t, bool> try_emplace(
       std::span<const std::uint32_t> key, std::uint32_t fresh) {
     const auto entry = static_cast<std::uint32_t>(ids_.size());
-    const auto [found, inserted] =
-        index_.find_or_insert(hash_words(key), entry, [&](std::uint32_t e) {
+    const auto [found, inserted] = index_.find_or_insert(
+        util::hash_words(key), entry, [&](std::uint32_t e) {
           return std::equal(key.begin(), key.end(),
                             arena_.begin() + starts_[e],
                             arena_.begin() + starts_[e + 1]);
@@ -124,7 +61,7 @@ class WordsIndex {
   }
 
  private:
-  FlatIndex index_;                   // hash → entry
+  util::FlatIndex index_;             // hash → entry
   std::vector<std::uint32_t> arena_;  // the keys, back to back
   // Entry e's key is arena_[starts_[e], starts_[e + 1]).
   std::vector<std::uint32_t> starts_{0};
@@ -203,19 +140,21 @@ class Pools {
   // Edge slots are keyed by the original edge index.
   std::uint32_t edge(std::uint32_t original,
                      const semantics::TransitionInstance& inst) {
-    const auto [it, inserted] = edge_index_.try_emplace(
-        original, static_cast<std::uint32_t>(data.edges.size()));
+    const auto [id, inserted] = edge_index_.find_or_insert(
+        util::hash_words({&original, 1}),
+        static_cast<std::uint32_t>(data.edges.size()),
+        [&](std::uint32_t e) { return data.edges[e].original == original; });
     if (inserted) data.edges.push_back({original, inst});
-    return it->second;
+    return id;
   }
 
  private:
-  FlatIndex zone_index_;  // compares against data.zones in place
+  util::FlatIndex zone_index_;  // compares against data.zones in place
   WordsIndex slice_index_;
   WordsIndex acts_index_;
   WordsIndex leaf_index_;
   WordsIndex node_index_;
-  std::unordered_map<std::uint32_t, std::uint32_t> edge_index_;
+  util::FlatIndex edge_index_;  // compares data.edges[].original in place
   Words key_;  // scratch for the lookups
 };
 

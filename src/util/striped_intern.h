@@ -23,6 +23,12 @@
 // the insertion race (intern() returns inserted=true exactly once per
 // key).  The slot is written after publication but only read after
 // the wave's join barrier, which establishes the happens-before edge.
+//
+// Why chained stripes and not util::FlatIndex: during a wave, workers
+// insert under a stripe's mutex while others probe it without a lock.
+// A chain takes any load without moving what readers walk, until
+// seal_wave rebuilds it; an open-addressing stripe that filled up
+// mid-wave would have to grow, moving its slots under those readers.
 #pragma once
 
 #include <algorithm>
@@ -135,19 +141,6 @@ class StripedInternMap {
   // Entries numbered so far (serial phases / after a join).
   [[nodiscard]] std::size_t size() const noexcept { return by_id_.size(); }
   [[nodiscard]] Entry* entry(std::uint32_t id) const { return by_id_[id]; }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    std::size_t total = by_id_.capacity() * sizeof(Entry*);
-    for (std::uint32_t s = 0; s < stripe_count_; ++s) {
-      total += stripes_[s].entries.size() * sizeof(Entry) +
-               (stripes_[s].bucket_mask + 1) * sizeof(std::atomic<Entry*>);
-    }
-    return total;
-  }
-
-  [[nodiscard]] std::uint32_t stripe_count() const noexcept {
-    return stripe_count_;
-  }
 
  private:
   static constexpr std::uint32_t kDefaultStripes = 64;

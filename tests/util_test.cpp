@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dbm/dbm.h"
+#include "util/flat_index.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -159,6 +160,77 @@ TEST(MemoryMeter, ZoneBytesNetOutAcrossThreads) {
 TEST(MemoryMeter, MebibyteConversion) {
   EXPECT_DOUBLE_EQ(to_mebibytes(1 << 20), 1.0);
   EXPECT_DOUBLE_EQ(to_mebibytes(0), 0.0);
+}
+
+// A FlatIndex over records that live with the caller, as the zone pool
+// and the compiler use it: `fresh` is the next record's position.
+class IndexedRecords {
+ public:
+  std::pair<std::uint32_t, bool> intern(std::uint64_t record,
+                                        std::uint64_t hash) {
+    const auto [id, inserted] = index_.find_or_insert(
+        hash, static_cast<std::uint32_t>(records_.size()),
+        [&](std::uint32_t candidate) { return records_[candidate] == record; });
+    if (inserted) records_.push_back(record);
+    return {id, inserted};
+  }
+  [[nodiscard]] std::size_t slot_bytes() const { return index_.memory_bytes(); }
+
+ private:
+  FlatIndex index_;
+  std::vector<std::uint64_t> records_;
+};
+
+// Every record hashes alike, so every probe walks one cluster of equal
+// tags and only the caller's comparison tells records apart.
+TEST(FlatIndex, CollidingRecordsGetFirstComeIdsAcrossGrowth) {
+  constexpr std::uint32_t kRecords = 10'000;
+  constexpr std::uint64_t kHash = 0x1234'5678'9abc'def0ull;
+  const auto record = [](std::uint32_t i) {
+    return std::uint64_t{i} * 0x9e37'79b9'7f4a'7c15ull + 1;
+  };
+  IndexedRecords index;
+  int grows = 0;
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    const std::size_t before = index.slot_bytes();
+    const auto [id, inserted] = index.intern(record(i), kHash);
+    ASSERT_TRUE(inserted) << "record " << i;
+    ASSERT_EQ(id, i) << "ids are handed out first come, first served";
+    const std::size_t grown = index.slot_bytes();
+    if (grown == before) continue;
+    ++grows;
+    // Right after each grow(), every earlier record is found again
+    // under its first id, and finding allocates nothing.
+    for (std::uint32_t j = 0; j <= i; ++j) {
+      const auto [again, fresh] = index.intern(record(j), kHash);
+      ASSERT_FALSE(fresh) << "record " << j << " after grow " << grows;
+      ASSERT_EQ(again, j) << "record " << j << " after grow " << grows;
+    }
+    ASSERT_EQ(index.slot_bytes(), grown);
+  }
+  EXPECT_GE(grows, 10);
+  for (std::uint32_t j = kRecords; j-- > 0;) {
+    const auto [again, fresh] = index.intern(record(j), kHash);
+    ASSERT_FALSE(fresh);
+    ASSERT_EQ(again, j);
+  }
+}
+
+// The index keys on the low 32 bits of the hash: records whose hashes
+// differ only above them share a tag and must still stay apart.
+TEST(FlatIndex, EqualTagsFromDifferentHashesGetDistinctIds) {
+  IndexedRecords index;
+  constexpr std::uint64_t kTag = 0xdead'beefull;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    const auto [id, inserted] = index.intern(i, std::uint64_t{i} << 32 | kTag);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(id, i);
+  }
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    const auto [id, inserted] = index.intern(i, std::uint64_t{i} << 32 | kTag);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(id, i);
+  }
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

@@ -181,6 +181,48 @@ TEST(ZonePool, DecodeRoundTripsOnBothStoragePaths) {
   }
 }
 
+// GameSolution starts its pool as a copy of the graph's.  The copy must
+// keep every id and then intern on its own: neither pool sees the
+// other's new rows, and a row already present costs neither any bytes.
+TEST(ZonePool, CopyKeepsIdsAndInternsIndependently) {
+  const std::uint32_t dim = 3;
+  const std::size_t row_bytes = dim * sizeof(raw_t);
+  util::Rng rng(19);
+  ZonePool source(dim);
+  PooledFed pooled(dim);
+  for (int i = 0; i < 60; ++i) pooled.add(random_zone(rng, dim), source);
+  const std::size_t rows = source.row_count();
+  ASSERT_GT(rows, 1u);
+
+  ZonePool copy(source);
+  ASSERT_EQ(copy.row_count(), rows);
+  for (ZonePool::RowId id = 0; id < rows; ++id) {
+    EXPECT_EQ(0, std::memcmp(copy.row(id), source.row(id), row_bytes))
+        << "row " << id;
+  }
+  const std::size_t source_bytes = source.memory_bytes();
+
+  // random_zone bounds stay within ±10, so this row is new to both.
+  const raw_t fresh[3] = {kLeZero, make_weak(-77), make_strict(-78)};
+  EXPECT_EQ(copy.intern_row(fresh), rows);
+  EXPECT_EQ(copy.row_count(), rows + 1);
+  EXPECT_EQ(source.row_count(), rows);
+  EXPECT_EQ(source.memory_bytes(), source_bytes);
+
+  const std::size_t copy_bytes = copy.memory_bytes();
+  for (ZonePool::RowId id = 0; id < rows; ++id) {
+    raw_t row[3];
+    std::memcpy(row, source.row(id), row_bytes);
+    EXPECT_EQ(source.intern_row(row), id);
+    EXPECT_EQ(copy.intern_row(row), id);
+  }
+  EXPECT_EQ(copy.intern_row(fresh), rows);
+  EXPECT_EQ(source.memory_bytes(), source_bytes);
+  EXPECT_EQ(copy.memory_bytes(), copy_bytes);
+  EXPECT_EQ(source.row_count(), rows);
+  EXPECT_EQ(copy.row_count(), rows + 1);
+}
+
 TEST(ZonePoolSolver, CompactReportsCompressedFootprint) {
   // The Table 1 memory column must reflect the compressed store.  At
   // the end of a solve the reach and winning sets are both live, so

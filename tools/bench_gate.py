@@ -73,6 +73,21 @@ def info_peak_rss(name, base, cur):
     info(f"{name} peak_rss_mb", detail)
 
 
+def describe_host(doc):
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return "unrecorded"
+    return (f"{host.get('cpus')} cpus, {host.get('compiler')}, "
+            f"{host.get('build_type')}")
+
+
+def info_host(name, base, cur):
+    # Ratios against a baseline from another host class or build type
+    # mean less; show both so a reader can tell.
+    info(f"{name} host",
+         f"baseline {describe_host(base)} -> current {describe_host(cur)}")
+
+
 def ratio_check(name, base, cur, max_ratio, warn_only=False):
     if base is None or cur is None:
         return
@@ -194,6 +209,7 @@ def gate_file(path_base, path_cur):
     else:
         gate_report(name, base, cur)
     info_peak_rss(name, base, cur)
+    info_host(name, base, cur)
 
 
 def main():
